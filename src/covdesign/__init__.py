@@ -33,7 +33,7 @@ from .outcomes import (
     gate_sim,
     with_gamma,
 )
-from .estimators import EstimateRecord, dim, ht, ht_adjusted
+from .estimators import EstimateRecord, cluster_estimates, dim, ht, ht_adjusted
 from .analysis import (
     ExactVariance,
     bias_closed_form,
@@ -83,7 +83,7 @@ __all__ = [
     "read_clustering", "write_clustering",
     "AnalysisModelParams", "SimModelParams", "eval_analysis", "eval_sim",
     "gate_analysis", "gate_sim", "with_gamma",
-    "EstimateRecord", "dim", "ht", "ht_adjusted",
+    "EstimateRecord", "cluster_estimates", "dim", "ht", "ht_adjusted",
     "ExactVariance", "bias_closed_form", "h_vector", "is_valid_covariance",
     "objective_f", "objective_terms", "omega_from_model", "variance_bound",
     "variance_exact",

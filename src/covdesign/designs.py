@@ -1,10 +1,10 @@
 """Cluster-level randomization schemes with exactly known covariance.
 
 Every design assigns each cluster treatment with marginal probability 1/2
-and can sample a 0/1 cluster vector from an externally supplied random
-generator.  Designs also expose their exact covariance matrix, and - where
-mathematically possible - their full outcome distribution for enumeration
-oracles.
+and samples batches of 0/1 cluster vectors from an externally supplied
+random generator.  Designs are immutable and also expose their exact
+covariance matrix, and - where mathematically possible - their full outcome
+distribution for enumeration oracles, built once and shared read-only.
 """
 
 from __future__ import annotations
@@ -65,18 +65,6 @@ def _balanced_subset_probs(m: int) -> dict[int, float]:
     return {m // 2: 0.5, m // 2 + 1: 0.5}
 
 
-def _sample_balanced(rng: np.random.Generator, m: int) -> np.ndarray:
-    counts = _balanced_subset_probs(m)
-    if len(counts) == 1:
-        count = next(iter(counts))
-    else:
-        low = min(counts)
-        count = low + int(rng.integers(0, 2))
-    out = np.zeros(m, dtype=np.float64)
-    out[rng.permutation(m)[:count]] = 1.0
-    return out
-
-
 def _sample_balanced_many(rng: np.random.Generator, m: int, size: int) -> np.ndarray:
     # rank uniforms per row; the `count` smallest become treated
     counts = _balanced_subset_probs(m)
@@ -110,24 +98,30 @@ class Design:
 
     kind: str
     k: int
+    _exact: tuple[np.ndarray, np.ndarray] | None = None
 
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        raise NotImplementedError
+    def __init__(self, k: int):
+        if k < 1:
+            raise ValueError("k must be positive")
+        self.k = int(k)
 
     def sample_many(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Vectorized batch of draws, one per row.
-
-        Distributionally identical to repeated `sample` calls but not
-        stream-compatible with them; the replication engine uses `sample`
-        with per-replication generators so results are order-independent.
-        """
-        return np.stack([self.sample(rng) for _ in range(size)])
+        """Batch of `size` independent draws, one 0/1 cluster vector per row."""
+        raise NotImplementedError
 
     def covariance(self) -> np.ndarray:
         raise NotImplementedError
 
     def exact_distribution(self) -> tuple[np.ndarray, np.ndarray]:
-        """Return (patterns, probabilities) covering the full support."""
+        """(patterns, probabilities) over the full support; cached, read-only."""
+        if self._exact is None:
+            patterns, probs = self._enumerate()
+            patterns.setflags(write=False)
+            probs.setflags(write=False)
+            self._exact = (patterns, probs)
+        return self._exact
+
+    def _enumerate(self) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
     def _stream_material(self) -> bytes:
@@ -152,50 +146,15 @@ class BernoulliDesign(Design):
 
     kind = "ber"
 
-    def __init__(self, k: int):
-        if k < 1:
-            raise ValueError("k must be positive")
-        self.k = int(k)
-
-    def sample(self, rng):
-        return rng.integers(0, 2, self.k).astype(np.float64)
-
     def sample_many(self, rng, size):
         return rng.integers(0, 2, (size, self.k)).astype(np.float64)
 
     def covariance(self):
         return 0.25 * np.eye(self.k)
 
-    def exact_distribution(self):
+    def _enumerate(self):
         patterns = enumerate_patterns(self.k)
         return patterns, np.full(patterns.shape[0], 0.5**self.k)
-
-
-class CompleteDesign(Design):
-    """Exactly half the clusters treated (a fair split of the two middle
-    counts when K is odd, which restores the 1/2 marginal)."""
-
-    kind = "cr"
-
-    def __init__(self, k: int):
-        if k < 1:
-            raise ValueError("k must be positive")
-        self.k = int(k)
-
-    def sample(self, rng):
-        return _sample_balanced(rng, self.k)
-
-    def sample_many(self, rng, size):
-        return _sample_balanced_many(rng, self.k, size)
-
-    def covariance(self):
-        return _balanced_covariance(self.k)
-
-    def exact_distribution(self):
-        patterns = enumerate_patterns(self.k)
-        probs = _balanced_pattern_prob(patterns.sum(axis=1).astype(np.int64), self.k)
-        keep = probs > 0
-        return patterns[keep], probs[keep]
 
 
 class BlockDesign(Design):
@@ -211,14 +170,8 @@ class BlockDesign(Design):
         members = sorted(i for b in blocks for i in b)
         if members != list(range(k)):
             raise ValueError("blocks must partition 0..K-1")
-        self.k = int(k)
+        super().__init__(k)
         self.blocks = tuple(tuple(int(i) for i in b) for b in blocks)
-
-    def sample(self, rng):
-        t = np.empty(self.k, dtype=np.float64)
-        for block in self.blocks:
-            t[list(block)] = _sample_balanced(rng, len(block))
-        return t
 
     def sample_many(self, rng, size):
         t = np.empty((size, self.k), dtype=np.float64)
@@ -236,7 +189,7 @@ class BlockDesign(Design):
             cov[np.ix_(idx, idx)] = _balanced_covariance(len(block))
         return cov
 
-    def exact_distribution(self):
+    def _enumerate(self):
         patterns = enumerate_patterns(self.k)
         probs = np.ones(patterns.shape[0])
         for block in self.blocks:
@@ -245,6 +198,16 @@ class BlockDesign(Design):
             probs *= _balanced_pattern_prob(block_sum, len(block))
         keep = probs > 0
         return patterns[keep], probs[keep]
+
+
+class CompleteDesign(BlockDesign):
+    """Exactly half the clusters treated (a fair split of the two middle
+    counts when K is odd, which restores the 1/2 marginal): one block."""
+
+    kind = "cr"
+
+    def __init__(self, k: int):
+        super().__init__(k, [range(k)])
 
 
 class SignGaussianDesign(Design):
@@ -259,22 +222,22 @@ class SignGaussianDesign(Design):
     kind = "ocd"
 
     def __init__(self, root: np.ndarray):
-        root = np.asarray(root, dtype=np.float64)
+        root = np.array(root, dtype=np.float64)
         if root.ndim != 2 or root.shape[0] != root.shape[1]:
             raise ValueError("root must be a square matrix")
+        if not np.all(np.isfinite(root)):
+            raise ValueError("root has NaN or inf entries")
         norms = np.linalg.norm(root, axis=1)
         if np.max(np.abs(norms - 1.0)) > 1e-6:
             raise ValueError("root rows must have unit 2-norm")
+        root.setflags(write=False)
+        super().__init__(root.shape[0])
         self.root = root
-        self.k = root.shape[0]
 
     def gram(self) -> np.ndarray:
         a = np.clip(self.root @ self.root.T, -1.0, 1.0)
         np.fill_diagonal(a, 1.0)
         return a
-
-    def sample(self, rng):
-        return (self.root @ rng.standard_normal(self.k) >= 0.0).astype(np.float64)
 
     def sample_many(self, rng, size):
         return (rng.standard_normal((size, self.k)) @ self.root.T >= 0.0).astype(np.float64)
@@ -287,7 +250,7 @@ class SignGaussianDesign(Design):
         np.fill_diagonal(cov, 0.25)
         return cov
 
-    def exact_distribution(self):
+    def _enumerate(self):
         """Exact pattern probabilities via per-component sign moments.
 
         The Gram matrix is split into connected components over its exact

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -60,6 +61,9 @@ class SimModelParams:
     def __post_init__(self):
         if self.kind not in ("linear", "multiplicative"):
             raise ValueError(f"unknown model kind {self.kind!r}")
+        for name in ("alpha", "beta", "c", "sigma", "gamma", "mean_degree"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.sigma < 0:
             raise ValueError("sigma must be nonnegative")
 

@@ -1,29 +1,30 @@
 """Monte Carlo and exact-enumeration comparison of randomization designs.
 
-Each replication draws its own generator from (base seed, design content
-key, gamma index, replication index), so results are independent of
-execution order: chunks of replications can run on any number of workers
-and land in preallocated arrays by index, making parallel runs
-bit-identical to serial ones.
+Both run one estimator kernel on per-cluster outcome sums (`ClusterModel`)
+for batches of cluster draws: sampled blocks of `BLOCK` replications, or a
+design's full pattern distribution.  Each block draws from its own
+generator seeded by (base seed, design content key, gamma index, block
+index), so blocks can run on any number of workers, bit-identically.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import functools
+import math
 import multiprocessing
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .clustering import Clustering
 from .designs import Design
-from .estimators import ESTIMATOR_KINDS
+from .estimators import ESTIMATOR_KINDS, cluster_estimates
 from .graph import Graph
 from .outcomes import (
     AnalysisModelParams,
     SimModelParams,
-    eval_analysis,
-    eval_sim,
     gate_analysis,
     gate_sim,
     with_gamma,
@@ -43,6 +44,9 @@ __all__ = [
 # stream in disjoint families
 _DESIGN_STREAM = 1
 _NOISE_STREAM = 2
+# replications per seeded stream: amortizes per-call overhead while the
+# multiplicative model's units x block temporaries stay near 6 MB at n = 11.6k
+BLOCK = 64
 
 
 def baseline_levels(model, graph: Graph) -> np.ndarray:
@@ -75,6 +79,8 @@ class SimConfig:
             raise ValueError("replications must be at least 1")
         if not self.gammas:
             raise ValueError("gamma grid must be nonempty")
+        if not all(math.isfinite(g) for g in self.gammas):
+            raise ValueError(f"gammas must be finite, got {list(self.gammas)}")
         if not self.designs:
             raise ValueError("at least one design is required")
         for kind in self.estimators:
@@ -143,60 +149,88 @@ class SimReport:
         }
 
 
-def _rep_rng(base_seed: int, spawn_key: tuple[int, ...]) -> np.random.Generator:
+class ClusterModel:
+    """An outcome model reduced to the law of its per-cluster outcome sums.
+
+    For cluster draws t (B x K), Y = baseline + t * direct + gamma t @ spill,
+    plus, for the noisy models, one normal per cluster with the exact law
+    of the summed unit noise: N(0, sigma^2 n_a) for `linear`, and given t,
+    N(0, sigma^2 sum_{i in a} rel_i^2 (1 + beta t_a + gamma f_i)^2) for
+    `multiplicative`, where f_i = (N t)_i / d_i over the sparse unit x
+    cluster neighbour counts N.
+    """
+
+    def __init__(self, model, graph: Graph, clustering: Clustering):
+        assign, k, n = clustering.assignment, clustering.k, graph.n
+        indicator = sp.csr_matrix((np.ones(n), (assign, np.arange(n))), shape=(k, n))
+        counts = (graph.adjacency @ indicator.T).tocsr()  # N_ib: neighbours of i in b
+        contact = (indicator @ counts).toarray()
+        deg = graph.degrees.astype(np.float64)
+        self.sizes = np.bincount(assign, minlength=k).astype(np.float64)
+        self.baseline = np.bincount(assign, baseline_levels(model, graph), minlength=k)
+        self.kind = getattr(model, "kind", "analysis")
+        self.sigma = getattr(model, "sigma", 0.0)
+        self.noisy = self.sigma > 0.0
+        if self.kind == "analysis":
+            self.direct = np.bincount(assign, model.beta, minlength=k)
+            self.spill = contact
+        elif self.kind == "linear":
+            inv_deg = np.divide(1.0, deg, out=np.zeros_like(deg), where=deg > 0)
+            self.direct = model.beta * self.sizes
+            self.spill = (indicator @ sp.diags(inv_deg) @ counts).toarray().T
+        else:
+            # rel_i f_i = (N t)_i / dbar, so the mean needs only the contacts
+            self.scale = 1.0 / model.mean_degree if model.mean_degree > 0 else 0.0
+            self.beta, self.counts, self.indicator = model.beta, counts, indicator
+            self.direct = model.beta * self.baseline
+            self.spill = model.alpha * self.scale * contact
+            self.rel_sq = np.bincount(assign, (deg * self.scale) ** 2, minlength=k)
+            self.cross = self.scale**2 * (indicator @ sp.diags(deg) @ counts).toarray().T
+
+    def sums(self, t: np.ndarray, gamma: float, noise: np.ndarray | None = None):
+        """Outcome sums (B x K); `noise` holds one standard normal per cluster
+        and draw, and a noise-free model ignores it."""
+        y = self.baseline + t * self.direct + gamma * (t @ self.spill)
+        if self.noisy:
+            y += self.sigma * self._noise_scale(t, gamma) * noise
+        return y
+
+    def _noise_scale(self, t, gamma):
+        if self.kind == "linear":
+            return np.sqrt(self.sizes)
+        # sum_{i in a} (rel_i (1 + beta t_a) + gamma (N t)_i / dbar)^2, expanded
+        lift = 1.0 + self.beta * t
+        reach = self.counts @ t.T
+        reach *= reach
+        var = (self.rel_sq * lift**2 + 2.0 * gamma * lift * (t @ self.cross)
+               + (gamma * self.scale) ** 2 * (self.indicator @ reach).T)
+        return np.sqrt(np.maximum(var, 0.0))
+
+
+def _block_rng(base_seed: int, spawn_key: tuple[int, ...]) -> np.random.Generator:
     seq = np.random.SeedSequence(entropy=base_seed, spawn_key=spawn_key)
     return np.random.Generator(np.random.PCG64(seq))
 
 
-def _estimate_all(kinds, z, y, baseline):
-    values = np.empty(len(kinds))
-    degenerate = np.zeros(len(kinds), dtype=bool)
-    signed = 2.0 * z - 1.0
-    for i, kind in enumerate(kinds):
-        if kind == "ht":
-            values[i] = 2.0 * np.mean(signed * y)
-        elif kind == "ht_adjusted":
-            values[i] = 2.0 * np.mean(signed * (y - baseline))
-        else:  # dim
-            treated = z == 1.0
-            m = int(treated.sum())
-            if m == 0 or m == z.size:
-                values[i] = np.nan
-                degenerate[i] = True
-            else:
-                values[i] = y[treated].mean() - y[~treated].mean()
+def _mc_block(law: ClusterModel, designs, gammas, kinds, reps: int, base_seed: int,
+              shared_noise: bool, block: int):
+    """Estimates of every (gamma, design) cell for one block of replications;
+    `designs` pairs each design with its stream key."""
+    size = min(BLOCK, reps - block * BLOCK)
+    values = np.empty((len(gammas), len(designs), size, len(kinds)))
+    degenerate = np.empty(values.shape, dtype=bool)
+    for g_idx, gamma in enumerate(gammas):
+        shared = None
+        if law.noisy and shared_noise:
+            shared = _block_rng(base_seed, (_NOISE_STREAM, 0, g_idx, block)).standard_normal(
+                (size, law.sizes.size))
+        for d_idx, (key, design) in enumerate(designs):
+            rng = _block_rng(base_seed, (_DESIGN_STREAM, key, g_idx, block))
+            t = design.sample_many(rng, size)
+            noise = rng.standard_normal(t.shape) if law.noisy and not shared_noise else shared
+            values[g_idx, d_idx], degenerate[g_idx, d_idx] = cluster_estimates(
+                t, law.sums(t, gamma, noise), law.sizes, law.baseline, kinds)
     return values, degenerate
-
-
-def _mc_chunk(graph: Graph, assignment: np.ndarray, design: Design, model,
-              estimators, baseline, base_seed: int, design_key: int,
-              gamma_idx: int, rep_range, shared_noise: bool):
-    start, stop = rep_range
-    n_est = len(estimators)
-    values = np.empty((stop - start, n_est))
-    degenerate = np.zeros((stop - start, n_est), dtype=bool)
-    is_sim = isinstance(model, SimModelParams)
-    needs_noise = is_sim and model.sigma > 0.0
-    for rep in range(start, stop):
-        rng = _rep_rng(base_seed, (_DESIGN_STREAM, design_key, gamma_idx, rep))
-        t = design.sample(rng)
-        z = t[assignment]
-        if is_sim:
-            if needs_noise:
-                noise_rng = (
-                    _rep_rng(base_seed, (_NOISE_STREAM, 0, gamma_idx, rep))
-                    if shared_noise else rng
-                )
-                noise = noise_rng.standard_normal(graph.n)
-            else:
-                noise = np.zeros(graph.n)
-            y = eval_sim(model, graph, z, noise)
-        else:
-            y = eval_analysis(model, graph, z)
-        values[rep - start], degenerate[rep - start] = _estimate_all(
-            estimators, z, y, baseline
-        )
-    return start, values, degenerate
 
 
 def _aggregate_cell(name, gamma, estimator, values, degenerate, oracle) -> ReportCell:
@@ -229,12 +263,6 @@ def _aggregate_cell(name, gamma, estimator, values, degenerate, oracle) -> Repor
     )
 
 
-def _oracle(model, graph: Graph) -> float:
-    if isinstance(model, SimModelParams):
-        return gate_sim(model)
-    return gate_analysis(model, graph)
-
-
 def run_mc(config: SimConfig) -> SimReport:
     """Monte Carlo table of bias / SD / MSE for every design, gamma and
     estimator in the configuration.
@@ -242,50 +270,36 @@ def run_mc(config: SimConfig) -> SimReport:
     Bias is measured against the model's oracle effect.  Noise is redrawn
     per replication and per design unless `shared_noise` asks for a
     design-independent noise stream.  Deterministic for a fixed base seed
-    and any worker count.
+    and any worker count, since the pool maps whole blocks.
     """
-    graph = config.graph
-    assignment = config.clustering.assignment
+    law = ClusterModel(config.model, config.graph, config.clustering)
     reps = config.replications
-    workers = max(1, config.workers)
+    designs = tuple((design.stream_key(), design) for _, design in config.designs)
+    task = functools.partial(_mc_block, law, designs, config.gammas, config.estimators,
+                             reps, config.base_seed, config.shared_noise)
+    blocks = range(-(-reps // BLOCK))
+    workers = min(max(1, config.workers), len(blocks))
+    if workers == 1:
+        results = list(map(task, blocks))
+    else:
+        # forkserver: workers never inherit the parent's BLAS threads
+        ctx = multiprocessing.get_context("forkserver")
+        with concurrent.futures.ProcessPoolExecutor(workers, mp_context=ctx) as pool:
+            results = list(pool.map(task, blocks, chunksize=-(-len(blocks) // workers)))
+    values = np.concatenate([v for v, _ in results], axis=2)
+    degenerate = np.concatenate([d for _, d in results], axis=2)
+
     cells = []
-
-    executor = None
-    if workers > 1:
-        ctx = multiprocessing.get_context("fork")
-        executor = concurrent.futures.ProcessPoolExecutor(workers, mp_context=ctx)
-    try:
-        for g_idx, gamma in enumerate(config.gammas):
-            model = with_gamma(config.model, gamma)
-            baseline = baseline_levels(model, graph)
-            oracle = _oracle(model, graph)
-            for name, design in config.designs:
-                values = np.empty((reps, len(config.estimators)))
-                degenerate = np.zeros((reps, len(config.estimators)), dtype=bool)
-                bounds = np.linspace(0, reps, min(workers, reps) + 1).astype(int)
-                ranges = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
-                args = [
-                    (graph, assignment, design, model, config.estimators, baseline,
-                     config.base_seed, design.stream_key(), g_idx, r,
-                     config.shared_noise)
-                    for r in ranges
-                ]
-                if executor is None:
-                    results = [_mc_chunk(*a) for a in args]
-                else:
-                    results = list(executor.map(_mc_chunk, *zip(*args)))
-                for start, vals, degen in results:
-                    values[start : start + vals.shape[0]] = vals
-                    degenerate[start : start + vals.shape[0]] = degen
-                for e_idx, estimator in enumerate(config.estimators):
-                    cells.append(_aggregate_cell(
-                        name, gamma, estimator,
-                        values[:, e_idx], degenerate[:, e_idx], oracle,
-                    ))
-    finally:
-        if executor is not None:
-            executor.shutdown()
-
+    for g_idx, gamma in enumerate(config.gammas):
+        model = with_gamma(config.model, gamma)
+        oracle = (gate_sim(model) if isinstance(model, SimModelParams)
+                  else gate_analysis(model, config.graph))
+        for d_idx, (name, _) in enumerate(config.designs):
+            for e_idx, estimator in enumerate(config.estimators):
+                cells.append(_aggregate_cell(
+                    name, gamma, estimator, values[g_idx, d_idx, :, e_idx],
+                    degenerate[g_idx, d_idx, :, e_idx], oracle,
+                ))
     return SimReport(
         kind="monte-carlo",
         cells=tuple(cells),
@@ -296,6 +310,8 @@ def run_mc(config: SimConfig) -> SimReport:
             "replications": reps,
             "base_seed": config.base_seed,
             "shared_noise": config.shared_noise,
+            "engine": "cluster-sums",
+            "streams": {"per": ["design", "gamma", "block"], "block": BLOCK},
         },
     )
 
@@ -318,42 +334,22 @@ def run_exact(graph: Graph, clustering: Clustering,
     if clustering.k > k_max:
         raise ValueError(f"K={clustering.k} exceeds enumeration cap {k_max}")
     gammas = tuple(gammas) if gammas is not None else (model.gamma,)
-    for kind in estimators:
-        if kind not in ESTIMATOR_KINDS:
-            raise ValueError(f"unknown estimator {kind!r}; valid: {ESTIMATOR_KINDS}")
+    for name, design in designs:
+        if design.k != clustering.k:
+            raise ValueError(f"design {name!r} has K={design.k}, "
+                             f"clustering has K={clustering.k}")
 
-    assignment = clustering.assignment
-    adjacency = graph.adjacency
-    n = graph.n
+    law = ClusterModel(model, graph, clustering)
+    dists = [(name, design.exact_distribution()) for name, design in designs]
     cells = []
     for gamma in gammas:
-        model_g = with_gamma(model, gamma)
-        oracle = gate_analysis(model_g, graph)
-        baseline = baseline_levels(model_g, graph)
-        for name, design in designs:
-            if design.k != clustering.k:
-                raise ValueError(f"design {name!r} has K={design.k}, "
-                                 f"clustering has K={clustering.k}")
-            patterns, probs = design.exact_distribution()
-            z = patterns[:, assignment]
-            nbr = (adjacency @ z.T).T
-            y = model_g.alpha[None, :] + model_g.beta[None, :] * z + gamma * nbr
-            signed = 2.0 * z - 1.0
-            treated_count = z.sum(axis=1)
-            for estimator in estimators:
-                if estimator == "ht":
-                    est = 2.0 * np.mean(signed * y, axis=1)
-                    weights = probs
-                elif estimator == "ht_adjusted":
-                    est = 2.0 * np.mean(signed * (y - baseline[None, :]), axis=1)
-                    weights = probs
-                else:
-                    ok = (treated_count > 0) & (treated_count < n)
-                    sums = z * y
-                    with np.errstate(invalid="ignore", divide="ignore"):
-                        est = (sums.sum(axis=1) / treated_count
-                               - (y - sums).sum(axis=1) / (n - treated_count))
-                    est, weights = est[ok], probs[ok]
+        oracle = gate_analysis(with_gamma(model, gamma), graph)
+        for name, (patterns, probs) in dists:
+            values, degenerate = cluster_estimates(
+                patterns, law.sums(patterns, gamma), law.sizes, law.baseline, estimators)
+            for e_idx, estimator in enumerate(estimators):
+                ok = ~degenerate[:, e_idx]
+                est, weights = values[ok, e_idx], probs[ok]
                 total = float(weights.sum())
                 if total <= 0.0:
                     mean = var = mse = float("nan")
@@ -376,7 +372,6 @@ def run_exact(graph: Graph, clustering: Clustering,
         gammas=gammas,
         estimators=tuple(estimators),
     )
-
 
 def compare_designs(config: SimConfig) -> SimReport:
     """Monte Carlo comparison table across the configured designs; the

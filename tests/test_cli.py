@@ -185,6 +185,27 @@ class TestSimulate:
         assert run(["simulate", "--from-manifest", out / "simulate.manifest.json"]) == 0
         assert [(out / n).read_bytes() for n in names] == first
 
+    def test_serial_by_default(self, prepared):
+        tmp, graph_path, clusters_path = prepared
+        cfg = write_sim_config(tmp, graph_path, clusters_path, replications=30)
+        assert run(["simulate", "--config", cfg]) == 0
+        manifest = json.loads((tmp / "simout" / "simulate.manifest.json").read_text())
+        assert manifest["resolved_config"]["workers"] == 1
+        bundle = json.loads((tmp / "simout" / "report.json").read_text())
+        assert bundle["meta"]["engine"] == "cluster-sums"
+        assert bundle["meta"]["streams"] == {"per": ["design", "gamma", "block"],
+                                             "block": cd.simulation.BLOCK}
+
+    def test_non_finite_model_parameter_names_field(self, prepared, capsys):
+        tmp, graph_path, clusters_path = prepared
+        cfg = write_sim_config(tmp, graph_path, clusters_path, replications=30)
+        raw = json.loads(cfg.read_text())
+        raw["model"]["sigma"] = float("nan")
+        cfg.write_text(json.dumps(raw))
+        assert run(["simulate", "--config", cfg]) != 0
+        assert "sigma must be finite" in capsys.readouterr().err
+        assert not (tmp / "simout" / "report.json").exists()
+
     def test_inline_louvain_clustering_spec(self, prepared):
         tmp, graph_path, clusters_path = prepared
         cfg = write_sim_config(tmp, graph_path, clusters_path, replications=30,

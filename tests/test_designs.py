@@ -27,8 +27,8 @@ def empirical_cov_with_se(draws):
 class _ZeroGenerator:
     """Stub generator hitting the sign function exactly at zero."""
 
-    def standard_normal(self, k):
-        return np.zeros(k)
+    def standard_normal(self, shape):
+        return np.zeros(shape)
 
 
 class TestBernoulli:
@@ -54,8 +54,8 @@ class TestBernoulli:
 
     def test_fixed_seed_reproduces_draws(self):
         design = cd.BernoulliDesign(4)
-        a = [design.sample(np.random.default_rng(9)) for _ in range(3)]
-        b = [design.sample(np.random.default_rng(9)) for _ in range(3)]
+        a = [design.sample_many(np.random.default_rng(9), 1)[0] for _ in range(3)]
+        b = [design.sample_many(np.random.default_rng(9), 1)[0] for _ in range(3)]
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
@@ -182,11 +182,28 @@ class TestSignGaussian:
 
     def test_ties_at_zero_count_as_treated(self):
         design = cd.SignGaussianDesign(np.eye(3))
-        assert np.array_equal(design.sample(_ZeroGenerator()), np.ones(3))
+        assert np.array_equal(design.sample_many(_ZeroGenerator(), 1)[0], np.ones(3))
 
     def test_rejects_non_unit_rows(self):
         with pytest.raises(ValueError, match="unit 2-norm"):
             cd.SignGaussianDesign(np.array([[2.0, 0.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_root(self, bad):
+        root = np.eye(3)
+        root[1, 2] = bad
+        with pytest.raises(ValueError, match="root has NaN or inf"):
+            cd.SignGaussianDesign(root)
+
+    def test_caller_root_changes_do_not_reach_design(self):
+        root = random_unit_rows(3, seed=12)
+        design = cd.SignGaussianDesign(root)
+        cov, key = design.covariance(), design.stream_key()
+        root[:] = np.eye(3)
+        assert np.array_equal(design.covariance(), cov)
+        assert design.stream_key() == key
+        with pytest.raises(ValueError):
+            design.root[0, 0] = 0.0
 
     def test_exact_distribution_matches_covariance(self):
         root = random_unit_rows(5, seed=13)
@@ -243,11 +260,10 @@ class TestMarginalsAcrossDesigns:
         lambda: cd.SignGaussianDesign(random_unit_rows(4, seed=22)),
     ])
     def test_per_draw_sampler_agrees_with_exact_covariance(self, factory):
-        # the one-draw path is what the replication engine consumes; check
-        # it statistically, independently of the vectorized batch path
+        # one-row batches: a draw must not depend on the batch it lands in
         design = factory()
         rng = np.random.default_rng(23)
-        draws = np.stack([design.sample(rng) for _ in range(30_000)])
+        draws = np.stack([design.sample_many(rng, 1)[0] for _ in range(30_000)])
         cov, se = empirical_cov_with_se(draws)
         assert np.all(np.abs(draws.mean(0) - 0.5) <= 4 * np.sqrt(0.25 / 30_000))
         assert np.all(np.abs(cov - design.covariance()) <= 4 * se + 1e-9)
@@ -281,6 +297,46 @@ class TestMakeDesign:
     def test_root_shape_checked(self):
         with pytest.raises(ValueError, match="expected"):
             cd.make_design("ocd", 4, root=np.eye(3))
+
+
+@pytest.mark.parametrize("factory", [
+    lambda: cd.BernoulliDesign(3),
+    lambda: cd.CompleteDesign(3),
+    lambda: cd.BlockDesign(3, [(0, 1), (2,)]),
+    lambda: cd.SignGaussianDesign(paired_root(3)),
+])
+def test_exact_distribution_is_built_once_and_read_only(factory):
+    design = factory()
+    patterns, probs = design.exact_distribution()
+    again = design.exact_distribution()
+    assert again[0] is patterns and again[1] is probs
+    for array in (patterns, probs):
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+
+
+def test_orthant_quadrature_runs_once_per_component(monkeypatch, sbm5):
+    import covdesign.designs as designs_module
+
+    calls = []
+    real = designs_module.sign_pattern_probabilities
+
+    def counting(gram):
+        calls.append(gram.shape[0])
+        return real(gram)
+
+    monkeypatch.setattr(designs_module, "sign_pattern_probabilities", counting)
+    graph, clustering = sbm5
+    summary = cd.build_cluster_summary(graph, clustering)
+    root = np.zeros((5, 5))
+    root[:3, :3] = random_unit_rows(3, seed=20)
+    root[3:, 3:] = random_unit_rows(2, seed=21)
+    design = cd.SignGaussianDesign(root)
+    model = cd.AnalysisModelParams.uniform(graph.n)
+    cd.run_exact(graph, clustering, (("ocd", design),), model, gammas=(0.5, 2.0))
+    for gamma in (0.5, 2.0):
+        cd.variance_exact(summary, cd.h_vector(model, graph, clustering), gamma, design)
+    assert sorted(calls) == [2, 3]
 
 
 def test_enumerate_patterns_bit_order():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,14 @@ class TestEvalSim:
     def test_rejects_unknown_kind(self, path_graph):
         with pytest.raises(ValueError, match="kind"):
             cd.SimModelParams.for_graph(path_graph, "cubic")
+
+    @pytest.mark.parametrize("field", ["alpha", "beta", "c", "sigma", "gamma",
+                                       "mean_degree"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_parameters(self, path_graph, field, bad):
+        params = cd.SimModelParams.for_graph(path_graph, "linear")
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            dataclasses.replace(params, **{field: bad})
 
 
 class TestGateSim:

@@ -2,21 +2,205 @@ import numpy as np
 import pytest
 
 import covdesign as cd
-from covdesign.simulation import _estimate_all
+from covdesign.estimators import ESTIMATOR_KINDS
+from covdesign.simulation import ClusterModel
+from conftest import random_unit_rows
+
+
+def unit_estimates(kinds, z, y, baseline):
+    """Reference estimators evaluated unit by unit: (value, degenerate) pairs."""
+    out = []
+    signed = 2.0 * z - 1.0
+    for kind in kinds:
+        if kind == "ht":
+            out.append((2.0 * np.mean(signed * y), False))
+        elif kind == "ht_adjusted":
+            out.append((2.0 * np.mean(signed * (y - baseline)), False))
+        else:
+            treated = z == 1.0
+            if treated.sum() in (0, z.size):
+                out.append((np.nan, True))
+            else:
+                out.append((y[treated].mean() - y[~treated].mean(), False))
+    return out
+
+
+def unit_outcomes(model, graph, z, noise):
+    if isinstance(model, cd.AnalysisModelParams):
+        return cd.eval_analysis(model, graph, z)
+    return cd.eval_sim(model, graph, z, noise)
 
 
 def test_engine_fast_path_matches_estimator_functions():
+    # the cluster-sum kernel on per-cluster sums equals the estimators
+    # evaluated on the units, and so do the unit-level wrappers
     rng = np.random.default_rng(42)
-    kinds = ("ht", "ht_adjusted", "dim")
-    for z in (rng.integers(0, 2, 12).astype(float), np.ones(12), np.zeros(12)):
+    assignment = np.array([0, 0, 0, 1, 1, 2, 2, 2, 2, 3, 3, 3])
+    sizes = np.bincount(assignment)
+    for t in (rng.integers(0, 2, 4).astype(float), np.ones(4), np.zeros(4)):
+        z = t[assignment]
         y = rng.standard_normal(12)
         baseline = rng.standard_normal(12)
-        values, degenerate = _estimate_all(kinds, z, y, baseline)
-        expected = (cd.ht(z, y), cd.ht_adjusted(z, y, baseline), cd.dim(z, y))
-        for got_value, got_degen, rec in zip(values, degenerate, expected):
-            assert got_degen == rec.degenerate
-            if not rec.degenerate:
-                assert got_value == pytest.approx(rec.value, abs=1e-14)
+        values, degenerate = cd.cluster_estimates(
+            t[None, :], np.bincount(assignment, y)[None, :], sizes,
+            np.bincount(assignment, baseline))
+        records = (cd.ht(z, y), cd.ht_adjusted(z, y, baseline), cd.dim(z, y))
+        expected = unit_estimates(ESTIMATOR_KINDS, z, y, baseline)
+        for got_value, got_degen, rec, (value, degen) in zip(
+                values[0], degenerate[0], records, expected):
+            assert got_degen == rec.degenerate == degen
+            if not degen:
+                assert got_value == pytest.approx(value, abs=1e-14)
+                assert rec.value == pytest.approx(value, abs=1e-14)
+
+
+def _models(graph, sigma):
+    rng = np.random.default_rng(5)
+    analysis = cd.AnalysisModelParams(rng.standard_normal(graph.n),
+                                      rng.standard_normal(graph.n), 1.3)
+    return [analysis] + [
+        cd.SimModelParams.for_graph(graph, kind, alpha=1.2, beta=0.7, c=0.5,
+                                    sigma=sigma, gamma=1.3)
+        for kind in ("linear", "multiplicative")
+    ]
+
+
+def _isolated_unit_graph():
+    # unit 4 has no neighbour: its interference fraction is defined as 0
+    return cd.Graph(5, [(0, 1), (1, 2), (2, 3)]), cd.Clustering([0, 0, 1, 1, 1], 2)
+
+
+@pytest.mark.parametrize("fixture", ["sbm4", "isolated"])
+def test_cluster_sums_match_unit_loop_without_noise(fixture, sbm4):
+    graph, clustering = sbm4 if fixture == "sbm4" else _isolated_unit_graph()
+    k = clustering.k
+    rng = np.random.default_rng(6)
+    t = np.vstack([rng.integers(0, 2, (30, k)), np.ones(k), np.zeros(k)]).astype(float)
+    for model in _models(graph, sigma=0.0):
+        law = ClusterModel(model, graph, clustering)
+        values, degenerate = cd.cluster_estimates(t, law.sums(t, model.gamma), law.sizes,
+                                                  law.baseline)
+        baseline = cd.baseline_levels(model, graph)
+        for row in range(t.shape[0]):
+            z = t[row][clustering.assignment]
+            y = unit_outcomes(model, graph, z, np.zeros(graph.n))
+            for e, (value, degen) in enumerate(
+                    unit_estimates(ESTIMATOR_KINDS, z, y, baseline)):
+                assert degenerate[row, e] == degen
+                if not degen:
+                    assert values[row, e] == pytest.approx(value, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("fixture", ["sbm4", "isolated"])
+def test_cluster_noise_scale_matches_summed_unit_noise(fixture, sbm4):
+    # given t, the summed unit noise of cluster a is normal with variance
+    # sum_{i in a} (d y_i / d eps_i)^2; read those slopes off eval_sim
+    graph, clustering = sbm4 if fixture == "sbm4" else _isolated_unit_graph()
+    k = clustering.k
+    t = np.random.default_rng(7).integers(0, 2, (20, k)).astype(float)
+    for model in _models(graph, sigma=0.8)[1:]:
+        law = ClusterModel(model, graph, clustering)
+        scale = law.sums(t, 1.3, np.ones(t.shape)) - law.sums(t, 1.3, np.zeros(t.shape))
+        for row in range(t.shape[0]):
+            z = t[row][clustering.assignment]
+            slope = (cd.eval_sim(model, graph, z, np.ones(graph.n))
+                     - cd.eval_sim(model, graph, z, np.zeros(graph.n)))
+            expected = np.sqrt(np.bincount(clustering.assignment, slope**2, minlength=k))
+            assert np.allclose(scale[row], expected, rtol=1e-12, atol=1e-12)
+
+
+def unit_mc(graph, clustering, design, model, reps, seed):
+    """Reference Monte Carlo: unit-level outcomes and estimators, one draw
+    at a time.  Returns per estimator (mean, sd, se_mean, se_sd)."""
+    rng = np.random.default_rng(seed)
+    baseline = cd.baseline_levels(model, graph)
+    rows = []
+    for t in design.sample_many(rng, reps):
+        z = t[clustering.assignment]
+        y = unit_outcomes(model, graph, z, rng.standard_normal(graph.n))
+        rows.append(unit_estimates(ESTIMATOR_KINDS, z, y, baseline))
+    out = {}
+    for e, kind in enumerate(ESTIMATOR_KINDS):
+        v = np.array([r[e][0] for r in rows if not r[e][1]])
+        sd = v.std(ddof=1)
+        out[kind] = (v.mean(), sd, sd / np.sqrt(v.size), sd / np.sqrt(2.0 * (v.size - 1)))
+    return out
+
+
+def test_noisy_engine_matches_unit_loop_within_standard_error(sbm4):
+    graph, clustering = sbm4
+    designs = (("ber", cd.BernoulliDesign(4)),
+               ("ocd", cd.SignGaussianDesign(random_unit_rows(4, seed=8))))
+    for model in _models(graph, sigma=0.8)[1:]:
+        report = cd.run_mc(cd.SimConfig(
+            graph=graph, clustering=clustering, designs=designs, model=model,
+            gammas=(0.5, 2.0), estimators=ESTIMATOR_KINDS, replications=3000,
+            base_seed=9))
+        for name, design in designs:
+            for gamma in (0.5, 2.0):
+                ref = unit_mc(graph, clustering, design, cd.with_gamma(model, gamma),
+                              2000, seed=10)
+                for kind, (mean, sd, se_mean, se_sd) in ref.items():
+                    cell = report.cell(name, gamma, kind)
+                    assert abs(cell.mean_estimate - mean) <= 4 * np.hypot(cell.se_bias,
+                                                                          se_mean)
+                    assert abs(cell.sd - sd) <= 4 * np.hypot(cell.se_sd, se_sd)
+
+
+def unit_exact(graph, clustering, design, model, gamma):
+    """Reference enumeration over patterns x units: per estimator
+    (bias, sd, mse, degenerate mass)."""
+    patterns, probs = design.exact_distribution()
+    model = cd.with_gamma(model, gamma)
+    oracle = cd.gate_analysis(model, graph)
+    out = {}
+    rows = [unit_estimates(ESTIMATOR_KINDS, z, cd.eval_analysis(model, graph, z), model.alpha)
+            for z in patterns[:, clustering.assignment]]
+    for e, kind in enumerate(ESTIMATOR_KINDS):
+        ok = np.array([not r[e][1] for r in rows])
+        est = np.array([r[e][0] for r in rows])[ok]
+        w = probs[ok]
+        total = w.sum()
+        mean = w @ est / total
+        out[kind] = (mean - oracle, np.sqrt(w @ (est - mean) ** 2 / total),
+                     w @ (est - oracle) ** 2 / total, 1.0 - total)
+    return out
+
+
+@pytest.mark.parametrize("fixture", ["sbm4", "path"])
+def test_exact_engine_matches_unit_enumeration(fixture, sbm4, path_graph,
+                                               path_clustering):
+    graph, clustering = sbm4 if fixture == "sbm4" else (path_graph, path_clustering)
+    summary = cd.build_cluster_summary(graph, clustering)
+    k = clustering.k
+    designs = (("ber", cd.BernoulliDesign(k)), ("cr", cd.CompleteDesign(k)),
+               ("ibr", cd.BlockDesign(k, cd.build_ibr_blocks(summary, 2))),
+               ("ocd", cd.SignGaussianDesign(random_unit_rows(k, seed=11))))
+    model = _models(graph, sigma=0.0)[0]
+    report = cd.run_exact(graph, clustering, designs, model, estimators=ESTIMATOR_KINDS,
+                          gammas=(0.5, 2.0))
+    for name, design in designs:
+        for gamma in (0.5, 2.0):
+            for kind, ref in unit_exact(graph, clustering, design, model, gamma).items():
+                cell = report.cell(name, gamma, kind)
+                got = (cell.bias, cell.sd, cell.mse, cell.degenerate_fraction)
+                assert got == pytest.approx(ref, rel=1e-12, abs=1e-13), (name, gamma, kind)
+
+
+class _FixedDesign(cd.Design):
+    """Always draws clusters 0 and 2; `tag` only changes the stream key."""
+
+    kind = "fixed"
+    k = 4
+
+    def __init__(self, tag: bytes):
+        self.tag = tag
+
+    def sample_many(self, rng, size):
+        return np.tile([1.0, 0.0, 1.0, 0.0], (size, 1))
+
+    def _stream_material(self):
+        return self.tag
 
 
 def small_config(graph, clustering, designs, model, **kw):
@@ -118,22 +302,33 @@ class TestRunMc:
     def test_shared_noise_uses_design_independent_stream(self, sbm_setup):
         graph, clustering, _ = sbm_setup
         model = cd.SimModelParams.for_graph(graph, "linear", sigma=1.0, gamma=0.0)
-        designs = (("a", cd.CompleteDesign(4)), ("b", cd.BlockDesign(4, [(0, 1), (2, 3)])))
+        # two designs with the same draws but different stream keys, so the
+        # noise is the only stochastic difference between their rows (with
+        # independent balanced draws the noise terms of the two rows are
+        # uncorrelated whether shared or not, since they enter as (2t_a - 1))
+        designs = (("a", _FixedDesign(b"a")), ("b", _FixedDesign(b"b")))
         shared = cd.run_mc(small_config(graph, clustering, designs, model,
                                         shared_noise=True, replications=3000))
         indep = cd.run_mc(small_config(graph, clustering, designs, model,
                                        shared_noise=False, replications=3000))
-        # with gamma=0 and balanced designs the HT noise contribution is the
-        # only stochastic difference; shared noise correlates the two rows
         gap_shared = abs(shared.cells[0].mean_estimate - shared.cells[1].mean_estimate)
         gap_indep = abs(indep.cells[0].mean_estimate - indep.cells[1].mean_estimate)
         assert gap_shared < gap_indep
+        assert gap_shared == 0.0
 
     def test_k_mismatch_rejected(self, sbm_setup):
         graph, clustering, _ = sbm_setup
         model = cd.SimModelParams.for_graph(graph, "linear")
         with pytest.raises(ValueError, match="K="):
             small_config(graph, clustering, (("ber", cd.BernoulliDesign(3)),), model)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("-inf")])
+    def test_non_finite_gamma_rejected(self, sbm_setup, bad):
+        graph, clustering, _ = sbm_setup
+        model = cd.SimModelParams.for_graph(graph, "linear")
+        with pytest.raises(ValueError, match="gammas must be finite"):
+            small_config(graph, clustering, (("ber", cd.BernoulliDesign(4)),), model,
+                         gammas=(1.0, bad))
 
     def test_unknown_estimator_rejected(self, sbm_setup):
         graph, clustering, _ = sbm_setup
