@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .clustering import Clustering
+from .clustering import Clustering, build_cluster_summary
 from .designs import Design
 from .estimators import ESTIMATOR_KINDS, cluster_estimates
 from .graph import Graph
@@ -164,7 +164,7 @@ class ClusterModel:
         assign, k, n = clustering.assignment, clustering.k, graph.n
         indicator = sp.csr_matrix((np.ones(n), (assign, np.arange(n))), shape=(k, n))
         counts = (graph.adjacency @ indicator.T).tocsr()  # N_ib: neighbours of i in b
-        contact = (indicator @ counts).toarray()
+        contact = build_cluster_summary(graph, clustering).contact
         deg = graph.degrees.astype(np.float64)
         self.sizes = np.bincount(assign, minlength=k).astype(np.float64)
         self.baseline = np.bincount(assign, baseline_levels(model, graph), minlength=k)

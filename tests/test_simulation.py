@@ -302,19 +302,29 @@ class TestRunMc:
     def test_shared_noise_uses_design_independent_stream(self, sbm_setup):
         graph, clustering, _ = sbm_setup
         model = cd.SimModelParams.for_graph(graph, "linear", sigma=1.0, gamma=0.0)
-        # two designs with the same draws but different stream keys, so the
-        # noise is the only stochastic difference between their rows (with
-        # independent balanced draws the noise terms of the two rows are
-        # uncorrelated whether shared or not, since they enter as (2t_a - 1))
-        designs = (("a", _FixedDesign(b"a")), ("b", _FixedDesign(b"b")))
+        designs = (("a", cd.CompleteDesign(4)), ("b", cd.BlockDesign(4, [(0, 1), (2, 3)])))
         shared = cd.run_mc(small_config(graph, clustering, designs, model,
                                         shared_noise=True, replications=3000))
         indep = cd.run_mc(small_config(graph, clustering, designs, model,
                                        shared_noise=False, replications=3000))
+        # with gamma=0 and balanced designs the HT noise contribution is the
+        # only stochastic difference; shared noise correlates the two rows
         gap_shared = abs(shared.cells[0].mean_estimate - shared.cells[1].mean_estimate)
         gap_indep = abs(indep.cells[0].mean_estimate - indep.cells[1].mean_estimate)
         assert gap_shared < gap_indep
-        assert gap_shared == 0.0
+
+    def test_shared_noise_ignores_design_stream_key(self, sbm_setup):
+        # two designs with the same draws but different stream keys: shared
+        # noise makes their rows identical, independent noise does not
+        graph, clustering, _ = sbm_setup
+        model = cd.SimModelParams.for_graph(graph, "linear", sigma=1.0, gamma=0.0)
+        designs = (("a", _FixedDesign(b"a")), ("b", _FixedDesign(b"b")))
+        shared = cd.run_mc(small_config(graph, clustering, designs, model,
+                                        shared_noise=True, replications=300))
+        indep = cd.run_mc(small_config(graph, clustering, designs, model,
+                                       shared_noise=False, replications=300))
+        assert shared.cells[0].mean_estimate == shared.cells[1].mean_estimate
+        assert indep.cells[0].mean_estimate != indep.cells[1].mean_estimate
 
     def test_k_mismatch_rejected(self, sbm_setup):
         graph, clustering, _ = sbm_setup
