@@ -6,8 +6,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import networkx as nx
-from networkx.algorithms.community import louvain_communities
+import scipy.sparse as sp
 
 from .graph import Graph
 
@@ -102,27 +101,89 @@ def build_cluster_summary(graph: Graph, clustering: Clustering) -> ClusterSummar
     )
 
 
-def louvain(graph: Graph, resolution: float = 1.0, seed: int = 0) -> Clustering:
-    """Louvain community detection, deterministic for a fixed seed.
+def _local_moves(weights: sp.csr_matrix, strength: np.ndarray, m: float,
+                 resolution: float, rng: np.random.Generator) -> np.ndarray:
+    """One Louvain level: move nodes between communities until none moves.
 
-    The resolution parameter multiplies the expected-edges term of the
+    Nodes are visited in one random order, sweep after sweep.  Node u,
+    taken out of its community, joins the neighbouring community c with
+    the largest gain ``w_to_c/m - resolution·tot_c·k_u/(2m²)`` if that
+    beats returning to its own; scores here are the gains times m.
+    Returns community ids relabelled to 0..K'-1.
+    """
+    n = weights.shape[0]
+    links = (weights - sp.diags(weights.diagonal())).tocsr()
+    links.eliminate_zeros()
+    indptr, indices, data = links.indptr.tolist(), links.indices, links.data
+    k = strength.tolist()
+    community = np.arange(n)
+    total = strength.copy()
+    to_community = np.zeros(n)  # weight from u to each community, reset after each node
+    scale = resolution / (2.0 * m)
+    order = [u for u in rng.permutation(n).tolist() if indptr[u] < indptr[u + 1]]
+    moved = True
+    while moved:
+        moved = False
+        for u in order:
+            lo, hi = indptr[u], indptr[u + 1]
+            ku, own = k[u], community[u]
+            total[own] -= ku
+            near = community[indices[lo:hi]]
+            np.add.at(to_community, near, data[lo:hi])
+            score = to_community[near] - scale * ku * total[near]
+            stay = to_community[own] - scale * ku * total[own]
+            to_community[near] = 0.0
+            best = score.argmax()
+            if score[best] > stay:
+                own = community[u] = near[best]
+                moved = True
+            total[own] += ku
+    return np.unique(community, return_inverse=True)[1]
+
+
+def _modularity(weights: sp.csr_matrix, strength: np.ndarray, m: float,
+                resolution: float) -> float:
+    """Modularity of the partition whose communities are the nodes of `weights`."""
+    return weights.diagonal().sum() / (2 * m) - resolution * np.sum(strength**2) / (4 * m * m)
+
+
+def louvain(graph: Graph, resolution: float = 1.0, seed: int = 0) -> Clustering:
+    """Louvain community detection (Blondel et al., J. Stat. Mech. 2008,
+    P10008), deterministic for a fixed seed.
+
+    Each level runs local moves in one order drawn from
+    ``np.random.default_rng(seed)``, then aggregates every community into
+    one node (``Pᵀ A P``, with intra-community weight on the diagonal).
+    Levels stop once one raises modularity by at most 1e-7.  The
+    resolution parameter multiplies the expected-edges term of the
     modularity gain, so larger values produce more, smaller communities.
-    A graph with no edges returns singleton clusters.
+    Cluster ids are ordered by smallest member.  A graph with no edges
+    returns singleton clusters.
     """
     if resolution <= 0:
         raise ValueError("resolution must be positive")
     if graph.num_edges == 0:
         return Clustering(np.arange(graph.n), graph.n)
-    g = nx.Graph()
-    g.add_nodes_from(range(graph.n))
-    g.add_edges_from(map(tuple, graph.edges))
-    communities = louvain_communities(g, resolution=resolution, seed=seed)
+    rng = np.random.default_rng(seed)
+    m = float(graph.num_edges)
+    weights = graph.adjacency
+    strength = graph.degrees.astype(np.float64)
+    assignment = np.arange(graph.n)
+    quality = _modularity(weights, strength, m, resolution)
+    while True:
+        community = _local_moves(weights, strength, m, resolution, rng)
+        assignment = community[assignment]
+        indicator = sp.csr_matrix((np.ones(community.size), (np.arange(community.size), community)))
+        weights = (indicator.T @ weights @ indicator).tocsr()
+        strength = np.asarray(weights.sum(axis=1)).ravel()
+        previous, quality = quality, _modularity(weights, strength, m, resolution)
+        if quality - previous <= 1e-7:
+            break
     # stable ids: order communities by their smallest member
-    communities = sorted(communities, key=min)
-    assignment = np.empty(graph.n, dtype=np.int64)
-    for cid, members in enumerate(communities):
-        assignment[list(members)] = cid
-    return Clustering(assignment, len(communities))
+    first = np.unique(assignment, return_index=True)[1]
+    rank = np.empty(first.size, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return Clustering(rank[assignment], first.size)
 
 
 def write_clustering(clustering: Clustering, path) -> None:
@@ -149,9 +210,14 @@ def read_clustering(path, n: int | None = None) -> Clustering:
             tokens = text.split()
             if len(tokens) != 2:
                 raise ValueError(f"{path}:{lineno}: expected 'unit_id cluster_id'")
-            unit, cid = int(tokens[0]), int(tokens[1])
+            try:
+                unit, cid = int(tokens[0]), int(tokens[1])
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: non-integer id in {text!r}") from None
+            if unit < 0:
+                raise ValueError(f"{path}:{lineno}: negative unit id in {text!r}")
             if unit in seen:
-                raise ValueError(f"{path}: duplicate assignment for unit {unit}")
+                raise ValueError(f"{path}:{lineno}: duplicate assignment for unit {unit}")
             seen[unit] = cid
     if not seen:
         raise ValueError(f"{path}: empty clustering file")

@@ -15,7 +15,6 @@ from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .clustering import ClusterSummary
 from .orthant import MAX_EXACT_SIGN_DIM, sign_pattern_probabilities
@@ -259,6 +258,8 @@ class SignGaussianDesign(Design):
         probabilities.  Larger coupled components have no exact finite
         expression, so enumeration is refused.
         """
+        from scipy.sparse.csgraph import connected_components  # only enumeration needs it
+
         a = self.gram()
         coupling = sp.csr_matrix((np.abs(a) > 0.0) & ~np.eye(self.k, dtype=bool))
         n_comp, comp = connected_components(coupling, directed=False)

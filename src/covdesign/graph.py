@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import re
 import warnings
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 import numpy as np
 import scipy.sparse as sp
@@ -44,13 +45,10 @@ class Graph:
                 raise ValueError("edge endpoint outside 0..n-1")
             if np.any(edges[:, 0] == edges[:, 1]):
                 raise ValueError("self-loops are not allowed")
-        lo = np.minimum(edges[:, 0], edges[:, 1])
-        hi = np.maximum(edges[:, 0], edges[:, 1])
-        canon = np.column_stack([lo, hi])
-        order = np.lexsort((canon[:, 1], canon[:, 0]))
-        canon = canon[order]
-        if canon.shape[0] > 1 and np.any(np.all(np.diff(canon, axis=0) == 0, axis=1)):
+        key = _edge_keys(edges, n)
+        if np.any(key[1:] == key[:-1]):
             raise ValueError("duplicate edges are not allowed")
+        canon = np.column_stack([key // n, key % n])
         canon.setflags(write=False)
         degrees = np.bincount(canon.ravel(), minlength=n).astype(np.int64)
         degrees.setflags(write=False)
@@ -96,54 +94,134 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.num_edges})"
 
 
-def _parse_plain_edge_list(lines) -> tuple[int, np.ndarray, np.ndarray, int, int]:
-    raw_pairs = []
-    seen: dict[int, None] = {}
-    self_loops = 0
-    for lineno, raw in lines:
-        text = raw.strip()
-        if not text or text.startswith("#"):
-            continue
-        tokens = text.split()
-        if len(tokens) != 2:
-            raise GraphFormatError(f"line {lineno}: expected 'u v', got {text!r}")
-        try:
-            a, b = int(tokens[0]), int(tokens[1])
-        except ValueError:
-            raise GraphFormatError(f"line {lineno}: non-integer node id in {text!r}")
-        if a < 0 or b < 0:
-            raise GraphFormatError(f"line {lineno}: negative node id in {text!r}")
-        seen.setdefault(a)
-        seen.setdefault(b)
-        if a == b:
-            self_loops += 1
-            continue
-        raw_pairs.append((a, b))
-    n = len(seen)
-    # keep canonical id spaces intact: 0-based stays put, 1-based shifts
-    # down; anything else is renumbered in order of first appearance
-    ids = sorted(seen)
-    if ids and ids[0] == 0 and ids[-1] == n - 1:
-        index = {node: node for node in ids}
-    elif ids and ids[0] == 1 and ids[-1] == n:
-        index = {node: node - 1 for node in ids}
-    else:
-        index = {node: pos for pos, node in enumerate(seen)}
-    labels = np.empty(n, dtype=np.int64)
-    for node, pos in index.items():
-        labels[pos] = node
-    pairs = [(index[a], index[b]) for a, b in raw_pairs]
-    edges, duplicates = _dedupe(np.asarray(pairs, dtype=np.int64).reshape(-1, 2))
-    return n, edges, labels, self_loops, duplicates
+# ASCII whitespace as ``str.split`` sees it; CR and LF also end a line
+_SPACE = " \t\n\r\v\f\x1c\x1d\x1e\x1f"
+_IS_SPACE = np.zeros(256, dtype=bool)
+_IS_SPACE[[ord(c) for c in _SPACE]] = True
+_TOKEN = re.compile(f"[^{re.escape(_SPACE)}]+")
+_INTEGER = re.compile(r"-?[0-9]+")
+_LINE_END = re.compile(rb"\r\n|\r|\n")
+_MAX_DIGITS = 18  # every id of up to 18 characters fits in int64
 
 
-def _parse_matrix_market(lines) -> tuple[int, np.ndarray, np.ndarray, int, int]:
+def _lines(data: bytes, lineno: int = 1):
+    """Yield ``(lineno, line, end)`` for each line of `data`, split at CR, LF
+    or CRLF as text mode splits; `end` is the offset after the line break."""
+    pos = 0
+    for match in _LINE_END.finditer(data):
+        yield lineno, data[pos:match.start()], match.end()
+        pos, lineno = match.end(), lineno + 1
+    if pos < len(data):
+        yield lineno, data[pos:], len(data)
+
+
+def _leading_pairs(buf: np.ndarray, comment: str, exact: bool) -> np.ndarray | None:
+    """The first two tokens of every line that is neither blank nor a comment.
+
+    `buf` holds the file's bytes.  Lines end at CR or LF, and a comment
+    line's first token starts with `comment`.  Returns an (m, 2) int64
+    array, or None when a line has fewer than two tokens (more than two
+    with `exact`) or one of its first two tokens is not a string of at
+    most 18 ASCII digits.
+    """
+    space = np.concatenate(([True], _IS_SPACE[buf], [True]))
+    step = np.diff(space.view(np.int8))
+    starts = np.flatnonzero(step == -1)
+    ends = np.flatnonzero(step == 1)
+    if starts.size == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    line = np.searchsorted(np.flatnonzero((buf == 10) | (buf == 13)), starts)
+    first = np.flatnonzero(np.diff(line, prepend=-1))
+    count = np.diff(first, append=starts.size)
+    keep = buf[starts[first]] != ord(comment)
+    first, count = first[keep], count[keep]
+    if np.any(count != 2) if exact else np.any(count < 2):
+        return None
+    tokens = np.column_stack([first, first + 1]).ravel()
+    lo = starts[tokens]
+    length = ends[tokens] - lo
+    if length.size and length.max() > _MAX_DIGITS:
+        return None
+    other = np.flatnonzero(~space[1:-1] & (buf - np.uint8(48) > 9))
+    if other.size:
+        chosen = np.zeros(starts.size, dtype=bool)
+        chosen[tokens] = True
+        if chosen[np.searchsorted(starts, other, side="right") - 1].any():
+            return None
+    value = np.zeros(tokens.size, dtype=np.int64)
+    for j in range(int(length.max(initial=0))):
+        live = np.flatnonzero(length > j)
+        value[live] = value[live] * 10 + (buf[lo[live] + j] - np.uint8(48))
+    return value.reshape(-1, 2)
+
+
+def _raise_first_bad_line(data: bytes, lineno: int, size: int | None) -> NoReturn:
+    """Re-scan a rejected plain list (`size` None) or MatrixMarket body line
+    by line, and raise the error of its first bad line."""
+    comment = "#" if size is None else "%"
+    for lineno, line, _ in _lines(data, lineno):
+        text = line.decode("utf-8", "replace").strip(_SPACE)
+        if not text or text.startswith(comment):
+            continue
+        tokens = _TOKEN.findall(text)
+        if size is None:
+            if len(tokens) != 2:
+                raise GraphFormatError(f"line {lineno}: expected 'u v', got {text!r}")
+            if not all(_INTEGER.fullmatch(t) for t in tokens):
+                raise GraphFormatError(f"line {lineno}: non-integer node id in {text!r}")
+            if any(t.startswith("-") for t in tokens):
+                raise GraphFormatError(f"line {lineno}: negative node id in {text!r}")
+            if any(len(t) > _MAX_DIGITS for t in tokens):
+                raise GraphFormatError(f"line {lineno}: node id too large in {text!r}")
+            continue
+        if len(tokens) < 2:
+            raise GraphFormatError(f"line {lineno}: expected 'i j [value]', got {text!r}")
+        if not all(_INTEGER.fullmatch(t) for t in tokens[:2]):
+            raise GraphFormatError(f"line {lineno}: non-integer entry in {text!r}")
+        a, b = int(tokens[0]) - 1, int(tokens[1]) - 1
+        if a < 0 or b < 0 or a >= size or b >= size:
+            raise GraphFormatError(f"line {lineno}: entry ({a + 1}, {b + 1}) outside 1..{size}")
+        if any(len(t) > _MAX_DIGITS for t in tokens[:2]):
+            raise GraphFormatError(f"line {lineno}: index too large in {text!r}")
+    # not reached: every line the vectorized scan rejects fails a check above
+    raise GraphFormatError("malformed edge list")
+
+
+def _id_space(ids: np.ndarray) -> tuple[int, np.ndarray, np.ndarray | None]:
+    """Map plain-list node ids to 0..n-1; returns ``(n, mapped, labels)``.
+
+    0-based ids stay put and 1-based ids shift down; anything else is
+    renumbered in order of first appearance.  ``labels`` holds the original
+    id of every node, or None when the ids were already 0..n-1.
+    """
+    top = int(ids.max())
+    if top <= ids.size:  # only then can the ids be exactly 0..n-1 or 1..n
+        present = np.bincount(ids, minlength=top + 1).astype(bool)
+        if present.all():
+            return top + 1, ids, None
+        if not present[0] and present[1:].all():
+            return top, ids - 1, np.arange(1, top + 1, dtype=np.int64)
+    unique, first_seen, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    by_appearance = np.argsort(first_seen)
+    position = np.empty(unique.size, dtype=np.int64)
+    position[by_appearance] = np.arange(unique.size)
+    return unique.size, position[inverse], unique[by_appearance]
+
+
+def _parse_plain_edge_list(data: bytes) -> tuple[int, np.ndarray, np.ndarray | None]:
+    pairs = _leading_pairs(np.frombuffer(data, dtype=np.uint8), "#", exact=True)
+    if pairs is None:
+        _raise_first_bad_line(data, 1, None)
+    if pairs.size == 0:
+        return 0, pairs, None
+    n, ids, labels = _id_space(pairs.ravel())
+    return n, ids.reshape(-1, 2), labels
+
+
+def _parse_matrix_market(data: bytes) -> tuple[int, np.ndarray, None]:
     header = None
-    size = None
-    pairs = []
-    self_loops = 0
-    for lineno, raw in lines:
-        text = raw.strip()
+    for lineno, line, end in _lines(data):
+        text = line.decode("utf-8", "replace").strip()
         if not text:
             continue
         if header is None:
@@ -161,63 +239,65 @@ def _parse_matrix_market(lines) -> tuple[int, np.ndarray, np.ndarray, int, int]:
         if text.startswith("%"):
             continue
         tokens = text.split()
-        if size is None:
-            if len(tokens) != 3:
-                raise GraphFormatError(f"line {lineno}: expected 'rows cols nnz'")
-            rows, cols, _ = (int(t) for t in tokens)
-            if rows != cols:
-                raise GraphFormatError(f"line {lineno}: matrix must be square, got {rows}x{cols}")
-            size = rows
-            continue
-        if len(tokens) < 2:
-            raise GraphFormatError(f"line {lineno}: expected 'i j [value]', got {text!r}")
-        try:
-            a, b = int(tokens[0]) - 1, int(tokens[1]) - 1
-        except ValueError:
-            raise GraphFormatError(f"line {lineno}: non-integer entry in {text!r}")
-        if a < 0 or b < 0 or a >= size or b >= size:
-            raise GraphFormatError(f"line {lineno}: entry ({a + 1}, {b + 1}) outside 1..{size}")
-        if a == b:
-            self_loops += 1
-            continue
-        pairs.append((a, b))
-    if header is None or size is None:
+        if len(tokens) != 3:
+            raise GraphFormatError(f"line {lineno}: expected 'rows cols nnz'")
+        rows, cols, _ = (int(t) for t in tokens)
+        if rows != cols:
+            raise GraphFormatError(f"line {lineno}: matrix must be square, got {rows}x{cols}")
+        break
+    else:
         raise GraphFormatError("truncated MatrixMarket file")
-    edges, duplicates = _dedupe(np.asarray(pairs, dtype=np.int64).reshape(-1, 2))
-    return size, edges, np.arange(size, dtype=np.int64), self_loops, duplicates
+    pairs = _leading_pairs(np.frombuffer(data, dtype=np.uint8)[end:], "%", exact=False)
+    if pairs is None or (pairs.size and (pairs.min() < 1 or pairs.max() > rows)):
+        _raise_first_bad_line(data[end:], lineno + 1, rows)
+    return rows, pairs - 1, None
 
 
-def _dedupe(pairs: np.ndarray) -> tuple[np.ndarray, int]:
-    if pairs.size == 0:
-        return pairs, 0
-    lo = np.minimum(pairs[:, 0], pairs[:, 1])
-    hi = np.maximum(pairs[:, 0], pairs[:, 1])
-    canon = np.unique(np.column_stack([lo, hi]), axis=0)
-    return canon, pairs.shape[0] - canon.shape[0]
+def _edge_keys(pairs: np.ndarray, n: int) -> np.ndarray:
+    """Sorted keys ``lo·n + hi`` of the pairs' canonical ``lo <= hi`` forms."""
+    u, v = pairs[:, 0], pairs[:, 1]
+    return np.sort(np.minimum(u, v) * n + np.maximum(u, v))
+
+
+def _canonical_edges(pairs: np.ndarray, n: int) -> tuple[np.ndarray, int, int]:
+    """Drop self-loops and duplicates; returns ``(edges, self_loops, duplicates)``."""
+    loop = pairs[:, 0] == pairs[:, 1]
+    key = _edge_keys(pairs[~loop], n)
+    new = np.empty(key.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    unique = key[new]
+    return np.column_stack([unique // n, unique % n]), int(loop.sum()), int(key.size - unique.size)
 
 
 def load_edge_list(path, fmt: str = "auto") -> Graph:
     """Load a graph from a plain edge list or MatrixMarket file.
 
-    Plain lists: one whitespace-separated ``u v`` pair per line, ``#``
-    comments ignored, node ids remapped to 0..n-1 in order of first
-    appearance (original ids kept in ``Graph.labels``).  MatrixMarket:
-    1-based coordinate entries, ``pattern``/``symmetric`` kinds accepted;
-    the declared dimension fixes n, so isolated nodes survive.  Self-loops
-    and duplicate edges are dropped with a counted warning.
+    Plain lists: one ``u v`` pair per line, separated by ASCII whitespace,
+    each id a string of at most 18 ASCII digits; ``#`` comments ignored.
+    0-based ids are kept, 1-based ids shift down by one, and any other ids
+    are remapped to 0..n-1 in order of first appearance (original ids kept
+    in ``Graph.labels``).  MatrixMarket: 1-based coordinate entries,
+    ``pattern``/``symmetric`` kinds accepted; the declared dimension fixes
+    n, so isolated nodes survive.  Self-loops and duplicate edges are
+    dropped with a counted warning.  A malformed line raises
+    ``GraphFormatError`` naming its line number.
     """
     path = str(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = list(enumerate(fh, start=1))
+    with open(path, "rb") as fh:
+        data = fh.read()
     if fmt == "auto":
-        first = next((t for _, t in lines if t.strip()), "")
-        fmt = "matrix-market" if first.startswith("%%MatrixMarket") else "edgelist"
+        body = data.lstrip(_SPACE.encode())
+        start = len(data) - len(body)
+        at_line_start = start == 0 or data[start - 1] in b"\r\n"
+        fmt = "matrix-market" if at_line_start and body.startswith(b"%%MatrixMarket") else "edgelist"
     if fmt in ("edgelist", "plain-edge-list"):
-        n, edges, labels, self_loops, duplicates = _parse_plain_edge_list(lines)
+        n, pairs, labels = _parse_plain_edge_list(data)
     elif fmt == "matrix-market":
-        n, edges, labels, self_loops, duplicates = _parse_matrix_market(lines)
+        n, pairs, labels = _parse_matrix_market(data)
     else:
         raise ValueError(f"unknown edge-list format {fmt!r}")
+    edges, self_loops, duplicates = _canonical_edges(pairs, n)
     if self_loops or duplicates:
         warnings.warn(
             f"{path}: dropped {self_loops} self-loop(s) and {duplicates} duplicate edge(s)",
@@ -225,8 +305,6 @@ def load_edge_list(path, fmt: str = "auto") -> Graph:
         )
     if edges.shape[0] == 0:
         raise GraphFormatError(f"{path}: empty edge set")
-    if np.array_equal(labels, np.arange(n)):
-        labels = None
     return Graph(n, edges, labels=labels)
 
 

@@ -11,6 +11,7 @@ constraint set.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +46,9 @@ class OptimizerConfig:
     trace_stride: int = 10
 
     def __post_init__(self):
+        for name in ("step_size", "omega", "clamp_epsilon", "beta1", "beta2", "moment_epsilon"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.iterations < 1 or self.step_size <= 0 or self.trace_stride < 1:
             raise ValueError("iterations, step_size and trace_stride must be positive")
         if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):

@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
-from scipy import integrate
 
 __all__ = [
     "sign_pair_moment",
@@ -74,6 +73,8 @@ def orthant_quadrivariate(corr: np.ndarray) -> float:
             rc = _conditional_pair_correlation(sigma, i, j, k, l)
             total += r * density * (0.25 + np.arcsin(rc) / _TWO_PI)
         return total
+
+    from scipy import integrate  # imported here: only enumeration needs it
 
     value, _ = integrate.quad(integrand, 0.0, 1.0, epsabs=1e-13, epsrel=1e-12, limit=200)
     return 1.0 / 16.0 + value

@@ -1,7 +1,9 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import covdesign as cd
 
@@ -85,6 +87,42 @@ class TestLouvain:
             cd.louvain(two_triangles[0], resolution=0.0, seed=0)
 
 
+def dense_modularity(graph, assignment, resolution=1.0):
+    """Modularity from the dense adjacency: (1/2m) sum over same-cluster pairs
+    of A_ij - resolution * k_i k_j / 2m."""
+    two_m = 2.0 * graph.num_edges
+    k = graph.degrees.astype(float)
+    same = assignment[:, None] == assignment[None, :]
+    return (graph.adjacency.toarray() - resolution * np.outer(k, k) / two_m)[same].sum() / two_m
+
+
+# Mean modularity of networkx 3.6.1's louvain_communities (the implementation
+# covdesign used before its own) over seeds 0..63 at resolution 1, recorded
+# before networkx was dropped.  The fixtures are the generate_sbm arguments.
+NETWORKX_MODULARITY = {
+    "acceptance": (([20] * 10, 0.3, 0.02, 11), 0.5325),
+    "planted": (([20] * 10, 0.3, 0.02, 7), 0.5061),
+    "sbm4": (([5] * 4, 0.6, 0.15, 2), 0.3705),
+    "sbm5": (([4] * 5, 0.6, 0.15, 3), 0.3018),
+    "sbm12": (([4] * 12, 0.5, 0.08, 4), 0.3924),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NETWORKX_MODULARITY))
+def test_mean_modularity_within_one_percent_of_networkx(name):
+    (blocks, p_in, p_out, seed), reference = NETWORKX_MODULARITY[name]
+    graph, _ = cd.generate_sbm(blocks, p_in, p_out, seed=seed)
+    mean = np.mean([dense_modularity(graph, cd.louvain(graph, 1.0, seed=s).assignment)
+                    for s in range(64)])
+    assert abs(mean - reference) <= 0.01 * reference, (mean, reference)
+
+
+def test_dense_modularity_matches_brute_force_oracle(two_triangles):
+    graph, planted = two_triangles
+    parts = [list(planted.members(c)) for c in range(planted.k)]
+    assert np.isclose(dense_modularity(graph, planted.assignment), modularity(graph, parts))
+
+
 class TestClusteringType:
     def test_partition_sizes_sum_to_n(self):
         clustering = cd.Clustering([0, 1, 1, 2, 0], 3)
@@ -126,6 +164,25 @@ class TestClusteringIO:
         with pytest.raises(ValueError, match="duplicate"):
             cd.read_clustering(path)
 
+    def test_duplicate_unit_names_its_line(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_text("# header\n0 0\n1 0\n0 1\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:4: duplicate assignment for unit 0$"):
+            cd.read_clustering(path)
+
+    @pytest.mark.parametrize("line", ["1 a", "x 0", "1.5 0", "1 2.0"])
+    def test_non_integer_token_names_its_line(self, tmp_path, line):
+        path = tmp_path / "c.txt"
+        path.write_text(f"0 0\n\n{line}\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:3: non-integer id in '{re.escape(line)}'$"):
+            cd.read_clustering(path)
+
+    def test_negative_unit_rejected(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_text("0 0\n1 0\n-1 1\n")
+        with pytest.raises(ValueError, match=r":3: negative unit id"):
+            cd.read_clustering(path)
+
     def test_non_contiguous_ids_remapped_with_warning(self, tmp_path):
         path = tmp_path / "c.txt"
         path.write_text("0 3\n1 3\n2 7\n")
@@ -165,3 +222,28 @@ class TestClusterSummary:
     def test_coverage_mismatch(self, path_graph):
         with pytest.raises(ValueError, match="covers"):
             cd.build_cluster_summary(path_graph, cd.Clustering([0, 0, 1], 2))
+
+
+@st.composite
+def graphs_and_partitions(draw):
+    n = draw(st.integers(2, 30))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    k = draw(st.integers(1, n))
+    labels = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    labels = np.unique(labels, return_inverse=True)[1]  # no empty cluster
+    return cd.Graph(n, edges), cd.Clustering(labels, labels.max() + 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_and_partitions())
+def test_summary_invariants_on_random_partitions(case):
+    graph, clustering = case
+    summary = cd.build_cluster_summary(graph, clustering)
+    contact = summary.contact
+    assert np.array_equal(contact, contact.T)
+    cluster_degrees = np.bincount(clustering.assignment, weights=graph.degrees,
+                                  minlength=clustering.k)
+    assert np.array_equal(contact.sum(axis=1), cluster_degrees)
+    assert np.array_equal(summary.cluster_degrees, cluster_degrees)
+    assert contact.sum() == summary.total == 2 * graph.num_edges

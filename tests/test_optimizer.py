@@ -168,3 +168,10 @@ class TestOptimizerConfig:
             cd.OptimizerConfig(beta1=1.5)
         with pytest.raises(ValueError):
             cd.OptimizerConfig(omega=-0.5)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("name", ["step_size", "omega", "clamp_epsilon", "beta1", "beta2",
+                                      "moment_epsilon"])
+    def test_non_finite_value_names_field(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            cd.OptimizerConfig(**{name: value})
