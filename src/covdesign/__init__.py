@@ -60,6 +60,7 @@ from .optimizer import (
     OptimizerConfig,
     OptTrace,
     covariance_from_root,
+    evaluate_root,
     gradient_from_root,
     objective_from_root,
     optimize,
@@ -70,7 +71,6 @@ from .simulation import (
     SimConfig,
     SimReport,
     baseline_levels,
-    compare_designs,
     run_exact,
     run_mc,
 )
@@ -91,7 +91,7 @@ __all__ = [
     "DesignEnumerationError", "SignGaussianDesign", "build_ibr_blocks",
     "make_design",
     "OptimizationError", "OptimizerConfig", "OptTrace", "covariance_from_root",
-    "gradient_from_root", "objective_from_root", "optimize", "project_rows",
-    "ReportCell", "SimConfig", "SimReport", "baseline_levels",
-    "compare_designs", "run_exact", "run_mc",
+    "evaluate_root", "gradient_from_root", "objective_from_root", "optimize",
+    "project_rows",
+    "ReportCell", "SimConfig", "SimReport", "baseline_levels", "run_exact", "run_mc",
 ]

@@ -112,7 +112,8 @@ def objective_terms(summary: ClusterSummary, cov: np.ndarray,
         raise ValueError("omega must be nonnegative")
     cov = _check_cov_shape(summary, cov)
     d = summary.cluster_degrees
-    bias_term = (4.0 * np.trace(summary.contact @ cov) - summary.total) ** 2
+    # C is symmetric, so tr(C Cov) is the elementwise sum <C, Cov>
+    bias_term = (4.0 * np.vdot(summary.contact, cov) - summary.total) ** 2
     variance_term = 8.0 * (omega**2 + 4.0) * (d @ cov @ d + 0.25 * d.sum() ** 2)
     return float(bias_term), float(variance_term)
 

@@ -31,7 +31,7 @@ from .graph import GraphFormatError, load_edge_list
 from .manifest import build_manifest, load_manifest, write_manifest
 from .optimizer import OptimizerConfig, optimize
 from .outcomes import AnalysisModelParams, SimModelParams
-from .simulation import SimConfig, SimReport, compare_designs, run_mc
+from . import simulation  # called through the module, so wrappers on run_mc see the calls
 
 __all__ = ["main"]
 
@@ -150,7 +150,6 @@ def _resolve_optimize(ns) -> dict:
         "omega": float(ns.omega),
         "iterations": int(ns.iters),
         "step_size": float(ns.lr),
-        "seed": int(ns.seed),
         "trace_stride": int(ns.trace_stride),
         "clamp_epsilon": float(ns.clamp_eps),
         "warm_start": _absolute(ns.warm_start) if ns.warm_start else None,
@@ -180,7 +179,6 @@ def _run_optimize(cfg: dict) -> dict:
         step_size=cfg["step_size"],
         clamp_epsilon=cfg["clamp_epsilon"],
         omega=cfg["omega"],
-        seed=cfg["seed"],
         trace_stride=cfg["trace_stride"],
     )
     t0 = time.perf_counter()
@@ -192,14 +190,14 @@ def _run_optimize(cfg: dict) -> dict:
     np.savetxt(out, root, fmt=_FLOAT_FMT, delimiter=",")
     trace_path = out.with_suffix(out.suffix + ".trace.csv")
     _write_csv(trace_path,
-               ["iteration", "objective", "bias_term", "variance_term", "clamped"],
+               ["iteration", "objective", "bias_term", "variance_term", "clamped",
+                "grad_norm"],
                trace.rows())
     sidecar = {
         "k": summary.k,
         "omega": cfg["omega"],
         "iterations": cfg["iterations"],
         "step_size": cfg["step_size"],
-        "seed": cfg["seed"],
         "objective_initial": trace.objective[0],
         "objective_final": trace.objective[-1],
         "bias_term_final": trace.bias_term[-1],
@@ -212,7 +210,7 @@ def _run_optimize(cfg: dict) -> dict:
                             encoding="utf-8")
     manifest = build_manifest("optimize", cfg, inputs,
                               [out, sidecar_path, trace_path],
-                              {"optimizer": cfg["seed"]}, timings)
+                              {}, timings)
     write_manifest(manifest, str(out) + ".manifest.json")
     reduction = 1.0 - trace.objective[-1] / trace.objective[0] if trace.objective[0] else 0.0
     print(f"wrote {out} (f: {trace.objective[0]:.6g} -> {trace.objective[-1]:.6g}, "
@@ -324,7 +322,7 @@ def _run_simulate(cfg: dict) -> dict:
     model = _build_model(cfg["model"], graph)
     timings["load"] = time.perf_counter() - t0
 
-    sim_config = SimConfig(
+    sim_config = simulation.SimConfig(
         graph=graph,
         clustering=clustering,
         designs=designs,
@@ -337,7 +335,7 @@ def _run_simulate(cfg: dict) -> dict:
         workers=int(cfg["workers"]),
     )
     t0 = time.perf_counter()
-    report = compare_designs(sim_config)
+    report = simulation.run_mc(sim_config)
     timings["simulate"] = time.perf_counter() - t0
 
     out_dir = Path(cfg["out_dir"])
@@ -365,7 +363,7 @@ def _run_simulate(cfg: dict) -> dict:
     return manifest
 
 
-def _report_table(report: SimReport, estimator: str):
+def _report_table(report: simulation.SimReport, estimator: str):
     header = ["method"]
     for gamma in report.gammas:
         tag = f"{gamma:g}"
@@ -407,7 +405,7 @@ def _run_analyze(ns) -> dict:
         except DesignEnumerationError:
             pass
     if not variance:
-        report = run_mc(SimConfig(
+        report = simulation.run_mc(simulation.SimConfig(
             graph=graph, clustering=clustering, designs=(("design", design),),
             model=model, gammas=(ns.gamma,), estimators=("ht_adjusted",),
             replications=ns.mc_reps, base_seed=ns.seed,
@@ -496,7 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega", type=float, default=1.0)
     p.add_argument("--iters", type=int, default=2000)
     p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trace-stride", type=int, default=10)
     p.add_argument("--clamp-eps", type=float, default=1e-6)
     p.add_argument("--warm-start", default=None)
@@ -551,6 +548,8 @@ def main(argv=None) -> int:
         elif ns.command == "optimize":
             cfg = (_config_from_manifest(ns.from_manifest, "optimize")
                    if ns.from_manifest else _resolve_optimize(ns))
+            if "seed" in cfg:  # written before 0.3.0; the optimizer never used it
+                raise _fail(f"manifest {ns.from_manifest}: unknown optimize config key 'seed'")
             _run_optimize(cfg)
         elif ns.command == "simulate":
             if ns.from_manifest:

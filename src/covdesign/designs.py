@@ -26,6 +26,7 @@ __all__ = [
     "CompleteDesign",
     "BlockDesign",
     "SignGaussianDesign",
+    "arcsin_covariance",
     "build_ibr_blocks",
     "make_design",
     "enumerate_patterns",
@@ -209,6 +210,13 @@ class CompleteDesign(BlockDesign):
         super().__init__(k, [range(k)])
 
 
+def arcsin_covariance(gram: np.ndarray) -> np.ndarray:
+    """Sign-Gaussian covariance arcsin(A)/(2 pi) of correlations A, diagonal pinned at 1/4."""
+    cov = np.arcsin(gram) / (2.0 * np.pi)
+    np.fill_diagonal(cov, 0.25)
+    return cov
+
+
 class SignGaussianDesign(Design):
     """Thresholded-Gaussian design: t = 1{R eta >= 0}, eta ~ N(0, I).
 
@@ -245,9 +253,7 @@ class SignGaussianDesign(Design):
         return self.root.tobytes()
 
     def covariance(self):
-        cov = np.arcsin(self.gram()) / (2.0 * np.pi)
-        np.fill_diagonal(cov, 0.25)
-        return cov
+        return arcsin_covariance(self.gram())
 
     def _enumerate(self):
         """Exact pattern probabilities via per-component sign moments.

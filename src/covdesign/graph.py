@@ -241,6 +241,8 @@ def _parse_matrix_market(data: bytes) -> tuple[int, np.ndarray, None]:
         tokens = text.split()
         if len(tokens) != 3:
             raise GraphFormatError(f"line {lineno}: expected 'rows cols nnz'")
+        if not all(_INTEGER.fullmatch(t) for t in tokens):
+            raise GraphFormatError(f"line {lineno}: non-integer size in {text!r}")
         rows, cols, _ = (int(t) for t in tokens)
         if rows != cols:
             raise GraphFormatError(f"line {lineno}: matrix must be square, got {rows}x{cols}")

@@ -18,6 +18,7 @@ import numpy as np
 
 from .analysis import objective_terms
 from .clustering import ClusterSummary
+from .designs import arcsin_covariance
 
 __all__ = [
     "OptimizerConfig",
@@ -25,12 +26,11 @@ __all__ = [
     "OptimizationError",
     "project_rows",
     "covariance_from_root",
+    "evaluate_root",
     "objective_from_root",
     "gradient_from_root",
     "optimize",
 ]
-
-_TWO_PI = 2.0 * np.pi
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,6 @@ class OptimizerConfig:
     moment_epsilon: float = 1e-8
     clamp_epsilon: float = 1e-6
     omega: float = 1.0
-    seed: int = 0
     trace_stride: int = 10
 
     def __post_init__(self):
@@ -62,7 +61,7 @@ class OptTrace:
     """Objective trajectory recorded every `trace_stride` iterations.
 
     The first entry is the starting point and the last entry always
-    corresponds to the returned matrix.
+    corresponds to the returned matrix.  `grad_norm` is the gradient's norm.
     """
 
     iterations: list[int] = field(default_factory=list)
@@ -70,21 +69,23 @@ class OptTrace:
     bias_term: list[float] = field(default_factory=list)
     variance_term: list[float] = field(default_factory=list)
     clamped: list[int] = field(default_factory=list)
+    grad_norm: list[float] = field(default_factory=list)
     roots: list[np.ndarray] = field(default_factory=list)
 
     def append(self, iteration: int, f: float, bias: float, variance: float,
-               n_clamped: int, root: np.ndarray | None = None) -> None:
+               n_clamped: int, grad_norm: float, root: np.ndarray | None = None) -> None:
         self.iterations.append(iteration)
         self.objective.append(f)
         self.bias_term.append(bias)
         self.variance_term.append(variance)
         self.clamped.append(n_clamped)
+        self.grad_norm.append(grad_norm)
         if root is not None:
             self.roots.append(root.copy())
 
     def rows(self):
         return zip(self.iterations, self.objective, self.bias_term,
-                   self.variance_term, self.clamped)
+                   self.variance_term, self.clamped, self.grad_norm)
 
 
 class OptimizationError(RuntimeError):
@@ -110,62 +111,57 @@ def covariance_from_root(r: np.ndarray) -> np.ndarray:
     """Treatment covariance arcsin(R R^T)/(2 pi) with the diagonal pinned
     at exactly 1/4 (unit rows make it 1/4 up to rounding)."""
     r = np.asarray(r, dtype=np.float64)
-    gram = np.clip(r @ r.T, -1.0, 1.0)
-    cov = np.arcsin(gram) / _TWO_PI
-    np.fill_diagonal(cov, 0.25)
-    return cov
+    return arcsin_covariance(np.clip(r @ r.T, -1.0, 1.0))
 
 
-def _clamped_gram(r: np.ndarray, clamp_epsilon: float) -> tuple[np.ndarray, int]:
+def evaluate_root(r: np.ndarray, summary: ClusterSummary, omega: float,
+                  clamp_epsilon: float = 1e-6):
+    """``(f, bias_term, variance_term, n_clamped, gradient)`` at a root, all
+    from one Gram matrix A = R R^T clamped to |A_ij| <= 1 - clamp_epsilon
+    (``n_clamped`` counts the off-diagonal entries it moved).  diag(A) plays no
+    part: the projection pins it at 1.  With X = arcsin(A)/(2 pi), dF/dX =
+    8 (4 tr(C X) - S) C + 8 (omega^2+4) d d', where tr(C X) = <C, X> as C is
+    symmetric; dX/dA is elementwise and dA/dR gives 2 G_A R.  The gradient is unchecked.
+    """
+    r = np.asarray(r, dtype=np.float64)
     gram = r @ r.T
-    off = ~np.eye(gram.shape[0], dtype=bool)
     limit = 1.0 - clamp_epsilon
-    n_clamped = int(np.count_nonzero(np.abs(gram[off]) > limit))
-    clamped = np.clip(gram, -limit, limit)
-    np.fill_diagonal(clamped, 1.0)
-    return clamped, n_clamped
+    over = np.abs(gram) > limit
+    n_clamped = int(np.count_nonzero(over)) - int(np.count_nonzero(np.diagonal(over)))
+    np.clip(gram, -limit, limit, out=gram)
+    cov = arcsin_covariance(gram)
+    bias_term, variance_term = objective_terms(summary, cov, omega)
+    c = summary.contact
+    d = summary.cluster_degrees
+    g_cov = np.outer(8.0 * (omega**2 + 4.0) * d, d)
+    g_cov += 8.0 * (4.0 * np.vdot(c, cov) - summary.total) * c
+    # 1 / (dX/dA), built in gram's buffer: every K x K temporary costs a pass
+    denom = np.multiply(gram, gram, out=gram)
+    np.subtract(1.0, denom, out=denom)
+    np.sqrt(denom, out=denom)
+    denom *= 2.0 * np.pi
+    g_cov /= denom
+    np.fill_diagonal(g_cov, 0.0)
+    gradient = 2.0 * (g_cov @ r)
+    return bias_term + variance_term, bias_term, variance_term, n_clamped, gradient
+
+
+def _finite(gradient: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(gradient)):
+        raise FloatingPointError("non-finite gradient; arcsine clamp failed")
+    return gradient
 
 
 def objective_from_root(r: np.ndarray, summary: ClusterSummary, omega: float,
                         clamp_epsilon: float = 1e-6):
-    """Objective value at a root matrix, with its two terms and the count of
-    off-diagonal Gram entries saturating the arcsine clamp.
-
-    The Gram diagonal is treated as fixed at 1 (the projection pins it),
-    so the induced covariance diagonal is 1/4 regardless of row norms;
-    this matches the gradient, which carries no diagonal contribution.
-    """
-    gram, n_clamped = _clamped_gram(np.asarray(r, dtype=np.float64), clamp_epsilon)
-    cov = np.arcsin(gram) / _TWO_PI
-    np.fill_diagonal(cov, 0.25)
-    bias_term, variance_term = objective_terms(summary, cov, omega)
-    return bias_term + variance_term, bias_term, variance_term, n_clamped
+    """``(f, bias_term, variance_term, n_clamped)``; see `evaluate_root`."""
+    return evaluate_root(r, summary, omega, clamp_epsilon)[:4]
 
 
 def gradient_from_root(r: np.ndarray, summary: ClusterSummary, omega: float,
                        clamp_epsilon: float = 1e-6) -> np.ndarray:
-    """Chain-rule gradient of the objective with respect to the root.
-
-    With X = arcsin(A)/(2 pi):  dF/dX = 8 (4 tr(C X) - S) C + 8 (omega^2+4) d d';
-    dX/dA is the elementwise arcsine derivative, zeroed on the diagonal
-    because the projection fixes it; and dA/dR contributes 2 G_A R for the
-    symmetric G_A.
-    """
-    r = np.asarray(r, dtype=np.float64)
-    gram, _ = _clamped_gram(r, clamp_epsilon)
-    cov = np.arcsin(gram) / _TWO_PI
-    np.fill_diagonal(cov, 0.25)
-    c = summary.contact
-    d = summary.cluster_degrees
-    g_cov = (8.0 * (4.0 * np.trace(c @ cov) - summary.total) * c
-             + 8.0 * (omega**2 + 4.0) * np.outer(d, d))
-    with np.errstate(divide="ignore"):
-        deriv = 1.0 / (_TWO_PI * np.sqrt(1.0 - gram**2))
-    np.fill_diagonal(deriv, 0.0)
-    gradient = 2.0 * (g_cov * deriv) @ r
-    if not np.all(np.isfinite(gradient)):
-        raise FloatingPointError("non-finite gradient; arcsine clamp failed")
-    return gradient
+    """The gradient of `evaluate_root`; FloatingPointError if not finite."""
+    return _finite(evaluate_root(r, summary, omega, clamp_epsilon)[4])
 
 
 def optimize(summary: ClusterSummary, config: OptimizerConfig = OptimizerConfig(),
@@ -191,23 +187,24 @@ def optimize(summary: ClusterSummary, config: OptimizerConfig = OptimizerConfig(
         r = project_rows(r0)
 
     trace = OptTrace()
-    f0, b0, v0, c0 = objective_from_root(r, summary, config.omega, config.clamp_epsilon)
-    trace.append(0, f0, b0, v0, c0, r if collect_roots else None)
+    f0, b0, v0, c0, g = evaluate_root(r, summary, config.omega, config.clamp_epsilon)
+    trace.append(0, f0, b0, v0, c0, float(np.linalg.norm(g)), r if collect_roots else None)
 
     m = np.zeros((k, k))
     v = np.zeros((k, k))
     for step in range(1, config.iterations + 1):
-        g = gradient_from_root(r, summary, config.omega, config.clamp_epsilon)
+        _finite(g)
         m = config.beta1 * m + (1.0 - config.beta1) * g
         v = config.beta2 * v + (1.0 - config.beta2) * g * g
         m_hat = m / (1.0 - config.beta1**step)
         v_hat = v / (1.0 - config.beta2**step)
         r = project_rows(r - config.step_size * m_hat / (np.sqrt(v_hat) + config.moment_epsilon))
+        f, b, vt, nc, g = evaluate_root(r, summary, config.omega, config.clamp_epsilon)
         if step % config.trace_stride == 0 or step == config.iterations:
-            f, b, vt, nc = objective_from_root(r, summary, config.omega, config.clamp_epsilon)
             if not np.isfinite(f):
                 raise OptimizationError(f"objective became non-finite at step {step}", trace)
-            trace.append(step, f, b, vt, nc, r if collect_roots else None)
+            trace.append(step, f, b, vt, nc, float(np.linalg.norm(g)),
+                         r if collect_roots else None)
 
     final = trace.objective[-1]
     if not final <= f0 * (1.0 + 1e-12) + 1e-12:

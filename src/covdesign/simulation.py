@@ -36,7 +36,6 @@ __all__ = [
     "SimReport",
     "run_mc",
     "run_exact",
-    "compare_designs",
     "baseline_levels",
 ]
 
@@ -372,8 +371,3 @@ def run_exact(graph: Graph, clustering: Clustering,
         gammas=gammas,
         estimators=tuple(estimators),
     )
-
-def compare_designs(config: SimConfig) -> SimReport:
-    """Monte Carlo comparison table across the configured designs; the
-    minimum-MSE design per (estimator, gamma) is available via `minima`."""
-    return run_mc(config)

@@ -74,9 +74,42 @@ class TestOptimize:
         assert sidecar["omega"] == 1.0
         assert sidecar["objective_final"] <= sidecar["objective_initial"]
         trace_lines = (tmp / "root.csv.trace.csv").read_text().strip().splitlines()
-        assert trace_lines[0] == "iteration,objective,bias_term,variance_term,clamped"
+        assert trace_lines[0] == "iteration,objective,bias_term,variance_term,clamped,grad_norm"
         final = trace_lines[-1].split(",")
         assert float(final[1]) == pytest.approx(sidecar["objective_final"])
+        assert float(final[5]) > 0.0
+        assert "seed" not in sidecar
+        manifest = json.loads((tmp / "root.csv.manifest.json").read_text())
+        assert "seed" not in manifest["resolved_config"]
+        assert manifest["seeds"] == {}
+
+    def test_seed_flag_is_gone(self, workspace, capsys):
+        tmp, _, _, graph_path, clusters_path = workspace
+        with pytest.raises(SystemExit):
+            run(["optimize", "--graph", graph_path, "--clusters", clusters_path,
+                 "--seed", "3", "--out", tmp / "root.csv"])
+        assert "--seed" in capsys.readouterr().err
+
+    def test_manifest_with_seed_is_refused_by_name(self, workspace, capsys):
+        tmp, _, _, graph_path, clusters_path = workspace
+        out = tmp / "root.csv"
+        run(["optimize", "--graph", graph_path, "--clusters", clusters_path,
+             "--iters", "20", "--out", out])
+        path = tmp / "root.csv.manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["resolved_config"]["seed"] = 0
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert run(["optimize", "--from-manifest", path]) != 0
+        assert "'seed'" in capsys.readouterr().err
+
+    def test_non_integer_matrix_market_size_line(self, workspace, capsys):
+        tmp, _, _, _, clusters_path = workspace
+        graph_path = tmp / "bad.mtx"
+        graph_path.write_text("%%MatrixMarket matrix coordinate pattern symmetric\n3 x 2\n1 2\n")
+        assert run(["optimize", "--graph", graph_path, "--clusters", clusters_path,
+                    "--out", tmp / "root.csv"]) != 0
+        assert "line 2: non-integer size" in capsys.readouterr().err
 
     def test_warm_start_k_mismatch_reports_both(self, workspace, capsys):
         tmp, _, _, graph_path, clusters_path = workspace

@@ -97,6 +97,12 @@ class TestMatrixMarket:
         with pytest.raises(GraphFormatError, match="outside"):
             cd.load_edge_list(write(tmp_path, "g.mtx", text))
 
+    @pytest.mark.parametrize("size_line", ["3 x 2", "3 3 1.5", "3.0 3 2"])
+    def test_non_integer_size_line_names_line(self, tmp_path, size_line):
+        text = f"%%MatrixMarket matrix coordinate pattern symmetric\n% c\n{size_line}\n1 2\n"
+        with pytest.raises(GraphFormatError, match="line 3: non-integer size"):
+            cd.load_edge_list(write(tmp_path, "g.mtx", text))
+
 
 def test_save_then_load_is_identity(tmp_path):
     g, _ = cd.generate_sbm([6, 6], 0.5, 0.2, seed=9)

@@ -431,7 +431,7 @@ class TestReportShape:
             ("cr", cd.CompleteDesign(4)),
             ("ibr-2", cd.BlockDesign(4, cd.build_ibr_blocks(summary, 2))),
         )
-        report = cd.compare_designs(small_config(
+        report = cd.run_mc(small_config(
             graph, clustering, designs, model, gammas=(0.5, 1.0), replications=400,
         ))
         assert len(report.cells) == 3 * 2
