@@ -38,6 +38,21 @@ def _check_cov_shape(summary: ClusterSummary, cov: np.ndarray) -> np.ndarray:
     return cov
 
 
+def _bias_core(summary: ClusterSummary, cov: np.ndarray) -> float:
+    """4 tr(C Cov) - sum(C); C is symmetric, so tr(C Cov) = <C, Cov>."""
+    cov = _check_cov_shape(summary, cov)
+    return float(4.0 * np.vdot(summary.contact, cov) - summary.total)
+
+
+def _variance_core(summary: ClusterSummary, cov: np.ndarray, omega: float) -> float:
+    """d' Cov d + (1/4) (1'd)^2, the variance bound's design part; omega >= 0."""
+    if omega < 0:
+        raise ValueError("omega must be nonnegative")
+    cov = _check_cov_shape(summary, cov)
+    d = summary.cluster_degrees
+    return float(np.vdot(d @ cov, d) + 0.25 * d.sum() ** 2)
+
+
 def is_valid_covariance(cov: np.ndarray, atol: float = 1e-9) -> bool:
     """Check the balanced-design covariance constraints (symmetry, PSD,
     diagonal 1/4, off-diagonals within [-1/4, 1/4])."""
@@ -66,8 +81,7 @@ def h_vector(params: AnalysisModelParams, graph: Graph, clustering: Clustering) 
 def bias_closed_form(summary: ClusterSummary, cov: np.ndarray, gamma: float) -> float:
     """(gamma/n) * (4 trace(C Cov) - sum(C)): the exact estimator bias under
     the analysis model, which depends on the design only through Cov."""
-    cov = _check_cov_shape(summary, cov)
-    return gamma / summary.n * (4.0 * np.trace(summary.contact @ cov) - summary.total)
+    return gamma / summary.n * _bias_core(summary, cov)
 
 
 def omega_from_model(summary: ClusterSummary, h: np.ndarray, gamma: float) -> float:
@@ -92,12 +106,7 @@ def variance_bound(summary: ClusterSummary, cov: np.ndarray, gamma: float,
                    omega: float) -> float:
     """Upper bound on the estimator variance:
     (8 gamma^2 (omega^2+4) / n^2) * d' (Cov + (1/4) 11') d."""
-    if omega < 0:
-        raise ValueError("omega must be nonnegative")
-    cov = _check_cov_shape(summary, cov)
-    d = summary.cluster_degrees
-    quad = d @ cov @ d + 0.25 * d.sum() ** 2
-    return 8.0 * gamma**2 * (omega**2 + 4.0) / summary.n**2 * quad
+    return 8.0 * gamma**2 * (omega**2 + 4.0) / summary.n**2 * _variance_core(summary, cov, omega)
 
 
 def objective_terms(summary: ClusterSummary, cov: np.ndarray,
@@ -108,14 +117,8 @@ def objective_terms(summary: ClusterSummary, cov: np.ndarray,
     dropped: it involves only the unknown interference strength and does
     not move the minimizer.
     """
-    if omega < 0:
-        raise ValueError("omega must be nonnegative")
-    cov = _check_cov_shape(summary, cov)
-    d = summary.cluster_degrees
-    # C is symmetric, so tr(C Cov) is the elementwise sum <C, Cov>
-    bias_term = (4.0 * np.vdot(summary.contact, cov) - summary.total) ** 2
-    variance_term = 8.0 * (omega**2 + 4.0) * (d @ cov @ d + 0.25 * d.sum() ** 2)
-    return float(bias_term), float(variance_term)
+    variance_term = 8.0 * (omega**2 + 4.0) * _variance_core(summary, cov, omega)
+    return _bias_core(summary, cov) ** 2, variance_term
 
 
 def objective_f(summary: ClusterSummary, cov: np.ndarray, omega: float) -> float:

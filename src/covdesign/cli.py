@@ -3,7 +3,8 @@
 Every command resolves its configuration (CLI > config file > defaults),
 executes, and writes a manifest next to its outputs.  Passing
 ``--from-manifest`` re-runs a command from a previously written manifest,
-reproducing its primary outputs byte for byte.
+reproducing its primary outputs byte for byte.  Config files and manifests
+are read strictly: a key the command does not know is refused by name.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import hashlib
 import json
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +94,13 @@ def _require(ns, *names):
     for name in names:
         if getattr(ns, name.replace("-", "_")) is None:
             raise _fail(f"--{name} is required (or pass --from-manifest)")
+
+
+def _refuse_unknown(spec: dict, known, what: str, source: str) -> None:
+    """Fail on the first key of `spec` outside `known`, naming it."""
+    for key in spec:
+        if key not in known:
+            raise _fail(f"{source}: unknown {what} key {key!r}")
 
 
 def _config_digest(cfg: dict) -> str:
@@ -226,12 +235,36 @@ _SIM_DEFAULTS = {
     "replications": 10_000,
     "seed": 0,
     "estimators": ["ht", "dim"],
-    "shared_noise": False,
-    # workers only affects wall time, never results; the cluster-sum engine
-    # is fast enough that starting a pool costs more than it saves
-    "workers": 1,
     "out_dir": "simulation-out",
 }
+_SIM_REQUIRED = ("graph", "clustering", "designs", "model")
+# the keys each command's resolver writes; config files and manifests may
+# hold no others
+_CONFIG_KEYS = {
+    "cluster": ("graph", "graph_format", "resolution", "seed", "out"),
+    "optimize": ("graph", "graph_format", "clustering", "omega", "iterations", "step_size",
+                 "trace_stride", "clamp_epsilon", "warm_start", "out"),
+    "simulate": _SIM_REQUIRED + tuple(_SIM_DEFAULTS),
+}
+_DESIGN_KEYS = ("kind", "name", "block_size", "root")
+_SIM_MODEL_KEYS = ("kind", "alpha", "beta", "c", "sigma", "gamma")
+_MODEL_KEYS = {"linear": _SIM_MODEL_KEYS, "multiplicative": _SIM_MODEL_KEYS,
+               "analysis": ("kind", "alpha", "beta", "gamma")}
+
+
+def _check_config_keys(cfg: dict, command: str, source: str) -> None:
+    """Refuse unknown keys of a config and of `simulate`'s nested specs (an
+    unknown model kind is left to `_build_model`, which lists the valid ones)."""
+    _refuse_unknown(cfg, _CONFIG_KEYS[command], f"{command} config", source)
+    if command != "simulate":
+        return
+    for spec in cfg.get("designs", ()):
+        _refuse_unknown(spec, _DESIGN_KEYS, "design", source)
+    model = cfg.get("model", {})
+    if model.get("kind") in _MODEL_KEYS:
+        _refuse_unknown(model, _MODEL_KEYS[model["kind"]], "model", source)
+    if isinstance(cfg.get("clustering"), dict):
+        _refuse_unknown(cfg["clustering"], ("resolution", "seed"), "clustering", source)
 
 
 def _resolve_simulate(ns) -> dict:
@@ -240,17 +273,16 @@ def _resolve_simulate(ns) -> dict:
             cfg = json.load(fh)
     except FileNotFoundError:
         raise _fail(f"config file not found: {ns.config}")
+    _check_config_keys(cfg, "simulate", f"config {ns.config}")
     for key, default in _SIM_DEFAULTS.items():
         cfg.setdefault(key, default)
-    for key in ("graph", "clustering", "designs", "model"):
+    for key in _SIM_REQUIRED:
         if key not in cfg:
             raise _fail(f"config is missing required key {key!r}")
     if ns.reps is not None:
         cfg["replications"] = int(ns.reps)
     if ns.seed is not None:
         cfg["seed"] = int(ns.seed)
-    if ns.workers is not None:
-        cfg["workers"] = int(ns.workers)
     # relative paths in the config count from the config file's directory
     # (a CLI --out-dir counts from the working directory instead); the
     # manifest stores them absolute so re-runs work from anywhere
@@ -290,17 +322,15 @@ def _build_model(spec: dict, graph):
 def _build_designs(specs, summary):
     designs = []
     for spec in specs:
-        kind = spec.get("kind", "")
+        block_size = int(spec.get("block_size", 2))
         root = _read_root(spec["root"]) if "root" in spec else None
         try:
-            design = make_design(kind, summary.k, summary=summary,
-                                 block_size=int(spec.get("block_size", 2)), root=root)
+            design = make_design(spec.get("kind", ""), summary.k, summary=summary,
+                                 block_size=block_size, root=root)
         except ValueError as exc:
             raise _fail(str(exc))
-        name = spec.get("name", design.kind)
-        if design.kind == "ibr" and "name" not in spec:
-            name = f"ibr-{int(spec.get('block_size', 2))}"
-        designs.append((name, design))
+        default = f"ibr-{block_size}" if design.kind == "ibr" else design.kind
+        designs.append((spec.get("name", default), design))
     return tuple(designs)
 
 
@@ -331,8 +361,6 @@ def _run_simulate(cfg: dict) -> dict:
         estimators=tuple(cfg["estimators"]),
         replications=int(cfg["replications"]),
         base_seed=int(cfg["seed"]),
-        shared_noise=bool(cfg["shared_noise"]),
-        workers=int(cfg["workers"]),
     )
     t0 = time.perf_counter()
     report = simulation.run_mc(sim_config)
@@ -348,10 +376,9 @@ def _run_simulate(cfg: dict) -> dict:
         outputs.append(path)
     bundle = report.to_dict()
     bundle["meta"]["model"] = cfg["model"]
-    # execution-only keys stay out of the echo so outputs are byte-identical
-    # across worker counts and output locations (they live in the manifest)
-    bundle["meta"]["config"] = {k: v for k, v in cfg.items()
-                                if k not in ("workers", "out_dir")}
+    # the output location stays out of the echo so outputs are byte-identical
+    # wherever they are written (it lives in the manifest)
+    bundle["meta"]["config"] = {k: v for k, v in cfg.items() if k != "out_dir"}
     bundle_path = out_dir / "report.json"
     bundle_path.write_text(json.dumps(bundle, indent=2, sort_keys=True) + "\n",
                            encoding="utf-8")
@@ -504,7 +531,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--reps", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None)
+    # accepted only because the benchmark harness still passes it; it has no
+    # effect and is recorded nowhere, and goes once the harness stops passing it
+    p.add_argument("--workers", type=int, default=None, help=argparse.SUPPRESS)
     p.add_argument("--out-dir", default=None)
     p.add_argument("--from-manifest", default=None)
 
@@ -535,6 +564,7 @@ def _config_from_manifest(path, expected_command: str) -> dict:
     if manifest["command"] != expected_command:
         raise _fail(f"manifest {path} was written by {manifest['command']!r}, "
                     f"not {expected_command!r}")
+    _check_config_keys(manifest["resolved_config"], expected_command, f"manifest {path}")
     return manifest["resolved_config"]
 
 
@@ -548,10 +578,11 @@ def main(argv=None) -> int:
         elif ns.command == "optimize":
             cfg = (_config_from_manifest(ns.from_manifest, "optimize")
                    if ns.from_manifest else _resolve_optimize(ns))
-            if "seed" in cfg:  # written before 0.3.0; the optimizer never used it
-                raise _fail(f"manifest {ns.from_manifest}: unknown optimize config key 'seed'")
             _run_optimize(cfg)
         elif ns.command == "simulate":
+            if ns.workers not in (None, 1):
+                warnings.warn("simulate --workers has no effect: the process pool was "
+                              "removed and simulate runs serially", stacklevel=2)
             if ns.from_manifest:
                 cfg = _config_from_manifest(ns.from_manifest, "simulate")
             else:

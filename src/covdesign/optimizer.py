@@ -194,8 +194,10 @@ def optimize(summary: ClusterSummary, config: OptimizerConfig = OptimizerConfig(
     v = np.zeros((k, k))
     for step in range(1, config.iterations + 1):
         _finite(g)
-        m = config.beta1 * m + (1.0 - config.beta1) * g
-        v = config.beta2 * v + (1.0 - config.beta2) * g * g
+        m *= config.beta1
+        m += (1.0 - config.beta1) * g
+        v *= config.beta2
+        v += (1.0 - config.beta2) * g * g
         m_hat = m / (1.0 - config.beta1**step)
         v_hat = v / (1.0 - config.beta2**step)
         r = project_rows(r - config.step_size * m_hat / (np.sqrt(v_hat) + config.moment_epsilon))

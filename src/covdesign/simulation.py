@@ -4,15 +4,12 @@ Both run one estimator kernel on per-cluster outcome sums (`ClusterModel`)
 for batches of cluster draws: sampled blocks of `BLOCK` replications, or a
 design's full pattern distribution.  Each block draws from its own
 generator seeded by (base seed, design content key, gamma index, block
-index), so blocks can run on any number of workers, bit-identically.
+index), so a design's draws and noise ignore the other designs.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
-import functools
 import math
-import multiprocessing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,10 +36,6 @@ __all__ = [
     "baseline_levels",
 ]
 
-# leading spawn-key tags keeping design streams and the shared noise
-# stream in disjoint families
-_DESIGN_STREAM = 1
-_NOISE_STREAM = 2
 # replications per seeded stream: amortizes per-call overhead while the
 # multiplicative model's units x block temporaries stay near 6 MB at n = 11.6k
 BLOCK = 64
@@ -70,8 +63,6 @@ class SimConfig:
     estimators: tuple[str, ...] = ("ht", "dim")
     replications: int = 10_000
     base_seed: int = 0
-    shared_noise: bool = False
-    workers: int = 1
 
     def __post_init__(self):
         if self.replications < 1:
@@ -206,32 +197,6 @@ class ClusterModel:
         return np.sqrt(np.maximum(var, 0.0))
 
 
-def _block_rng(base_seed: int, spawn_key: tuple[int, ...]) -> np.random.Generator:
-    seq = np.random.SeedSequence(entropy=base_seed, spawn_key=spawn_key)
-    return np.random.Generator(np.random.PCG64(seq))
-
-
-def _mc_block(law: ClusterModel, designs, gammas, kinds, reps: int, base_seed: int,
-              shared_noise: bool, block: int):
-    """Estimates of every (gamma, design) cell for one block of replications;
-    `designs` pairs each design with its stream key."""
-    size = min(BLOCK, reps - block * BLOCK)
-    values = np.empty((len(gammas), len(designs), size, len(kinds)))
-    degenerate = np.empty(values.shape, dtype=bool)
-    for g_idx, gamma in enumerate(gammas):
-        shared = None
-        if law.noisy and shared_noise:
-            shared = _block_rng(base_seed, (_NOISE_STREAM, 0, g_idx, block)).standard_normal(
-                (size, law.sizes.size))
-        for d_idx, (key, design) in enumerate(designs):
-            rng = _block_rng(base_seed, (_DESIGN_STREAM, key, g_idx, block))
-            t = design.sample_many(rng, size)
-            noise = rng.standard_normal(t.shape) if law.noisy and not shared_noise else shared
-            values[g_idx, d_idx], degenerate[g_idx, d_idx] = cluster_estimates(
-                t, law.sums(t, gamma, noise), law.sizes, law.baseline, kinds)
-    return values, degenerate
-
-
 def _aggregate_cell(name, gamma, estimator, values, degenerate, oracle) -> ReportCell:
     reps = values.size
     valid = values[~degenerate]
@@ -266,27 +231,26 @@ def run_mc(config: SimConfig) -> SimReport:
     """Monte Carlo table of bias / SD / MSE for every design, gamma and
     estimator in the configuration.
 
-    Bias is measured against the model's oracle effect.  Noise is redrawn
-    per replication and per design unless `shared_noise` asks for a
-    design-independent noise stream.  Deterministic for a fixed base seed
-    and any worker count, since the pool maps whole blocks.
+    Bias is measured against the model's oracle effect.  Each design draws
+    its own treatments and noise per replication from its block streams, so
+    the table is deterministic for a fixed base seed.
     """
     law = ClusterModel(config.model, config.graph, config.clustering)
-    reps = config.replications
-    designs = tuple((design.stream_key(), design) for _, design in config.designs)
-    task = functools.partial(_mc_block, law, designs, config.gammas, config.estimators,
-                             reps, config.base_seed, config.shared_noise)
-    blocks = range(-(-reps // BLOCK))
-    workers = min(max(1, config.workers), len(blocks))
-    if workers == 1:
-        results = list(map(task, blocks))
-    else:
-        # forkserver: workers never inherit the parent's BLAS threads
-        ctx = multiprocessing.get_context("forkserver")
-        with concurrent.futures.ProcessPoolExecutor(workers, mp_context=ctx) as pool:
-            results = list(pool.map(task, blocks, chunksize=-(-len(blocks) // workers)))
-    values = np.concatenate([v for v, _ in results], axis=2)
-    degenerate = np.concatenate([d for _, d in results], axis=2)
+    reps, kinds = config.replications, config.estimators
+    designs = [(design.stream_key(), design) for _, design in config.designs]
+    values = np.empty((len(config.gammas), len(designs), reps, len(kinds)))
+    degenerate = np.empty(values.shape, dtype=bool)
+    for block, start in enumerate(range(0, reps, BLOCK)):
+        rows = slice(start, min(start + BLOCK, reps))
+        for g_idx, gamma in enumerate(config.gammas):
+            for d_idx, (key, design) in enumerate(designs):
+                # the leading 1 of the spawn key keeps the streams of earlier versions
+                rng = np.random.default_rng(np.random.SeedSequence(
+                    config.base_seed, spawn_key=(1, key, g_idx, block)))
+                t = design.sample_many(rng, rows.stop - start)
+                noise = rng.standard_normal(t.shape) if law.noisy else None
+                values[g_idx, d_idx, rows], degenerate[g_idx, d_idx, rows] = cluster_estimates(
+                    t, law.sums(t, gamma, noise), law.sizes, law.baseline, kinds)
 
     cells = []
     for g_idx, gamma in enumerate(config.gammas):
@@ -308,7 +272,6 @@ def run_mc(config: SimConfig) -> SimReport:
         meta={
             "replications": reps,
             "base_seed": config.base_seed,
-            "shared_noise": config.shared_noise,
             "engine": "cluster-sums",
             "streams": {"per": ["design", "gamma", "block"], "block": BLOCK},
         },

@@ -201,10 +201,14 @@ class TestSimulate:
         tmp, graph_path, clusters_path = prepared
         cfg = write_sim_config(tmp, graph_path, clusters_path,
                                replications=80, out_dir="w1")
-        run(["simulate", "--config", cfg, "--workers", "1"])
-        run(["simulate", "--config", cfg, "--workers", "2", "--out-dir", tmp / "w2"])
+        assert run(["simulate", "--config", cfg]) == 0
+        with pytest.warns(UserWarning, match="runs serially"):
+            assert run(["simulate", "--config", cfg, "--workers", "2",
+                        "--out-dir", tmp / "w2"]) == 0
         for name in ("report_linear_ht.csv", "report_linear_dim.csv", "report.json"):
             assert (tmp / "w1" / name).read_bytes() == (tmp / "w2" / name).read_bytes()
+        manifest = json.loads((tmp / "w2" / "simulate.manifest.json").read_text())
+        assert "workers" not in manifest["resolved_config"]
 
     def test_rerun_from_manifest_is_byte_identical(self, prepared):
         tmp, graph_path, clusters_path = prepared
@@ -223,11 +227,50 @@ class TestSimulate:
         cfg = write_sim_config(tmp, graph_path, clusters_path, replications=30)
         assert run(["simulate", "--config", cfg]) == 0
         manifest = json.loads((tmp / "simout" / "simulate.manifest.json").read_text())
-        assert manifest["resolved_config"]["workers"] == 1
+        assert "workers" not in manifest["resolved_config"]
         bundle = json.loads((tmp / "simout" / "report.json").read_text())
         assert bundle["meta"]["engine"] == "cluster-sums"
         assert bundle["meta"]["streams"] == {"per": ["design", "gamma", "block"],
                                              "block": cd.simulation.BLOCK}
+
+    @pytest.mark.parametrize("key", ["workers", "shared_noise", "replication"])
+    def test_unknown_config_key_is_refused_by_name(self, prepared, capsys, key):
+        tmp, graph_path, clusters_path = prepared
+        cfg = write_sim_config(tmp, graph_path, clusters_path, **{key: 1})
+        assert run(["simulate", "--config", cfg]) != 0
+        assert f"config {cfg}: unknown simulate config key '{key}'" in capsys.readouterr().err
+        assert not (tmp / "simout").exists()
+
+    @pytest.mark.parametrize("where, spec, key", [
+        ("design", {"kind": "ibr", "blocksize": 4}, "blocksize"),
+        ("model", {"kind": "analysis", "sigma": 0.1}, "sigma"),
+        ("model", {"kind": "linear", "noise": 0.1}, "noise"),
+        ("clustering", {"resolution": 1.0, "seeds": 3}, "seeds"),
+    ])
+    def test_unknown_nested_key_is_refused_by_name(self, prepared, capsys, where, spec, key):
+        tmp, graph_path, clusters_path = prepared
+        cfg = write_sim_config(tmp, graph_path, clusters_path)
+        raw = json.loads(cfg.read_text())
+        if where == "design":
+            raw["designs"].append(spec)
+        else:
+            raw[where] = spec
+        cfg.write_text(json.dumps(raw))
+        assert run(["simulate", "--config", cfg]) != 0
+        assert f"unknown {where} key '{key}'" in capsys.readouterr().err
+
+    def test_manifest_with_workers_is_refused_by_name(self, prepared, capsys):
+        tmp, graph_path, clusters_path = prepared
+        cfg = write_sim_config(tmp, graph_path, clusters_path, replications=30)
+        assert run(["simulate", "--config", cfg]) == 0
+        path = tmp / "simout" / "simulate.manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["resolved_config"]["workers"] = 1
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert run(["simulate", "--from-manifest", path]) != 0
+        assert (f"manifest {path}: unknown simulate config key 'workers'"
+                in capsys.readouterr().err)
 
     def test_non_finite_model_parameter_names_field(self, prepared, capsys):
         tmp, graph_path, clusters_path = prepared

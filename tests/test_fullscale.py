@@ -43,7 +43,6 @@ def test_full_scale_mse_ordering_at_strong_interference():
         report = cd.run_mc(cd.SimConfig(
             graph=graph, clustering=clustering, designs=designs, model=model,
             gammas=(2.0,), estimators=("ht",), replications=REPS, base_seed=1,
-            workers=os.cpu_count() or 1,
         ))
         ber = report.cell("ber", 2.0, "ht")
         ocd = report.cell("ocd", 2.0, "ht")

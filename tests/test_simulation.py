@@ -255,16 +255,6 @@ class TestRunMc:
         a, b = report.cells
         assert (a.bias, a.sd, a.mse) == (b.bias, b.sd, b.mse)
 
-    def test_parallel_equals_serial(self, sbm_setup):
-        graph, clustering, _ = sbm_setup
-        model = cd.SimModelParams.for_graph(graph, "linear", gamma=1.0)
-        designs = (("ber", cd.BernoulliDesign(4)),)
-        serial = cd.run_mc(small_config(graph, clustering, designs, model,
-                                        estimators=("ht", "dim"), workers=1))
-        parallel = cd.run_mc(small_config(graph, clustering, designs, model,
-                                          estimators=("ht", "dim"), workers=3))
-        assert serial.cells == parallel.cells
-
     def test_mse_identity_per_cell(self, sbm_setup):
         graph, clustering, _ = sbm_setup
         model = cd.SimModelParams.for_graph(graph, "linear", gamma=2.0)
@@ -299,32 +289,35 @@ class TestRunMc:
         cell = report.cells[0]
         assert cell.degenerate_fraction == 1.0 and np.isnan(cell.mse)
 
-    def test_shared_noise_uses_design_independent_stream(self, sbm_setup):
-        graph, clustering, _ = sbm_setup
-        model = cd.SimModelParams.for_graph(graph, "linear", sigma=1.0, gamma=0.0)
-        designs = (("a", cd.CompleteDesign(4)), ("b", cd.BlockDesign(4, [(0, 1), (2, 3)])))
-        shared = cd.run_mc(small_config(graph, clustering, designs, model,
-                                        shared_noise=True, replications=3000))
-        indep = cd.run_mc(small_config(graph, clustering, designs, model,
-                                       shared_noise=False, replications=3000))
-        # with gamma=0 and balanced designs the HT noise contribution is the
-        # only stochastic difference; shared noise correlates the two rows
-        gap_shared = abs(shared.cells[0].mean_estimate - shared.cells[1].mean_estimate)
-        gap_indep = abs(indep.cells[0].mean_estimate - indep.cells[1].mean_estimate)
-        assert gap_shared < gap_indep
-
-    def test_shared_noise_ignores_design_stream_key(self, sbm_setup):
-        # two designs with the same draws but different stream keys: shared
-        # noise makes their rows identical, independent noise does not
+    def test_noise_follows_design_stream_key(self, sbm_setup):
+        # two designs with the same draws but different stream keys draw
+        # their noise from different streams, so their rows differ
         graph, clustering, _ = sbm_setup
         model = cd.SimModelParams.for_graph(graph, "linear", sigma=1.0, gamma=0.0)
         designs = (("a", _FixedDesign(b"a")), ("b", _FixedDesign(b"b")))
-        shared = cd.run_mc(small_config(graph, clustering, designs, model,
-                                        shared_noise=True, replications=300))
-        indep = cd.run_mc(small_config(graph, clustering, designs, model,
-                                       shared_noise=False, replications=300))
-        assert shared.cells[0].mean_estimate == shared.cells[1].mean_estimate
-        assert indep.cells[0].mean_estimate != indep.cells[1].mean_estimate
+        report = cd.run_mc(small_config(graph, clustering, designs, model,
+                                        replications=300))
+        assert report.cells[0].mean_estimate != report.cells[1].mean_estimate
+
+    def test_block_streams_are_keyed_by_design_gamma_and_block(self, sbm_setup):
+        # each block of each (design, gamma) cell draws from its own generator,
+        # spawn key (1, design key, gamma index, block): treatments first, then noise
+        graph, clustering, _ = sbm_setup
+        model = cd.SimModelParams.for_graph(graph, "linear", sigma=1.0)
+        design = cd.BernoulliDesign(4)
+        gammas, reps = (0.5, 2.0), cd.simulation.BLOCK + 5
+        report = cd.run_mc(small_config(graph, clustering, (("ber", design),), model,
+                                        gammas=gammas, replications=reps, base_seed=3))
+        law = ClusterModel(model, graph, clustering)
+        for g_idx, gamma in enumerate(gammas):
+            blocks = []
+            for block, size in enumerate((cd.simulation.BLOCK, 5)):
+                rng = np.random.default_rng(np.random.SeedSequence(
+                    3, spawn_key=(1, design.stream_key(), g_idx, block)))
+                t = design.sample_many(rng, size)
+                y = law.sums(t, gamma, rng.standard_normal(t.shape))
+                blocks.append(cd.cluster_estimates(t, y, law.sizes, law.baseline, ("ht",))[0])
+            assert report.cells[g_idx].mean_estimate == float(np.concatenate(blocks).mean())
 
     def test_k_mismatch_rejected(self, sbm_setup):
         graph, clustering, _ = sbm_setup
