@@ -3,8 +3,9 @@
 Every command resolves its configuration (CLI > config file > defaults),
 executes, and writes a manifest next to its outputs.  Passing
 ``--from-manifest`` re-runs a command from a previously written manifest,
-reproducing its primary outputs byte for byte.  Config files and manifests
-are read strictly: a key the command does not know is refused by name.
+reproducing its primary outputs byte for byte.  One table (`_CONFIG`) gives
+every key of each command's resolved config with its type and default;
+flags, config files and manifests are checked against it by name.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from .analysis import (
 )
 from .clustering import build_cluster_summary, louvain, read_clustering, write_clustering
 from .designs import DesignEnumerationError, make_design
-from .graph import GraphFormatError, load_edge_list
-from .manifest import build_manifest, load_manifest, write_manifest
+from .graph import load_edge_list
+from .manifest import build_manifest, load_manifest, read_json, write_manifest
 from .optimizer import OptimizerConfig, optimize
 from .outcomes import AnalysisModelParams, SimModelParams
 from . import simulation  # called through the module, so wrappers on run_mc see the calls
@@ -45,55 +46,100 @@ def _fail(message: str) -> "SystemExit":
     return SystemExit(2)
 
 
-def _load_graph(path, fmt="auto"):
-    try:
-        return load_edge_list(path, fmt)
-    except FileNotFoundError:
-        raise _fail(f"graph file not found: {path}")
-    except GraphFormatError as exc:
-        raise _fail(str(exc))
-
-
-def _load_clustering(path, n):
-    try:
-        return read_clustering(path, n=n)
-    except FileNotFoundError:
-        raise _fail(f"clustering file not found: {path}")
-    except ValueError as exc:
-        raise _fail(str(exc))
+def _load(graph_path, graph_format, clustering):
+    """Graph, clustering and summary; `clustering` is a file or a Louvain spec."""
+    graph = load_edge_list(graph_path, graph_format)
+    clustering = (louvain(graph, **clustering) if isinstance(clustering, dict)
+                  else read_clustering(clustering, n=graph.n))
+    return graph, clustering, build_cluster_summary(graph, clustering)
 
 
 def _read_root(path) -> np.ndarray:
-    try:
-        return np.loadtxt(path, delimiter=",", ndmin=2)
-    except FileNotFoundError:
-        raise _fail(f"root matrix file not found: {path}")
-
-
-def _format_float(x: float) -> str:
-    return _FLOAT_FMT % x
+    with open(path, "r", encoding="utf-8") as fh:
+        return np.loadtxt(fh, delimiter=",", ndmin=2)
 
 
 def _absolute(path, base: Path | None = None) -> str:
     p = Path(path)
-    if p.is_absolute():
-        return str(p)
-    return str(((base or Path.cwd()) / p).resolve())
+    return str(p if p.is_absolute() else ((base or Path.cwd()) / p).resolve())
 
 
 def _write_csv(path, header, rows) -> None:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(
-            _format_float(v) if isinstance(v, float) else str(v) for v in row
+            _FLOAT_FMT % v if isinstance(v, float) else str(v) for v in row
         ))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _require(ns, *names):
-    for name in names:
-        if getattr(ns, name.replace("-", "_")) is None:
-            raise _fail(f"--{name} is required (or pass --from-manifest)")
+# ----------------------------------------------------------------- config
+#
+# A type is float (JSON integers pass), int, str, None, `[t]` (a list of t),
+# a tuple of alternatives, a `_Spec` (a nested object's key types) or
+# `_MODELS` (a model spec, whose keys depend on its kind).  No bool passes as
+# a number.  Nested specs get no defaults: the library constructors own them.
+
+class _Spec(dict):
+    def __init__(self, what: str, **types):
+        super().__init__(types)
+        self.what = what
+
+
+_REQUIRED = object()
+_DESIGN = _Spec("design", kind=str, name=str, block_size=int, root=str)
+_SIM_MODEL = _Spec("model", kind=str, alpha=float, beta=float, c=float, sigma=float,
+                   gamma=float)
+_MODELS = {"linear": _SIM_MODEL, "multiplicative": _SIM_MODEL,
+           "analysis": _Spec("model", kind=str, alpha=float, beta=float, gamma=float)}
+_LOUVAIN = _Spec("clustering", resolution=float, seed=int)
+_OPT = OptimizerConfig
+
+# every key of each command's resolved config: (type, default)
+_CONFIG = {
+    "cluster": {
+        "graph": (str, _REQUIRED), "graph_format": (str, "auto"),
+        "resolution": (float, 1.0), "seed": (int, _REQUIRED), "out": (str, _REQUIRED),
+    },
+    "optimize": {
+        "graph": (str, _REQUIRED), "graph_format": (str, "auto"),
+        "clustering": (str, _REQUIRED), "omega": (float, _OPT.omega),
+        "iterations": (int, _OPT.iterations), "step_size": (float, _OPT.step_size),
+        "trace_stride": (int, _OPT.trace_stride), "clamp_epsilon": (float, _OPT.clamp_epsilon),
+        "warm_start": ((str, None), None), "out": (str, _REQUIRED),
+    },
+    "simulate": {
+        "graph": (str, _REQUIRED), "graph_format": (str, "auto"),
+        "clustering": ((str, _LOUVAIN), _REQUIRED), "designs": ([_DESIGN], _REQUIRED),
+        "model": (_MODELS, _REQUIRED), "gammas": ([float], [0.5, 1.0, 2.0]),
+        "replications": (int, simulation.SimConfig.replications),
+        "seed": (int, simulation.SimConfig.base_seed),
+        "estimators": ([str], list(simulation.SimConfig.estimators)),
+        "out_dir": (str, "simulation-out"),
+    },
+}
+# flags spelled unlike their config key, for "--<flag> is required"
+_FLAGS = {"clustering": "clusters"}
+_TYPE_NAMES = {float: "a number", int: "an integer", str: "a string", None: "null"}
+
+
+def _describe(typ) -> str:
+    if isinstance(typ, list):
+        return "a list of " + _describe(typ[0]).split()[-1] + "s"
+    if isinstance(typ, tuple):
+        return " or ".join(map(_describe, typ))
+    return "an object" if isinstance(typ, dict) else _TYPE_NAMES[typ]
+
+
+def _fits(value, typ) -> bool:
+    """Whether `value` has the outer shape of `typ`."""
+    if isinstance(typ, tuple):
+        return any(_fits(value, t) for t in typ)
+    if isinstance(typ, (list, dict)):
+        return isinstance(value, list if isinstance(typ, list) else dict)
+    if typ is None:
+        return value is None
+    return not isinstance(value, bool) and isinstance(value, (int, float) if typ is float else typ)
 
 
 def _refuse_unknown(spec: dict, known, what: str, source: str) -> None:
@@ -103,29 +149,81 @@ def _refuse_unknown(spec: dict, known, what: str, source: str) -> None:
             raise _fail(f"{source}: unknown {what} key {key!r}")
 
 
-def _config_digest(cfg: dict) -> str:
-    return hashlib.sha256(
-        json.dumps(cfg, sort_keys=True).encode("utf-8")
-    ).hexdigest()[:16]
+def _check(value, typ, name: str, source: str) -> None:
+    """Refuse `value` unless it is a `typ`, naming it `name`."""
+    if isinstance(typ, tuple):
+        typ = next((t for t in typ if _fits(value, t)), typ)
+    elif typ is _MODELS and isinstance(value, dict):
+        if value.get("kind") not in _MODELS:
+            raise _fail(f"{source}: unknown model kind {value.get('kind')!r}; "
+                        f"valid: {', '.join(_MODELS)}")
+        typ = _MODELS[value["kind"]]
+    if not _fits(value, typ):
+        raise _fail(f"{source}: {name} must be {_describe(typ)}, got {value!r}")
+    if isinstance(typ, list):
+        for i, item in enumerate(value):
+            _check(item, typ[0], f"{name}[{i}]", source)
+    elif isinstance(typ, _Spec):
+        _refuse_unknown(value, typ, typ.what, source)
+        for key, item in value.items():
+            _check(item, typ[key], f"{name}.{key}", source)
+
+
+def _checked(cfg, command: str, source: str) -> dict:
+    """`cfg` checked against `command`'s table and completed with its
+    defaults.  Refuses, in this order: a non-object, an unknown key, a
+    missing required key, a value of the wrong type.  Converts nothing."""
+    table, what = _CONFIG[command], f"{command} config"
+    if not isinstance(cfg, dict):
+        raise _fail(f"{source}: {what} must be an object, got {cfg!r}")
+    _refuse_unknown(cfg, table, what, source)
+    for key, (_, default) in table.items():
+        if default is _REQUIRED and key not in cfg:
+            raise _fail(f"--{_FLAGS.get(key, key)} is required (or pass --from-manifest)"
+                        if source == "command line"
+                        else f"{source}: {what} is missing required key {key!r}")
+    for key, value in cfg.items():
+        _check(value, table[key][0], key, source)
+    return {**{key: default for key, (_, default) in table.items()}, **cfg}
+
+
+def _absolute_paths(cfg: dict, base: Path | None = None) -> dict:
+    for key in ("graph", "clustering", "warm_start", "out", "out_dir"):
+        if isinstance(cfg.get(key), str):
+            cfg[key] = _absolute(cfg[key], base)
+    for spec in cfg.get("designs", ()):
+        if "root" in spec:
+            spec["root"] = _absolute(spec["root"], base)
+    return cfg
+
+
+def _resolve(command: str, ns) -> dict:
+    """The checked config of a manifest, of a `simulate` config file under its
+    flags, or of the `cluster`/`optimize` flags.  Paths come out absolute: a
+    config file's count from its directory, flags' from the working directory."""
+    if ns.from_manifest:
+        manifest = load_manifest(ns.from_manifest)
+        if manifest["command"] != command:
+            raise _fail(f"manifest {ns.from_manifest} was written by "
+                        f"{manifest['command']!r}, not {command!r}")
+        return _checked(manifest["resolved_config"], command, f"manifest {ns.from_manifest}")
+    flags = {k: v for k, v in vars(ns).items() if k in _CONFIG[command] and v is not None}
+    if command != "simulate":
+        return _absolute_paths(_checked(flags, command, "command line"))
+    if not ns.config:
+        raise _fail("simulate needs --config or --from-manifest")
+    cfg = _checked(read_json(ns.config), command, f"config {ns.config}")
+    _absolute_paths(cfg, Path(ns.config).resolve().parent)
+    cfg.update(_absolute_paths(flags))
+    return cfg
 
 
 # ---------------------------------------------------------------- cluster
 
-def _resolve_cluster(ns) -> dict:
-    _require(ns, "graph", "seed", "out")
-    return {
-        "graph": _absolute(ns.graph),
-        "graph_format": ns.format,
-        "resolution": float(ns.resolution),
-        "seed": int(ns.seed),
-        "out": _absolute(ns.out),
-    }
-
-
 def _run_cluster(cfg: dict) -> dict:
     timings = {}
     t0 = time.perf_counter()
-    graph = _load_graph(cfg["graph"], cfg["graph_format"])
+    graph = load_edge_list(cfg["graph"], cfg["graph_format"])
     timings["load"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     clustering = louvain(graph, resolution=cfg["resolution"], seed=cfg["seed"])
@@ -136,10 +234,8 @@ def _run_cluster(cfg: dict) -> dict:
     outputs = [out]
     if graph.labels is not None:
         nodemap = out.with_suffix(out.suffix + ".nodemap")
-        nodemap.write_text(
-            "".join(f"{i} {lab}\n" for i, lab in enumerate(graph.labels)),
-            encoding="utf-8",
-        )
+        nodemap.write_text("".join(f"{i} {lab}\n" for i, lab in enumerate(graph.labels)),
+                           encoding="utf-8")
         outputs.append(nodemap)
     manifest = build_manifest("cluster", cfg, [cfg["graph"]], outputs,
                               {"louvain": cfg["seed"]}, timings)
@@ -150,46 +246,21 @@ def _run_cluster(cfg: dict) -> dict:
 
 # --------------------------------------------------------------- optimize
 
-def _resolve_optimize(ns) -> dict:
-    _require(ns, "graph", "clusters", "out")
-    return {
-        "graph": _absolute(ns.graph),
-        "graph_format": ns.format,
-        "clustering": _absolute(ns.clusters),
-        "omega": float(ns.omega),
-        "iterations": int(ns.iters),
-        "step_size": float(ns.lr),
-        "trace_stride": int(ns.trace_stride),
-        "clamp_epsilon": float(ns.clamp_eps),
-        "warm_start": _absolute(ns.warm_start) if ns.warm_start else None,
-        "out": _absolute(ns.out),
-    }
-
-
 def _run_optimize(cfg: dict) -> dict:
     timings = {}
     t0 = time.perf_counter()
-    graph = _load_graph(cfg["graph"], cfg["graph_format"])
-    clustering = _load_clustering(cfg["clustering"], graph.n)
-    summary = build_cluster_summary(graph, clustering)
+    _, _, summary = _load(cfg["graph"], cfg["graph_format"], cfg["clustering"])
     inputs = [cfg["graph"], cfg["clustering"]]
     r0 = None
     if cfg["warm_start"]:
         r0 = _read_root(cfg["warm_start"])
         if r0.shape != (summary.k, summary.k):
-            raise _fail(
-                f"warm start has K={r0.shape[0]} but clustering has K={summary.k}"
-            )
+            raise _fail(f"warm start has K={r0.shape[0]} but clustering has K={summary.k}")
         inputs.append(cfg["warm_start"])
     timings["load"] = time.perf_counter() - t0
 
-    config = OptimizerConfig(
-        iterations=cfg["iterations"],
-        step_size=cfg["step_size"],
-        clamp_epsilon=cfg["clamp_epsilon"],
-        omega=cfg["omega"],
-        trace_stride=cfg["trace_stride"],
-    )
+    config = OptimizerConfig(**{k: cfg[k] for k in (
+        "iterations", "step_size", "clamp_epsilon", "omega", "trace_stride")})
     t0 = time.perf_counter()
     root, trace = optimize(summary, config, r0=r0)
     timings["optimize"] = time.perf_counter() - t0
@@ -212,7 +283,8 @@ def _run_optimize(cfg: dict) -> dict:
         "bias_term_final": trace.bias_term[-1],
         "variance_term_final": trace.variance_term[-1],
         "clamped_final": trace.clamped[-1],
-        "config_digest": _config_digest(cfg),
+        "config_digest": hashlib.sha256(
+            json.dumps(cfg, sort_keys=True).encode("utf-8")).hexdigest()[:16],
     }
     sidecar_path = out.with_suffix(out.suffix + ".json")
     sidecar_path.write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n",
@@ -229,106 +301,13 @@ def _run_optimize(cfg: dict) -> dict:
 
 # --------------------------------------------------------------- simulate
 
-_SIM_DEFAULTS = {
-    "graph_format": "auto",
-    "gammas": [0.5, 1.0, 2.0],
-    "replications": 10_000,
-    "seed": 0,
-    "estimators": ["ht", "dim"],
-    "out_dir": "simulation-out",
-}
-_SIM_REQUIRED = ("graph", "clustering", "designs", "model")
-# the keys each command's resolver writes; config files and manifests may
-# hold no others
-_CONFIG_KEYS = {
-    "cluster": ("graph", "graph_format", "resolution", "seed", "out"),
-    "optimize": ("graph", "graph_format", "clustering", "omega", "iterations", "step_size",
-                 "trace_stride", "clamp_epsilon", "warm_start", "out"),
-    "simulate": _SIM_REQUIRED + tuple(_SIM_DEFAULTS),
-}
-_DESIGN_KEYS = ("kind", "name", "block_size", "root")
-_SIM_MODEL_KEYS = ("kind", "alpha", "beta", "c", "sigma", "gamma")
-_MODEL_KEYS = {"linear": _SIM_MODEL_KEYS, "multiplicative": _SIM_MODEL_KEYS,
-               "analysis": ("kind", "alpha", "beta", "gamma")}
-
-
-def _check_config_keys(cfg: dict, command: str, source: str) -> None:
-    """Refuse unknown keys of a config and of `simulate`'s nested specs (an
-    unknown model kind is left to `_build_model`, which lists the valid ones)."""
-    _refuse_unknown(cfg, _CONFIG_KEYS[command], f"{command} config", source)
-    if command != "simulate":
-        return
-    for spec in cfg.get("designs", ()):
-        _refuse_unknown(spec, _DESIGN_KEYS, "design", source)
-    model = cfg.get("model", {})
-    if model.get("kind") in _MODEL_KEYS:
-        _refuse_unknown(model, _MODEL_KEYS[model["kind"]], "model", source)
-    if isinstance(cfg.get("clustering"), dict):
-        _refuse_unknown(cfg["clustering"], ("resolution", "seed"), "clustering", source)
-
-
-def _resolve_simulate(ns) -> dict:
-    try:
-        with open(ns.config, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except FileNotFoundError:
-        raise _fail(f"config file not found: {ns.config}")
-    _check_config_keys(cfg, "simulate", f"config {ns.config}")
-    for key, default in _SIM_DEFAULTS.items():
-        cfg.setdefault(key, default)
-    for key in _SIM_REQUIRED:
-        if key not in cfg:
-            raise _fail(f"config is missing required key {key!r}")
-    if ns.reps is not None:
-        cfg["replications"] = int(ns.reps)
-    if ns.seed is not None:
-        cfg["seed"] = int(ns.seed)
-    # relative paths in the config count from the config file's directory
-    # (a CLI --out-dir counts from the working directory instead); the
-    # manifest stores them absolute so re-runs work from anywhere
-    base = Path(ns.config).resolve().parent
-    cfg["graph"] = _absolute(cfg["graph"], base)
-    if isinstance(cfg["clustering"], str):
-        cfg["clustering"] = _absolute(cfg["clustering"], base)
-    for spec in cfg["designs"]:
-        if "root" in spec:
-            spec["root"] = _absolute(spec["root"], base)
-    if ns.out_dir is not None:
-        cfg["out_dir"] = _absolute(ns.out_dir)
-    else:
-        cfg["out_dir"] = _absolute(cfg["out_dir"], base)
-    return cfg
-
-
-def _build_model(spec: dict, graph):
-    kind = spec.get("kind")
-    if kind in ("linear", "multiplicative"):
-        return SimModelParams.for_graph(
-            graph, kind,
-            alpha=spec.get("alpha", 1.0), beta=spec.get("beta", 1.0),
-            c=spec.get("c", 0.5), sigma=spec.get("sigma", 0.1),
-            gamma=spec.get("gamma", 1.0),
-        )
-    if kind == "analysis":
-        n = graph.n
-        return AnalysisModelParams(
-            alpha=np.full(n, float(spec.get("alpha", 0.0))),
-            beta=np.full(n, float(spec.get("beta", 1.0))),
-            gamma=float(spec.get("gamma", 1.0)),
-        )
-    raise _fail(f"unknown model kind {kind!r}; valid: linear, multiplicative, analysis")
-
-
 def _build_designs(specs, summary):
     designs = []
     for spec in specs:
-        block_size = int(spec.get("block_size", 2))
+        block_size = spec.get("block_size", 2)
         root = _read_root(spec["root"]) if "root" in spec else None
-        try:
-            design = make_design(spec.get("kind", ""), summary.k, summary=summary,
-                                 block_size=block_size, root=root)
-        except ValueError as exc:
-            raise _fail(str(exc))
+        design = make_design(spec.get("kind", ""), summary.k, summary=summary,
+                             block_size=block_size, root=root)
         default = f"ibr-{block_size}" if design.kind == "ibr" else design.kind
         designs.append((spec.get("name", default), design))
     return tuple(designs)
@@ -337,30 +316,20 @@ def _build_designs(specs, summary):
 def _run_simulate(cfg: dict) -> dict:
     timings = {}
     t0 = time.perf_counter()
-    graph = _load_graph(cfg["graph"], cfg["graph_format"])
-    inputs = [cfg["graph"]]
-    if isinstance(cfg["clustering"], str):
-        clustering = _load_clustering(cfg["clustering"], graph.n)
-        inputs.append(cfg["clustering"])
-    else:
-        spec = cfg["clustering"]
-        clustering = louvain(graph, resolution=float(spec.get("resolution", 1.0)),
-                             seed=int(spec.get("seed", 0)))
-    summary = build_cluster_summary(graph, clustering)
+    graph, clustering, summary = _load(cfg["graph"], cfg["graph_format"], cfg["clustering"])
     designs = _build_designs(cfg["designs"], summary)
+    inputs = [p for p in (cfg["graph"], cfg["clustering"]) if isinstance(p, str)]
     inputs += [spec["root"] for spec in cfg["designs"] if "root" in spec]
-    model = _build_model(cfg["model"], graph)
+    params = {k: v for k, v in cfg["model"].items() if k != "kind"}
+    model_kind = cfg["model"]["kind"]
+    model = (AnalysisModelParams.uniform(graph.n, **params) if model_kind == "analysis"
+             else SimModelParams.for_graph(graph, model_kind, **params))
     timings["load"] = time.perf_counter() - t0
 
     sim_config = simulation.SimConfig(
-        graph=graph,
-        clustering=clustering,
-        designs=designs,
-        model=model,
-        gammas=tuple(float(g) for g in cfg["gammas"]),
-        estimators=tuple(cfg["estimators"]),
-        replications=int(cfg["replications"]),
-        base_seed=int(cfg["seed"]),
+        graph=graph, clustering=clustering, designs=designs, model=model,
+        gammas=tuple(float(g) for g in cfg["gammas"]), estimators=tuple(cfg["estimators"]),
+        replications=cfg["replications"], base_seed=cfg["seed"],
     )
     t0 = time.perf_counter()
     report = simulation.run_mc(sim_config)
@@ -369,7 +338,6 @@ def _run_simulate(cfg: dict) -> dict:
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
-    model_kind = cfg["model"]["kind"]
     for estimator in report.estimators:
         path = out_dir / f"report_{model_kind}_{estimator}.csv"
         _write_csv(path, *(_report_table(report, estimator)))
@@ -408,15 +376,10 @@ def _report_table(report: simulation.SimReport, estimator: str):
 # ---------------------------------------------------------------- analyze
 
 def _run_analyze(ns) -> dict:
-    graph = _load_graph(ns.graph, ns.format)
-    clustering = _load_clustering(ns.clusters, graph.n)
-    summary = build_cluster_summary(graph, clustering)
+    graph, clustering, summary = _load(ns.graph, ns.graph_format, ns.clusters)
     root = _read_root(ns.root) if ns.root else None
-    try:
-        design = make_design(ns.design, summary.k, summary=summary,
-                             block_size=ns.block_size, root=root)
-    except ValueError as exc:
-        raise _fail(str(exc))
+    design = make_design(ns.design, summary.k, summary=summary,
+                         block_size=ns.block_size, root=root)
     model = AnalysisModelParams.uniform(graph.n, alpha=0.0, beta=ns.beta,
                                         gamma=ns.gamma)
     h = h_vector(model, graph, clustering)
@@ -467,11 +430,13 @@ def _run_analyze(ns) -> dict:
 # ----------------------------------------------------------------- report
 
 def _run_report(ns) -> None:
-    try:
-        with open(ns.bundle, "r", encoding="utf-8") as fh:
-            bundle = json.load(fh)
-    except FileNotFoundError:
-        raise _fail(f"bundle file not found: {ns.bundle}")
+    bundle = read_json(ns.bundle)
+    for key in ("designs", "gammas", "estimators", "cells"):
+        if not isinstance(bundle, dict) or key not in bundle:
+            raise _fail(f"bundle {ns.bundle} is missing key {key!r}")
+    if ns.estimator is not None and ns.estimator not in bundle["estimators"]:
+        raise _fail(f"bundle {ns.bundle} has no estimator {ns.estimator!r}; "
+                    f"it holds: {', '.join(bundle['estimators'])}")
     cells = {(c["design"], c["gamma"], c["estimator"]): c for c in bundle["cells"]}
     minima = bundle.get("minima", {})
     estimators = bundle["estimators"] if ns.estimator is None else [ns.estimator]
@@ -497,7 +462,7 @@ def _run_report(ns) -> None:
 
 def _add_common_graph_args(p, required=True):
     p.add_argument("--graph", required=required, help="edge list or MatrixMarket file")
-    p.add_argument("--format", default="auto",
+    p.add_argument("--format", dest="graph_format", default="auto" if required else None,
                    choices=["auto", "edgelist", "plain-edge-list", "matrix-market"])
 
 
@@ -510,32 +475,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cluster", help="partition a graph with Louvain")
     _add_common_graph_args(p, required=False)
-    p.add_argument("--resolution", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--from-manifest", default=None)
+    p.add_argument("--resolution", type=float)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--out")
+    p.add_argument("--from-manifest")
 
     p = sub.add_parser("optimize", help="optimize the treatment-covariance root")
     _add_common_graph_args(p, required=False)
-    p.add_argument("--clusters", default=None)
-    p.add_argument("--omega", type=float, default=1.0)
-    p.add_argument("--iters", type=int, default=2000)
-    p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--trace-stride", type=int, default=10)
-    p.add_argument("--clamp-eps", type=float, default=1e-6)
-    p.add_argument("--warm-start", default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--from-manifest", default=None)
+    p.add_argument("--clusters", dest="clustering")
+    p.add_argument("--omega", type=float)
+    p.add_argument("--iters", dest="iterations", type=int)
+    p.add_argument("--lr", dest="step_size", type=float)
+    p.add_argument("--trace-stride", type=int)
+    p.add_argument("--clamp-eps", dest="clamp_epsilon", type=float)
+    p.add_argument("--warm-start")
+    p.add_argument("--out")
+    p.add_argument("--from-manifest")
 
     p = sub.add_parser("simulate", help="Monte Carlo design comparison from a config file")
     p.add_argument("--config", help="JSON config file")
-    p.add_argument("--reps", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--reps", dest="replications", type=int)
+    p.add_argument("--seed", type=int)
     # accepted only because the benchmark harness still passes it; it has no
     # effect and is recorded nowhere, and goes once the harness stops passing it
-    p.add_argument("--workers", type=int, default=None, help=argparse.SUPPRESS)
-    p.add_argument("--out-dir", default=None)
-    p.add_argument("--from-manifest", default=None)
+    p.add_argument("--workers", type=int, help=argparse.SUPPRESS)
+    p.add_argument("--out-dir")
+    p.add_argument("--from-manifest")
 
     p = sub.add_parser("analyze", help="closed-form and oracle diagnostics for one design")
     _add_common_graph_args(p)
@@ -559,46 +524,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_manifest(path, expected_command: str) -> dict:
-    manifest = load_manifest(path)
-    if manifest["command"] != expected_command:
-        raise _fail(f"manifest {path} was written by {manifest['command']!r}, "
-                    f"not {expected_command!r}")
-    _check_config_keys(manifest["resolved_config"], expected_command, f"manifest {path}")
-    return manifest["resolved_config"]
-
-
 def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
     try:
-        if ns.command == "cluster":
-            cfg = (_config_from_manifest(ns.from_manifest, "cluster")
-                   if ns.from_manifest else _resolve_cluster(ns))
-            _run_cluster(cfg)
-        elif ns.command == "optimize":
-            cfg = (_config_from_manifest(ns.from_manifest, "optimize")
-                   if ns.from_manifest else _resolve_optimize(ns))
-            _run_optimize(cfg)
-        elif ns.command == "simulate":
-            if ns.workers not in (None, 1):
-                warnings.warn("simulate --workers has no effect: the process pool was "
-                              "removed and simulate runs serially", stacklevel=2)
-            if ns.from_manifest:
-                cfg = _config_from_manifest(ns.from_manifest, "simulate")
-            else:
-                if not ns.config:
-                    raise _fail("simulate needs --config or --from-manifest")
-                cfg = _resolve_simulate(ns)
-            _run_simulate(cfg)
+        if ns.command == "simulate" and ns.workers not in (None, 1):
+            warnings.warn("simulate --workers has no effect: the process pool was "
+                          "removed and simulate runs serially", stacklevel=2)
+        if ns.command in _CONFIG:
+            {"cluster": _run_cluster, "optimize": _run_optimize,
+             "simulate": _run_simulate}[ns.command](_resolve(ns.command, ns))
         elif ns.command == "analyze":
             _run_analyze(ns)
-        elif ns.command == "report":
+        else:
             _run_report(ns)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
+    except FileNotFoundError as exc:
+        return _fail(f"file not found: {exc.filename}").code
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(str(exc)).code
     return 0
 
 

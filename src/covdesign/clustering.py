@@ -160,8 +160,10 @@ def louvain(graph: Graph, resolution: float = 1.0, seed: int = 0) -> Clustering:
     Cluster ids are ordered by smallest member.  A graph with no edges
     returns singleton clusters.
     """
-    if resolution <= 0:
-        raise ValueError("resolution must be positive")
+    if not 0 < resolution < np.inf:  # a NaN or infinite resolution never converges
+        raise ValueError(f"resolution must be positive and finite, got {resolution}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     if graph.num_edges == 0:
         return Clustering(np.arange(graph.n), graph.n)
     rng = np.random.default_rng(seed)

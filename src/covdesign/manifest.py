@@ -13,7 +13,8 @@ from pathlib import Path
 
 VERSION = "0.4.0"
 
-__all__ = ["VERSION", "file_digest", "build_manifest", "write_manifest", "load_manifest"]
+__all__ = ["VERSION", "file_digest", "build_manifest", "write_manifest", "load_manifest",
+           "read_json"]
 
 
 def file_digest(path) -> str:
@@ -42,9 +43,16 @@ def write_manifest(manifest: dict, path) -> None:
                           encoding="utf-8")
 
 
+def read_json(path):
+    """Parse a JSON file; invalid JSON raises a ValueError naming the file."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: invalid JSON: {exc}") from None
+
+
 def load_manifest(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    if "resolved_config" not in manifest or "command" not in manifest:
+    manifest = read_json(path)
+    if not (isinstance(manifest, dict) and {"resolved_config", "command"} <= manifest.keys()):
         raise ValueError(f"{path}: not a run manifest")
     return manifest

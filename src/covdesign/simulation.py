@@ -67,6 +67,8 @@ class SimConfig:
     def __post_init__(self):
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
+        if self.base_seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.base_seed}")
         if not self.gammas:
             raise ValueError("gamma grid must be nonempty")
         if not all(math.isfinite(g) for g in self.gammas):

@@ -356,3 +356,164 @@ class TestReport:
     def test_missing_bundle(self, tmp_path, capsys):
         assert run(["report", "--bundle", tmp_path / "nope.json"]) != 0
         assert "nope.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["designs", "gammas", "estimators", "cells"])
+    def test_bundle_missing_key_is_named(self, tmp_path, capsys, key):
+        bundle = {"designs": ["ber"], "gammas": [1.0], "estimators": ["ht"], "cells": []}
+        del bundle[key]
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(bundle))
+        assert run(["report", "--bundle", path]) == 2
+        assert capsys.readouterr().err == f"error: bundle {path} is missing key {key!r}\n"
+
+    def test_unknown_estimator_lists_the_bundle_estimators(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps({"designs": [], "gammas": [], "cells": [],
+                                    "estimators": ["ht", "dim"]}))
+        assert run(["report", "--bundle", path, "--estimator", "dimm"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: bundle {path} has no estimator 'dimm'; it holds: ht, dim\n")
+
+
+# ------------------------------------------------------------- boundaries
+
+def _sim(edit):
+    """A simulate run from a valid config changed by `edit`."""
+    def make(tmp, graph_path, clusters_path):
+        cfg = {"graph": graph_path.name, "clustering": clusters_path.name,
+               "designs": [{"kind": "ber"}, {"kind": "ibr", "block_size": 2}],
+               "model": {"kind": "linear", "alpha": 1}, "replications": 20,
+               "out_dir": "simout"}
+        path = tmp / "sim.json"
+        path.write_text(json.dumps(edit(cfg)))
+        return ["simulate", "--config", path], f"config {path}: ", tmp / "simout"
+    return make
+
+
+def _cluster_manifest(edit):
+    """A cluster re-run from a manifest whose resolved config `edit` changed."""
+    def make(tmp, graph_path, clusters_path):
+        out = tmp / "c.txt"
+        assert run(["cluster", "--graph", graph_path, "--seed", "1", "--out", out]) == 0
+        path = tmp / "c.txt.manifest.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest["resolved_config"])
+        path.write_text(json.dumps(manifest))
+        out.unlink()
+        return ["cluster", "--from-manifest", path], f"manifest {path}: ", out
+    return make
+
+
+def _flags(*argv):
+    """A run from flags; GRAPH and CLUSTERS are the workspace's files, OUT
+    the output, and any other upper-case word a missing file of that name."""
+    def make(tmp, graph_path, clusters_path):
+        paths = {"GRAPH": graph_path, "CLUSTERS": clusters_path, "OUT": tmp / "out.txt"}
+        return ([paths.get(a, tmp / a.lower() if a.isupper() else a) for a in argv],
+                "", tmp / "out.txt")
+    return make
+
+
+# case -> (run, message); {src} is the run's config or manifest prefix,
+# {tmp} the workspace
+BOUNDARY = {
+    "gammas-number": (_sim(lambda c: {**c, "gammas": 0.5}),
+                      "{src}gammas must be a list of numbers, got 0.5"),
+    "gammas-string": (_sim(lambda c: {**c, "gammas": ["x"]}),
+                      "{src}gammas[0] must be a number, got 'x'"),
+    "model-string": (_sim(lambda c: {**c, "model": "linear"}),
+                     "{src}model must be an object, got 'linear'"),
+    "model-kind": (_sim(lambda c: {**c, "model": {"kind": "quadratic"}}),
+                   "{src}unknown model kind 'quadratic'; valid: linear, multiplicative, "
+                   "analysis"),
+    "designs-object": (_sim(lambda c: {**c, "designs": {"kind": "ber"}}),
+                       "{src}designs must be a list of objects, got {{'kind': 'ber'}}"),
+    "estimators-string": (_sim(lambda c: {**c, "estimators": "ht"}),
+                          "{src}estimators must be a list of strings, got 'ht'"),
+    "replications-float": (_sim(lambda c: {**c, "replications": 50.7}),
+                           "{src}replications must be an integer, got 50.7"),
+    "seed-bool": (_sim(lambda c: {**c, "seed": True}),
+                  "{src}seed must be an integer, got True"),
+    "clustering-list": (_sim(lambda c: {**c, "clustering": [1, 2]}),
+                        "{src}clustering must be a string or an object, got [1, 2]"),
+    "block-size-string": (_sim(lambda c: {**c, "designs": [{"kind": "ibr",
+                                                            "block_size": "two"}]}),
+                          "{src}designs[0].block_size must be an integer, got 'two'"),
+    "alpha-list": (_sim(lambda c: {**c, "model": {"kind": "linear", "alpha": [1]}}),
+                   "{src}model.alpha must be a number, got [1]"),
+    "missing-model": (_sim(lambda c: {k: v for k, v in c.items() if k != "model"}),
+                      "{src}simulate config is missing required key 'model'"),
+    "config-list": (_sim(lambda c: [1]), "{src}simulate config must be an object, got [1]"),
+    "config-seed-negative": (_sim(lambda c: {**c, "seed": -1}),
+                             "seed must be non-negative, got -1"),
+    "manifest-without-out": (_cluster_manifest(lambda c: c.pop("out")),
+                             "{src}cluster config is missing required key 'out'"),
+    "manifest-resolution-string": (_cluster_manifest(lambda c: c.update(resolution="high")),
+                                   "{src}resolution must be a number, got 'high'"),
+    "flag-seed-negative": (_flags("cluster", "--graph", "GRAPH", "--seed", "-1",
+                                  "--out", "OUT"),
+                           "seed must be non-negative, got -1"),
+    "flag-resolution-nan": (_flags("cluster", "--graph", "GRAPH", "--resolution", "nan",
+                                   "--seed", "1", "--out", "OUT"),
+                            "resolution must be positive and finite, got nan"),
+    "flag-missing": (_flags("optimize", "--graph", "GRAPH", "--out", "OUT"),
+                     "--clusters is required (or pass --from-manifest)"),
+    "absent-graph": (_flags("cluster", "--graph", "G.EL", "--seed", "1", "--out", "OUT"),
+                     "file not found: {tmp}/g.el"),
+    "absent-clustering": (_flags("optimize", "--graph", "GRAPH", "--clusters", "C.TXT",
+                                 "--out", "OUT"),
+                          "file not found: {tmp}/c.txt"),
+    "absent-warm-start": (_flags("optimize", "--graph", "GRAPH", "--clusters", "CLUSTERS",
+                                 "--warm-start", "W.CSV", "--out", "OUT"),
+                          "file not found: {tmp}/w.csv"),
+    "absent-root": (_sim(lambda c: {**c, "designs": [{"kind": "ocd", "root": "r.csv"}]}),
+                    "file not found: {tmp}/r.csv"),
+    "absent-config": (_flags("simulate", "--config", "SIM.JSON"),
+                      "file not found: {tmp}/sim.json"),
+    "absent-manifest": (_flags("cluster", "--from-manifest", "M.JSON"),
+                        "file not found: {tmp}/m.json"),
+    "absent-bundle": (_flags("report", "--bundle", "REPORT.JSON"),
+                      "file not found: {tmp}/report.json"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOUNDARY))
+def test_bad_input_is_one_error_line_naming_it(workspace, capsys, case):
+    tmp, _, _, graph_path, clusters_path = workspace
+    make, message = BOUNDARY[case]
+    argv, src, output = make(tmp, graph_path, clusters_path)
+    capsys.readouterr()
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"error: {message.format(src=src, tmp=tmp)}\n"
+    assert not output.exists()
+
+
+@pytest.mark.parametrize("command, flag", [("cluster", "--from-manifest"),
+                                           ("simulate", "--config"),
+                                           ("report", "--bundle")])
+def test_invalid_json_names_its_file(tmp_path, capsys, command, flag):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{'graph': 1}")
+    assert run([command, flag, bad]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {bad}: invalid JSON: Expecting property name")
+
+
+def test_manifest_resolved_config_has_exactly_the_table_keys(workspace):
+    from covdesign.cli import _CONFIG
+
+    tmp, _, _, graph_path, clusters_path = workspace
+    assert run(["cluster", "--graph", graph_path, "--seed", "1", "--out", tmp / "c.txt"]) == 0
+    assert run(["optimize", "--graph", graph_path, "--clusters", clusters_path,
+                "--iters", "5", "--out", tmp / "root.csv"]) == 0
+    cfg = write_sim_config(tmp, graph_path, clusters_path, replications=10)
+    raw = json.loads(cfg.read_text())
+    for key in ("gammas", "seed", "estimators", "out_dir"):
+        del raw[key]  # filled in from the table
+    cfg.write_text(json.dumps(raw))
+    assert run(["simulate", "--config", cfg]) == 0
+    for command, path in (("cluster", tmp / "c.txt.manifest.json"),
+                          ("optimize", tmp / "root.csv.manifest.json"),
+                          ("simulate", tmp / "simulation-out" / "simulate.manifest.json")):
+        manifest = json.loads(path.read_text())
+        assert set(manifest["resolved_config"]) == set(_CONFIG[command]), command

@@ -86,6 +86,15 @@ class TestLouvain:
         with pytest.raises(ValueError):
             cd.louvain(two_triangles[0], resolution=0.0, seed=0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_resolution_is_refused(self, two_triangles, bad):
+        with pytest.raises(ValueError, match="resolution must be positive and finite"):
+            cd.louvain(two_triangles[0], resolution=bad, seed=0)
+
+    def test_negative_seed_is_refused_by_name(self, two_triangles):
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            cd.louvain(two_triangles[0], seed=-1)
+
 
 def dense_modularity(graph, assignment, resolution=1.0):
     """Modularity from the dense adjacency: (1/2m) sum over same-cluster pairs

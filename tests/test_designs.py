@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import covdesign as cd
 from covdesign.designs import DesignEnumerationError, enumerate_patterns
@@ -343,3 +344,37 @@ def test_enumerate_patterns_bit_order():
     patterns = enumerate_patterns(3)
     assert patterns.shape == (8, 3)
     assert np.array_equal(patterns[5], [1, 0, 1])  # 5 = 0b101
+
+
+@st.composite
+def enumerable_designs(draw):
+    """A ber, cr or ibr design on K <= 10 clusters (ibr blocks of 2 or 4,
+    odd remainders included), or an ocd design whose unit-row root is block
+    diagonal with blocks of at most five clusters."""
+    kind = draw(st.sampled_from(["ber", "cr", "ibr", "ocd"]))
+    k = draw(st.integers(1, 10))
+    if kind == "ibr":
+        sizes = draw(st.lists(st.integers(1, 4), min_size=k, max_size=k))
+        clustering = cd.Clustering(np.repeat(np.arange(k), sizes), k)
+        summary = cd.build_cluster_summary(cd.Graph(sum(sizes), []), clustering)
+        return cd.make_design("ibr", k, summary=summary,
+                              block_size=draw(st.sampled_from([2, 4])))
+    if kind != "ocd":
+        return cd.make_design(kind, k)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    root, start = np.zeros((k, k)), 0
+    while start < k:
+        stop = min(k, start + draw(st.integers(1, 5)))
+        root[start:stop, start:stop] = rng.standard_normal((stop - start,) * 2)
+        start = stop
+    return cd.SignGaussianDesign(cd.project_rows(root))
+
+
+@settings(max_examples=100, deadline=None)
+@given(enumerable_designs())
+def test_exact_distribution_is_a_distribution_with_the_design_covariance(design):
+    mean, cov, probs = exact_moments(design)
+    assert probs.min() >= -1e-12
+    assert abs(probs.sum() - 1.0) <= 1e-10
+    assert np.allclose(mean, 0.5, rtol=0, atol=1e-10)
+    assert np.allclose(cov, design.covariance(), rtol=0, atol=1e-10)

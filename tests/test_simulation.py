@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import covdesign as cd
 from covdesign.estimators import ESTIMATOR_KINDS
@@ -325,6 +326,13 @@ class TestRunMc:
         with pytest.raises(ValueError, match="K="):
             small_config(graph, clustering, (("ber", cd.BernoulliDesign(3)),), model)
 
+    def test_negative_seed_rejected(self, sbm_setup):
+        graph, clustering, _ = sbm_setup
+        model = cd.SimModelParams.for_graph(graph, "linear")
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            small_config(graph, clustering, (("ber", cd.BernoulliDesign(4)),), model,
+                         base_seed=-1)
+
     @pytest.mark.parametrize("bad", [float("nan"), float("-inf")])
     def test_non_finite_gamma_rejected(self, sbm_setup, bad):
         graph, clustering, _ = sbm_setup
@@ -460,3 +468,37 @@ class TestBaselineLevels:
         model = cd.SimModelParams.for_graph(path_graph, "multiplicative", alpha=2.0)
         expected = 2.0 * path_graph.degrees / path_graph.mean_degree
         assert np.allclose(cd.baseline_levels(model, path_graph), expected)
+
+
+@st.composite
+def noiseless_cases(draw):
+    """A random graph and partition, a noise-free outcome model of each
+    kind, an interference level and a batch of cluster draws."""
+    n = draw(st.integers(1, 20))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    labels = np.unique(labels, return_inverse=True)[1]  # no empty cluster
+    graph, clustering = cd.Graph(n, edges), cd.Clustering(labels, labels.max() + 1)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    alpha, beta, c = rng.uniform(-2.0, 2.0, 3)
+    models = [cd.AnalysisModelParams(rng.standard_normal(n), rng.standard_normal(n), 0.0)]
+    models += [cd.SimModelParams.for_graph(graph, kind, alpha=alpha, beta=beta, c=c,
+                                           sigma=0.0, gamma=0.0)
+               for kind in ("linear", "multiplicative")]
+    t = rng.integers(0, 2, (draw(st.integers(1, 8)), clustering.k)).astype(float)
+    return graph, clustering, models, rng.uniform(-3.0, 3.0), t
+
+
+@settings(max_examples=100, deadline=None)
+@given(noiseless_cases())
+def test_cluster_sums_are_unit_outcome_sums(case):
+    graph, clustering, models, gamma, t = case
+    assign, k = clustering.assignment, clustering.k
+    for model in models:
+        sums = ClusterModel(model, graph, clustering).sums(t, gamma)
+        unit_model = cd.with_gamma(model, gamma)
+        for row in range(t.shape[0]):
+            y = unit_outcomes(unit_model, graph, t[row][assign], np.zeros(graph.n))
+            assert np.allclose(sums[row], np.bincount(assign, y, minlength=k),
+                               rtol=1e-10, atol=1e-10)
