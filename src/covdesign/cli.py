@@ -450,7 +450,10 @@ def _run_report(ns) -> None:
         for design in bundle["designs"]:
             row = f"{design:<12}"
             for gamma in bundle["gammas"]:
-                c = cells[(design, gamma, estimator)]
+                c = cells.get((design, gamma, estimator))
+                if c is None:
+                    raise _fail(f"bundle {ns.bundle} has no cell for design {design!r}, "
+                                f"gamma {gamma:g} and estimator {estimator!r}")
                 flag = "*" if minima.get(f"{estimator}|gamma={gamma:g}") == design else " "
                 row += f"{c['bias']:>14.4f}{c['sd']:>10.4f}{c['mse']:>9.4f}{flag}"
             lines.append(row)

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .graph import Graph
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "Clustering",
@@ -111,6 +114,8 @@ def _local_moves(weights: sp.csr_matrix, strength: np.ndarray, m: float,
     beats returning to its own; scores here are the gains times m.
     Returns community ids relabelled to 0..K'-1.
     """
+    import scipy.sparse as sp
+
     n = weights.shape[0]
     links = (weights - sp.diags(weights.diagonal())).tocsr()
     links.eliminate_zeros()
@@ -166,6 +171,8 @@ def louvain(graph: Graph, resolution: float = 1.0, seed: int = 0) -> Clustering:
         raise ValueError(f"seed must be non-negative, got {seed}")
     if graph.num_edges == 0:
         return Clustering(np.arange(graph.n), graph.n)
+    import scipy.sparse as sp
+
     rng = np.random.default_rng(seed)
     m = float(graph.num_edges)
     weights = graph.adjacency

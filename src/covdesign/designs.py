@@ -10,11 +10,11 @@ distribution for enumeration oracles, built once and shared read-only.
 from __future__ import annotations
 
 import hashlib
+from itertools import groupby
 from math import comb
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .clustering import ClusterSummary
 from .orthant import MAX_EXACT_SIGN_DIM, sign_pattern_probabilities
@@ -65,15 +65,13 @@ def _balanced_subset_probs(m: int) -> dict[int, float]:
     return {m // 2: 0.5, m // 2 + 1: 0.5}
 
 
-def _sample_balanced_many(rng: np.random.Generator, m: int, size: int) -> np.ndarray:
-    # rank uniforms per row; the `count` smallest become treated
-    counts = _balanced_subset_probs(m)
-    if len(counts) == 1:
-        count = np.full(size, next(iter(counts)))
-    else:
-        count = min(counts) + rng.integers(0, 2, size)
-    ranks = np.argsort(np.argsort(rng.random((size, m)), axis=1), axis=1)
-    return (ranks < count[:, None]).astype(np.float64)
+def _smallest(u: np.ndarray, count) -> np.ndarray:
+    """1.0 where a uniform ranks among the `count` smallest along the last axis."""
+    # the j-th smallest sits at order[..., j]; it is treated iff j < count
+    order = np.argsort(u, axis=-1)
+    out = np.empty(u.shape)
+    np.put_along_axis(out, order, np.arange(u.shape[-1]) < count, axis=-1)
+    return out
 
 
 def _balanced_covariance(m: int) -> np.ndarray:
@@ -172,11 +170,28 @@ class BlockDesign(Design):
             raise ValueError("blocks must partition 0..K-1")
         super().__init__(k)
         self.blocks = tuple(tuple(int(i) for i in b) for b in blocks)
+        # runs of consecutive even blocks of one size, as (blocks x size)
+        # column arrays; every odd or singleton block is a run of its own
+        self._runs: list[np.ndarray] = []
+        for m, run in groupby(self.blocks, len):
+            if m % 2:
+                self._runs += [np.array([block]) for block in run]
+            else:
+                self._runs.append(np.array(list(run)))
 
     def sample_many(self, rng, size):
         t = np.empty((size, self.k), dtype=np.float64)
-        for block in self.blocks:
-            t[:, list(block)] = _sample_balanced_many(rng, len(block), size)
+        for cols in self._runs:
+            n_blocks, m = cols.shape
+            if m % 2:
+                # the treated count, m // 2 or m // 2 + 1, is drawn first
+                count = m // 2 + rng.integers(0, 2, size)
+                t[:, cols[0]] = _smallest(rng.random((size, m)), count[:, None])
+            else:
+                # even blocks draw only uniforms, so one call per run takes
+                # the stream in the order of one call per block
+                u = rng.random((n_blocks, size, m))
+                t[:, cols] = _smallest(u, m // 2).transpose(1, 0, 2)
         return t
 
     def _stream_material(self):
@@ -210,9 +225,11 @@ class CompleteDesign(BlockDesign):
         super().__init__(k, [range(k)])
 
 
-def arcsin_covariance(gram: np.ndarray) -> np.ndarray:
-    """Sign-Gaussian covariance arcsin(A)/(2 pi) of correlations A, diagonal pinned at 1/4."""
-    cov = np.arcsin(gram) / (2.0 * np.pi)
+def arcsin_covariance(gram: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Sign-Gaussian covariance arcsin(A)/(2 pi) of correlations A, diagonal
+    pinned at 1/4; written into `out` when given (which may be `gram`)."""
+    cov = np.arcsin(gram, out=out)
+    cov /= 2.0 * np.pi
     np.fill_diagonal(cov, 0.25)
     return cov
 
@@ -264,7 +281,8 @@ class SignGaussianDesign(Design):
         probabilities.  Larger coupled components have no exact finite
         expression, so enumeration is refused.
         """
-        from scipy.sparse.csgraph import connected_components  # only enumeration needs it
+        import scipy.sparse as sp  # only enumeration needs these
+        from scipy.sparse.csgraph import connected_components
 
         a = self.gram()
         coupling = sp.csr_matrix((np.abs(a) > 0.0) & ~np.eye(self.k, dtype=bool))

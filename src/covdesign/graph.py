@@ -7,9 +7,10 @@ import warnings
 from typing import TYPE_CHECKING, NoReturn
 
 import numpy as np
-import scipy.sparse as sp
 
 if TYPE_CHECKING:
+    import scipy.sparse as sp
+
     from .clustering import Clustering
 
 __all__ = [
@@ -70,6 +71,8 @@ class Graph:
     def adjacency(self) -> sp.csr_matrix:
         """Symmetric CSR adjacency matrix, built lazily and cached."""
         if self._adjacency is None:
+            import scipy.sparse as sp  # imported on first use: `import covdesign` does not need it
+
             u, v = self.edges[:, 0], self.edges[:, 1]
             data = np.ones(2 * self.num_edges, dtype=np.float64)
             rows = np.concatenate([u, v])

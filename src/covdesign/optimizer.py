@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import objective_terms
+from .analysis import _bias_core, objective_terms
 from .clustering import ClusterSummary
 from .designs import arcsin_covariance
 
@@ -94,17 +94,22 @@ class OptimizationError(RuntimeError):
         self.trace = trace
 
 
+def _normalize_rows(r: np.ndarray) -> np.ndarray:
+    """Scale each row of `r` to unit 2-norm in place; numerically zero rows
+    become the corresponding standard basis row."""
+    norms = np.sqrt(np.einsum("ij,ij->i", r, r))
+    zero = norms < 1e-12
+    if np.any(zero):
+        r[zero] = np.eye(r.shape[0])[zero]
+        norms[zero] = 1.0
+    r /= norms[:, None]
+    return r
+
+
 def project_rows(r: np.ndarray) -> np.ndarray:
     """Normalize each row to unit 2-norm; numerically zero rows fall back
     to the corresponding standard basis row."""
-    r = np.asarray(r, dtype=np.float64)
-    out = r.copy()
-    norms = np.linalg.norm(out, axis=1)
-    zero = norms < 1e-12
-    if np.any(zero):
-        out[zero] = np.eye(r.shape[0])[zero]
-        norms = np.linalg.norm(out, axis=1)
-    return out / norms[:, None]
+    return _normalize_rows(np.array(r, dtype=np.float64, order="C"))
 
 
 def covariance_from_root(r: np.ndarray) -> np.ndarray:
@@ -114,36 +119,59 @@ def covariance_from_root(r: np.ndarray) -> np.ndarray:
     return arcsin_covariance(np.clip(r @ r.T, -1.0, 1.0))
 
 
+class _Step:
+    """The objective's constants and the K x K buffers of one evaluation.
+
+    With X = arcsin(A)/(2 pi) of the Gram matrix A = R R^T clamped to
+    |A_ij| <= 1 - clamp_epsilon, dF/dX = a C + Q, where a = 8 (4 tr(C X) - S)
+    and Q = 8 (omega^2+4) d d'; tr(C X) = <C, X> as C is symmetric.  dX/dA is
+    elementwise and dA/dR gives 2 G_A R; the 2 is folded into the slope
+    1/(pi sqrt(1 - A^2)).  diag(A) plays no part: the projection pins it at 1.
+    """
+
+    def __init__(self, summary: ClusterSummary, omega: float, clamp_epsilon: float):
+        d = summary.cluster_degrees
+        k = summary.k
+        self.summary, self.omega = summary, omega
+        self.q = np.outer(8.0 * (omega**2 + 4.0) * d, d)
+        self.limit = 1.0 - clamp_epsilon
+        self.gram, self.cov, self.d_cov, self.grad = (np.empty((k, k)) for _ in range(4))
+
+    def run(self, r: np.ndarray, terms: bool):
+        """Write the gradient at `r` into ``self.grad``; with `terms`, return
+        ``(f, bias_term, variance_term, n_clamped)``, where ``n_clamped``
+        counts the off-diagonal Gram entries the clamp moved."""
+        gram = np.matmul(r, r.T, out=self.gram)
+        if terms:
+            over = np.abs(gram) > self.limit
+            n_clamped = int(np.count_nonzero(over)) - int(np.count_nonzero(np.diagonal(over)))
+        np.clip(gram, -self.limit, self.limit, out=gram)
+        cov = arcsin_covariance(gram, out=self.cov)
+        d_cov = np.multiply(self.summary.contact, 8.0 * _bias_core(self.summary, cov),
+                            out=self.d_cov)
+        d_cov += self.q
+        # pi sqrt(1 - A^2) = 1 / (2 dX/dA), built in gram's buffer
+        denom = np.multiply(gram, gram, out=gram)
+        np.subtract(1.0, denom, out=denom)
+        np.sqrt(denom, out=denom)
+        denom *= np.pi
+        d_cov /= denom
+        np.fill_diagonal(d_cov, 0.0)
+        np.matmul(d_cov, r, out=self.grad)
+        if terms:
+            bias_term, variance_term = objective_terms(self.summary, cov, self.omega)
+            return bias_term + variance_term, bias_term, variance_term, n_clamped
+
+
 def evaluate_root(r: np.ndarray, summary: ClusterSummary, omega: float,
                   clamp_epsilon: float = 1e-6):
     """``(f, bias_term, variance_term, n_clamped, gradient)`` at a root, all
     from one Gram matrix A = R R^T clamped to |A_ij| <= 1 - clamp_epsilon
-    (``n_clamped`` counts the off-diagonal entries it moved).  diag(A) plays no
-    part: the projection pins it at 1.  With X = arcsin(A)/(2 pi), dF/dX =
-    8 (4 tr(C X) - S) C + 8 (omega^2+4) d d', where tr(C X) = <C, X> as C is
-    symmetric; dX/dA is elementwise and dA/dR gives 2 G_A R.  The gradient is unchecked.
+    (``n_clamped`` counts the off-diagonal entries it moved); see `_Step`.
+    The gradient is unchecked.
     """
-    r = np.asarray(r, dtype=np.float64)
-    gram = r @ r.T
-    limit = 1.0 - clamp_epsilon
-    over = np.abs(gram) > limit
-    n_clamped = int(np.count_nonzero(over)) - int(np.count_nonzero(np.diagonal(over)))
-    np.clip(gram, -limit, limit, out=gram)
-    cov = arcsin_covariance(gram)
-    bias_term, variance_term = objective_terms(summary, cov, omega)
-    c = summary.contact
-    d = summary.cluster_degrees
-    g_cov = np.outer(8.0 * (omega**2 + 4.0) * d, d)
-    g_cov += 8.0 * (4.0 * np.vdot(c, cov) - summary.total) * c
-    # 1 / (dX/dA), built in gram's buffer: every K x K temporary costs a pass
-    denom = np.multiply(gram, gram, out=gram)
-    np.subtract(1.0, denom, out=denom)
-    np.sqrt(denom, out=denom)
-    denom *= 2.0 * np.pi
-    g_cov /= denom
-    np.fill_diagonal(g_cov, 0.0)
-    gradient = 2.0 * (g_cov @ r)
-    return bias_term + variance_term, bias_term, variance_term, n_clamped, gradient
+    step = _Step(summary, omega, clamp_epsilon)
+    return (*step.run(np.ascontiguousarray(r, dtype=np.float64), True), step.grad)
 
 
 def _finite(gradient: np.ndarray) -> np.ndarray:
@@ -186,23 +214,37 @@ def optimize(summary: ClusterSummary, config: OptimizerConfig = OptimizerConfig(
             raise ValueError(f"warm start is {r0.shape}, expected ({k}, {k})")
         r = project_rows(r0)
 
+    evaluator = _Step(summary, config.omega, config.clamp_epsilon)
+    g = evaluator.grad
     trace = OptTrace()
-    f0, b0, v0, c0, g = evaluate_root(r, summary, config.omega, config.clamp_epsilon)
+    f0, b0, v0, c0 = evaluator.run(r, True)
     trace.append(0, f0, b0, v0, c0, float(np.linalg.norm(g)), r if collect_roots else None)
 
+    # moments scaled by 1/(1 - beta): m <- beta1 m + g, v <- beta2 v + g*g, and
+    # the step lr m_hat / (sqrt(v_hat) + eps) becomes alpha_t m / (sqrt(v) + eps_t)
+    beta1, beta2 = config.beta1, config.beta2
     m = np.zeros((k, k))
     v = np.zeros((k, k))
+    work = np.empty((k, k))
     for step in range(1, config.iterations + 1):
-        _finite(g)
-        m *= config.beta1
-        m += (1.0 - config.beta1) * g
-        v *= config.beta2
-        v += (1.0 - config.beta2) * g * g
-        m_hat = m / (1.0 - config.beta1**step)
-        v_hat = v / (1.0 - config.beta2**step)
-        r = project_rows(r - config.step_size * m_hat / (np.sqrt(v_hat) + config.moment_epsilon))
-        f, b, vt, nc, g = evaluate_root(r, summary, config.omega, config.clamp_epsilon)
-        if step % config.trace_stride == 0 or step == config.iterations:
+        if not math.isfinite(np.vdot(g, g)):
+            _finite(g)
+        m *= beta1
+        m += g
+        v *= beta2
+        v += np.multiply(g, g, out=work)
+        c1 = (1.0 - beta1**step) / (1.0 - beta1)
+        c2 = (1.0 - beta2**step) / (1.0 - beta2)
+        np.sqrt(v, out=work)
+        work += config.moment_epsilon * math.sqrt(c2)
+        np.divide(m, work, out=work)
+        work *= config.step_size * math.sqrt(c2) / c1
+        r -= work
+        _normalize_rows(r)
+        traced = step % config.trace_stride == 0 or step == config.iterations
+        terms = evaluator.run(r, traced)
+        if traced:
+            f, b, vt, nc = terms
             if not np.isfinite(f):
                 raise OptimizationError(f"objective became non-finite at step {step}", trace)
             trace.append(step, f, b, vt, nc, float(np.linalg.norm(g)),

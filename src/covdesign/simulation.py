@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .clustering import Clustering, build_cluster_summary
 from .designs import Design
@@ -75,6 +74,12 @@ class SimConfig:
             raise ValueError(f"gammas must be finite, got {list(self.gammas)}")
         if not self.designs:
             raise ValueError("at least one design is required")
+        # SimReport.cell finds a cell by design name and gamma, so both must be unique
+        for label, values in (("design name", [name for name, _ in self.designs]),
+                              ("gamma", [float(g) for g in self.gammas])):
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    raise ValueError(f"duplicate {label} {value!r}")
         for kind in self.estimators:
             if kind not in ESTIMATOR_KINDS:
                 raise ValueError(f"unknown estimator {kind!r}; valid: {ESTIMATOR_KINDS}")
@@ -153,6 +158,8 @@ class ClusterModel:
     """
 
     def __init__(self, model, graph: Graph, clustering: Clustering):
+        import scipy.sparse as sp
+
         assign, k, n = clustering.assignment, clustering.k, graph.n
         indicator = sp.csr_matrix((np.ones(n), (assign, np.arange(n))), shape=(k, n))
         counts = (graph.adjacency @ indicator.T).tocsr()  # N_ib: neighbours of i in b

@@ -404,6 +404,15 @@ def _cluster_manifest(edit):
     return make
 
 
+def _bundle(bundle):
+    """A report on a bundle file holding `bundle`."""
+    def make(tmp, graph_path, clusters_path):
+        path = tmp / "report.json"
+        path.write_text(json.dumps(bundle))
+        return ["report", "--bundle", path], f"bundle {path} ", tmp / "out.txt"
+    return make
+
+
 def _flags(*argv):
     """A run from flags; GRAPH and CLUSTERS are the workspace's files, OUT
     the output, and any other upper-case word a missing file of that name."""
@@ -446,6 +455,13 @@ BOUNDARY = {
     "config-list": (_sim(lambda c: [1]), "{src}simulate config must be an object, got [1]"),
     "config-seed-negative": (_sim(lambda c: {**c, "seed": -1}),
                              "seed must be non-negative, got -1"),
+    "duplicate-design": (_sim(lambda c: {**c, "designs": [{"kind": "ber"}, {"kind": "ber"}]}),
+                         "duplicate design name 'ber'"),
+    "duplicate-gamma": (_sim(lambda c: {**c, "gammas": [1, 0.5, 1.0]}),
+                        "duplicate gamma 1.0"),
+    "bundle-missing-cell": (_bundle({"designs": ["ber"], "gammas": [0.5],
+                                     "estimators": ["ht"], "cells": []}),
+                            "{src}has no cell for design 'ber', gamma 0.5 and estimator 'ht'"),
     "manifest-without-out": (_cluster_manifest(lambda c: c.pop("out")),
                              "{src}cluster config is missing required key 'out'"),
     "manifest-resolution-string": (_cluster_manifest(lambda c: c.update(resolution="high")),

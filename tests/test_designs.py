@@ -124,7 +124,36 @@ class TestIbrBlocks:
             cd.build_ibr_blocks(path_summary, 3)
 
 
+def per_block_sample_many(design, rng, size):
+    """BlockDesign.sample_many as one call per block: odd blocks draw their
+    treated count first, and ranked uniforms pick the treated clusters."""
+    t = np.empty((size, design.k))
+    for block in design.blocks:
+        m = len(block)
+        count = np.full(size, m // 2)
+        if m % 2:
+            count += rng.integers(0, 2, size)
+        ranks = np.argsort(np.argsort(rng.random((size, m)), axis=1), axis=1)
+        t[:, list(block)] = ranks < count[:, None]
+    return t
+
+
 class TestBlockDesign:
+    @pytest.mark.parametrize("make", [
+        lambda: cd.BlockDesign(11, [(0, 1), (2, 3), (4, 5, 6), (7, 8), (9,), (10,)]),
+        lambda: cd.BlockDesign(13, [(3, 0, 1, 2), (4, 5, 6, 7), (8, 9), (10, 11), (12,)]),
+        lambda: cd.BlockDesign(9, [(0, 1, 2, 3), (4, 5), (6, 7, 8)]),
+        lambda: cd.CompleteDesign(8),
+        lambda: cd.CompleteDesign(7),
+    ])
+    def test_batched_runs_draw_what_one_call_per_block_draws(self, make):
+        design = make()
+        for seed, size in [(0, 1), (1, 64), (2, 257)]:
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert np.array_equal(design.sample_many(rng, size),
+                                  per_block_sample_many(design, ref_rng, size))
+            assert rng.random() == ref_rng.random()
+
     def test_pairs_have_exactly_one_treated(self):
         design = cd.BlockDesign(4, [(0, 1), (2, 3)])
         draws = design.sample_many(np.random.default_rng(4), 2000)

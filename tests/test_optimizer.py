@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import covdesign as cd
-from covdesign.optimizer import gradient_from_root, objective_from_root
+from covdesign.designs import arcsin_covariance
+from covdesign.optimizer import _normalize_rows, gradient_from_root, objective_from_root
 from conftest import random_unit_rows
 
 
@@ -21,6 +24,20 @@ class TestProjectRows:
         assert np.array_equal(out[1], [0.0, 1.0, 0.0])
         assert np.allclose(np.linalg.norm(out, axis=1), 1.0)
 
+    def test_in_place_helper_agrees_and_matches_the_norm_division(self):
+        r = 3.0 * random_unit_rows(6, seed=3)
+        r[2] = 0.0
+        r[4] = 1e-13
+        expected = r.copy()
+        expected[[2, 4]] = np.eye(6)[[2, 4]]
+        expected /= np.linalg.norm(expected, axis=1)[:, None]
+        out = cd.project_rows(r)
+        assert not np.shares_memory(out, r)
+        helper = r.copy()
+        assert _normalize_rows(helper) is helper
+        assert np.array_equal(helper, out)
+        assert np.abs(out - expected).max() <= 1e-15
+
 
 class TestCovarianceFromRoot:
     def test_identity(self):
@@ -38,6 +55,14 @@ class TestCovarianceFromRoot:
         for seed in range(3):
             cov = cd.covariance_from_root(random_unit_rows(5, seed=seed))
             assert cd.is_valid_covariance(cov)
+
+    def test_arcsin_covariance_into_a_buffer_equals_the_allocating_call(self):
+        r = random_unit_rows(5, seed=4)
+        gram = np.clip(r @ r.T, -1.0, 1.0)
+        buf = np.full((5, 5), np.nan)
+        assert arcsin_covariance(gram, out=buf) is buf
+        assert np.array_equal(buf, arcsin_covariance(gram))
+        assert np.array_equal(arcsin_covariance(gram.copy(), out=gram), buf)
 
 
 class TestGradient:
@@ -147,6 +172,36 @@ class TestOptimize:
     def test_warm_start_shape_checked(self, path_summary):
         with pytest.raises(ValueError, match="expected"):
             cd.optimize(path_summary, r0=np.eye(3))
+
+    def test_warm_start_is_left_unmodified(self, sbm4):
+        graph, clustering = sbm4
+        summary = cd.build_cluster_summary(graph, clustering)
+        r0 = 2.0 * random_unit_rows(4, seed=7)
+        before = r0.copy()
+        root, _ = cd.optimize(summary, cd.OptimizerConfig(iterations=30), r0=r0)
+        assert np.array_equal(r0, before)
+        assert not np.shares_memory(root, r0)
+
+    def test_collected_roots_are_distinct_snapshots(self, sbm4):
+        graph, clustering = sbm4
+        summary = cd.build_cluster_summary(graph, clustering)
+        root, trace = cd.optimize(summary, cd.OptimizerConfig(iterations=40, trace_stride=10),
+                                  collect_roots=True)
+        roots = trace.roots + [root]
+        assert len(roots) == 6
+        for i, a in enumerate(roots):
+            assert not any(np.shares_memory(a, b) for b in roots[i + 1:])
+        assert not np.array_equal(roots[0], roots[1])
+        assert np.array_equal(roots[-2], root)
+
+    def test_nan_contact_stops_at_step_one(self, sbm4):
+        graph, clustering = sbm4
+        summary = cd.build_cluster_summary(graph, clustering)
+        contact = summary.contact.copy()
+        contact[0, 1] = contact[1, 0] = np.nan
+        bad = dataclasses.replace(summary, contact=contact)
+        with pytest.raises(FloatingPointError, match="non-finite gradient"):
+            cd.optimize(bad, cd.OptimizerConfig(iterations=1))
 
     def test_trace_final_entry_matches_returned_root(self, path_summary):
         root, trace = cd.optimize(path_summary, cd.OptimizerConfig(iterations=123,

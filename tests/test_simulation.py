@@ -341,6 +341,21 @@ class TestRunMc:
             small_config(graph, clustering, (("ber", cd.BernoulliDesign(4)),), model,
                          gammas=(1.0, bad))
 
+    def test_duplicate_design_name_rejected(self, sbm_setup):
+        graph, clustering, _ = sbm_setup
+        model = cd.SimModelParams.for_graph(graph, "linear")
+        designs = (("ber", cd.BernoulliDesign(4)), ("cr", cd.CompleteDesign(4)),
+                   ("ber", cd.CompleteDesign(4)))
+        with pytest.raises(ValueError, match="^duplicate design name 'ber'$"):
+            small_config(graph, clustering, designs, model)
+
+    def test_duplicate_gamma_rejected(self, sbm_setup):
+        graph, clustering, _ = sbm_setup
+        model = cd.SimModelParams.for_graph(graph, "linear")
+        with pytest.raises(ValueError, match=r"^duplicate gamma 1\.0$"):
+            small_config(graph, clustering, (("ber", cd.BernoulliDesign(4)),), model,
+                         gammas=(1, 0.5, 1.0))
+
     def test_unknown_estimator_rejected(self, sbm_setup):
         graph, clustering, _ = sbm_setup
         model = cd.SimModelParams.for_graph(graph, "linear")
