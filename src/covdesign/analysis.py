@@ -167,7 +167,7 @@ def variance_exact(summary: ClusterSummary, h: np.ndarray, gamma: float,
     h = np.asarray(h, dtype=np.float64)
     patterns, probs = design.exact_distribution()
     u = patterns @ h
-    q = np.einsum("mi,ij,mj->m", patterns, summary.contact, patterns)
+    q = np.einsum("mj,mj->m", patterns @ summary.contact, patterns)
     estimates = (2.0 / summary.n) * (u + 2.0 * gamma * q)
     mean_u = probs @ u
     mean_q = probs @ q

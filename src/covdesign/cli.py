@@ -1,11 +1,12 @@
 """Command-line pipeline: cluster -> optimize -> simulate -> analyze/report.
 
-Every command resolves its configuration (CLI > config file > defaults),
-executes, and writes a manifest next to its outputs.  Passing
-``--from-manifest`` re-runs a command from a previously written manifest,
-reproducing its primary outputs byte for byte.  One table (`_CONFIG`) gives
-every key of each command's resolved config with its type and default;
-flags, config files and manifests are checked against it by name.
+Every command but `report` resolves its configuration (CLI > config file >
+defaults) and executes; `cluster`, `optimize` and `simulate` also write a
+manifest next to their outputs.  Passing ``--from-manifest`` re-runs one of
+these from a previously written manifest, reproducing its primary outputs
+byte for byte.  One table (`_CONFIG`) gives every key of each command's
+resolved config with its type and default; flags, config files and
+manifests are checked against it by name.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 import warnings
@@ -56,7 +58,10 @@ def _load(graph_path, graph_format, clustering):
 
 def _read_root(path) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as fh:
-        return np.loadtxt(fh, delimiter=",", ndmin=2)
+        try:
+            return np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def _absolute(path, base: Path | None = None) -> str:
@@ -75,10 +80,11 @@ def _write_csv(path, header, rows) -> None:
 
 # ----------------------------------------------------------------- config
 #
-# A type is float (JSON integers pass), int, str, None, `[t]` (a list of t),
-# a tuple of alternatives, a `_Spec` (a nested object's key types) or
-# `_MODELS` (a model spec, whose keys depend on its kind).  No bool passes as
-# a number.  Nested specs get no defaults: the library constructors own them.
+# A type is float (JSON integers pass), `_FINITE` (a float that is not NaN or
+# infinite), int, str, None, `[t]` (a list of t), a tuple of alternatives, a
+# `_Spec` (a nested object's key types) or `_MODELS` (a model spec, whose keys
+# depend on its kind).  No bool passes as a number.  Nested specs get no
+# defaults: the library constructors own them.
 
 class _Spec(dict):
     def __init__(self, what: str, **types):
@@ -87,6 +93,7 @@ class _Spec(dict):
 
 
 _REQUIRED = object()
+_FINITE = "finite"
 _DESIGN = _Spec("design", kind=str, name=str, block_size=int, root=str)
 _SIM_MODEL = _Spec("model", kind=str, alpha=float, beta=float, c=float, sigma=float,
                    gamma=float)
@@ -117,10 +124,20 @@ _CONFIG = {
         "estimators": ([str], list(simulation.SimConfig.estimators)),
         "out_dir": (str, "simulation-out"),
     },
+    "analyze": {
+        "graph": (str, _REQUIRED), "graph_format": (str, "auto"),
+        "clustering": (str, _REQUIRED), "design": (str, _REQUIRED),
+        "block_size": (int, 2), "root": ((str, None), None),
+        "gamma": (_FINITE, 1.0), "beta": (_FINITE, 1.0), "omega": (_FINITE, None),
+        "exact_max_k": (int, 16), "mc_reps": (int, 100_000), "seed": (int, 0),
+        "out": ((str, None), None),
+    },
 }
-# flags spelled unlike their config key, for "--<flag> is required"
+# flags spelled unlike their config key (besides "-" for "_") among those a
+# command-line message can name: required ones and checked values
 _FLAGS = {"clustering": "clusters"}
-_TYPE_NAMES = {float: "a number", int: "an integer", str: "a string", None: "null"}
+_TYPE_NAMES = {float: "a number", _FINITE: "a finite number", int: "an integer",
+               str: "a string", None: "null"}
 
 
 def _describe(typ) -> str:
@@ -139,6 +156,8 @@ def _fits(value, typ) -> bool:
         return isinstance(value, list if isinstance(typ, list) else dict)
     if typ is None:
         return value is None
+    if typ is _FINITE:
+        return _fits(value, float) and math.isfinite(value)
     return not isinstance(value, bool) and isinstance(value, (int, float) if typ is float else typ)
 
 
@@ -174,17 +193,21 @@ def _checked(cfg, command: str, source: str) -> dict:
     defaults.  Refuses, in this order: a non-object, an unknown key, a
     missing required key, a value of the wrong type.  Converts nothing."""
     table, what = _CONFIG[command], f"{command} config"
+    flags = source == "command line"
     if not isinstance(cfg, dict):
         raise _fail(f"{source}: {what} must be an object, got {cfg!r}")
     _refuse_unknown(cfg, table, what, source)
     for key, (_, default) in table.items():
         if default is _REQUIRED and key not in cfg:
-            raise _fail(f"--{_FLAGS.get(key, key)} is required (or pass --from-manifest)"
-                        if source == "command line"
+            raise _fail(f"{_flag(key)} is required (or pass --from-manifest)" if flags
                         else f"{source}: {what} is missing required key {key!r}")
     for key, value in cfg.items():
-        _check(value, table[key][0], key, source)
+        _check(value, table[key][0], _flag(key) if flags else key, source)
     return {**{key: default for key, (_, default) in table.items()}, **cfg}
+
+
+def _flag(key: str) -> str:
+    return "--" + _FLAGS.get(key, key.replace("_", "-"))
 
 
 def _absolute_paths(cfg: dict, base: Path | None = None) -> dict:
@@ -199,9 +222,9 @@ def _absolute_paths(cfg: dict, base: Path | None = None) -> dict:
 
 def _resolve(command: str, ns) -> dict:
     """The checked config of a manifest, of a `simulate` config file under its
-    flags, or of the `cluster`/`optimize` flags.  Paths come out absolute: a
+    flags, or of the other commands' flags.  Paths come out absolute: a
     config file's count from its directory, flags' from the working directory."""
-    if ns.from_manifest:
+    if getattr(ns, "from_manifest", None):
         manifest = load_manifest(ns.from_manifest)
         if manifest["command"] != command:
             raise _fail(f"manifest {ns.from_manifest} was written by "
@@ -375,53 +398,53 @@ def _report_table(report: simulation.SimReport, estimator: str):
 
 # ---------------------------------------------------------------- analyze
 
-def _run_analyze(ns) -> dict:
-    graph, clustering, summary = _load(ns.graph, ns.graph_format, ns.clusters)
-    root = _read_root(ns.root) if ns.root else None
-    design = make_design(ns.design, summary.k, summary=summary,
-                         block_size=ns.block_size, root=root)
-    model = AnalysisModelParams.uniform(graph.n, alpha=0.0, beta=ns.beta,
-                                        gamma=ns.gamma)
+def _run_analyze(cfg: dict) -> dict:
+    graph, clustering, summary = _load(cfg["graph"], cfg["graph_format"], cfg["clustering"])
+    root = _read_root(cfg["root"]) if cfg["root"] else None
+    design = make_design(cfg["design"], summary.k, summary=summary,
+                         block_size=cfg["block_size"], root=root)
+    gamma = cfg["gamma"]
+    model = AnalysisModelParams.uniform(graph.n, alpha=0.0, beta=cfg["beta"], gamma=gamma)
     h = h_vector(model, graph, clustering)
     cov = design.covariance()
-    omega_star = omega_from_model(summary, h, ns.gamma)
-    omega = ns.omega if ns.omega is not None else omega_star
-    bias = bias_closed_form(summary, cov, ns.gamma)
+    omega_star = omega_from_model(summary, h, gamma)
+    omega = cfg["omega"] if cfg["omega"] is not None else omega_star
+    bias = bias_closed_form(summary, cov, gamma)
     variance: dict = {}
-    if summary.k <= ns.exact_max_k:
+    if summary.k <= cfg["exact_max_k"]:
         try:
-            exact = variance_exact(summary, h, ns.gamma, design, k_max=ns.exact_max_k)
+            exact = variance_exact(summary, h, gamma, design, k_max=cfg["exact_max_k"])
             variance = {"value": exact.variance, "method": "exact", "se": 0.0}
         except DesignEnumerationError:
             pass
     if not variance:
         report = simulation.run_mc(simulation.SimConfig(
             graph=graph, clustering=clustering, designs=(("design", design),),
-            model=model, gammas=(ns.gamma,), estimators=("ht_adjusted",),
-            replications=ns.mc_reps, base_seed=ns.seed,
+            model=model, gammas=(gamma,), estimators=("ht_adjusted",),
+            replications=cfg["mc_reps"], base_seed=cfg["seed"],
         ))
         cell = report.cells[0]
         variance = {"value": cell.sd**2, "method": "monte-carlo",
-                    "se": 2.0 * cell.sd * cell.se_sd, "replications": ns.mc_reps}
+                    "se": 2.0 * cell.sd * cell.se_sd, "replications": cfg["mc_reps"]}
     bias_term, variance_term = objective_terms(summary, cov, omega)
     result = {
-        "design": ns.design,
+        "design": cfg["design"],
         "k": summary.k,
         "n": graph.n,
-        "gamma": ns.gamma,
-        "beta": ns.beta,
+        "gamma": gamma,
+        "beta": cfg["beta"],
         "bias": bias,
         "variance": variance,
-        "variance_bound": variance_bound(summary, cov, ns.gamma, omega),
+        "variance_bound": variance_bound(summary, cov, gamma, omega),
         "omega_star": omega_star,
         "omega_used": omega,
         "objective": {"f": bias_term + variance_term,
                       "bias_term": bias_term, "variance_term": variance_term},
     }
     text = json.dumps(result, indent=2, sort_keys=True)
-    if ns.out:
-        Path(ns.out).write_text(text + "\n", encoding="utf-8")
-        print(f"wrote {ns.out}")
+    if cfg["out"]:
+        Path(cfg["out"]).write_text(text + "\n", encoding="utf-8")
+        print(f"wrote {cfg['out']}")
     else:
         print(text)
     return result
@@ -463,9 +486,9 @@ def _run_report(ns) -> None:
 
 # ------------------------------------------------------------------- main
 
-def _add_common_graph_args(p, required=True):
+def _add_common_graph_args(p, required=False):
     p.add_argument("--graph", required=required, help="edge list or MatrixMarket file")
-    p.add_argument("--format", dest="graph_format", default="auto" if required else None,
+    p.add_argument("--format", dest="graph_format",
                    choices=["auto", "edgelist", "plain-edge-list", "matrix-market"])
 
 
@@ -477,14 +500,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("cluster", help="partition a graph with Louvain")
-    _add_common_graph_args(p, required=False)
+    _add_common_graph_args(p)
     p.add_argument("--resolution", type=float)
     p.add_argument("--seed", type=int)
     p.add_argument("--out")
     p.add_argument("--from-manifest")
 
     p = sub.add_parser("optimize", help="optimize the treatment-covariance root")
-    _add_common_graph_args(p, required=False)
+    _add_common_graph_args(p)
     p.add_argument("--clusters", dest="clustering")
     p.add_argument("--omega", type=float)
     p.add_argument("--iters", dest="iterations", type=int)
@@ -506,19 +529,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from-manifest")
 
     p = sub.add_parser("analyze", help="closed-form and oracle diagnostics for one design")
-    _add_common_graph_args(p)
-    p.add_argument("--clusters", required=True)
+    _add_common_graph_args(p, required=True)
+    p.add_argument("--clusters", dest="clustering", required=True)
     p.add_argument("--design", required=True)
-    p.add_argument("--block-size", type=int, default=2)
-    p.add_argument("--root", default=None)
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--omega", type=float, default=None,
+    p.add_argument("--block-size", type=int)
+    p.add_argument("--root")
+    p.add_argument("--gamma", type=float)
+    p.add_argument("--beta", type=float)
+    p.add_argument("--omega", type=float,
                    help="comparability constant (default: smallest feasible)")
-    p.add_argument("--exact-max-k", type=int, default=16)
-    p.add_argument("--mc-reps", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
+    p.add_argument("--exact-max-k", type=int)
+    p.add_argument("--mc-reps", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--out")
 
     p = sub.add_parser("report", help="render a simulation bundle as a table")
     p.add_argument("--bundle", required=True)
@@ -534,10 +557,8 @@ def main(argv=None) -> int:
             warnings.warn("simulate --workers has no effect: the process pool was "
                           "removed and simulate runs serially", stacklevel=2)
         if ns.command in _CONFIG:
-            {"cluster": _run_cluster, "optimize": _run_optimize,
-             "simulate": _run_simulate}[ns.command](_resolve(ns.command, ns))
-        elif ns.command == "analyze":
-            _run_analyze(ns)
+            {"cluster": _run_cluster, "optimize": _run_optimize, "simulate": _run_simulate,
+             "analyze": _run_analyze}[ns.command](_resolve(ns.command, ns))
         else:
             _run_report(ns)
     except SystemExit as exc:

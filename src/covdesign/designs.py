@@ -52,8 +52,8 @@ class DesignEnumerationError(ValueError):
 
 def enumerate_patterns(k: int) -> np.ndarray:
     """All 2^k binary vectors; bit b of row index i gives column b."""
-    idx = np.arange(2**k)
-    return ((idx[:, None] >> np.arange(k)) & 1).astype(np.float64)
+    idx = np.arange(2**k, dtype="<u8").view(np.uint8).reshape(-1, 8)
+    return np.unpackbits(idx, axis=1, count=k, bitorder="little").astype(np.float64)
 
 
 def _balanced_subset_probs(m: int) -> dict[int, float]:
@@ -281,13 +281,16 @@ class SignGaussianDesign(Design):
         probabilities.  Larger coupled components have no exact finite
         expression, so enumeration is refused.
         """
-        import scipy.sparse as sp  # only enumeration needs these
-        from scipy.sparse.csgraph import connected_components
-
         a = self.gram()
-        coupling = sp.csr_matrix((np.abs(a) > 0.0) & ~np.eye(self.k, dtype=bool))
-        n_comp, comp = connected_components(coupling, directed=False)
-        sizes = np.bincount(comp)
+        coupled = np.abs(a) > 0.0
+        # each cluster takes the smallest index it reaches: one label per component
+        label = np.arange(self.k)
+        while True:
+            reached = np.where(coupled, label, self.k).min(axis=1)
+            if np.array_equal(reached, label):
+                break
+            label = reached
+        sizes = np.bincount(label)
         if sizes.max() > MAX_EXACT_SIGN_DIM:
             raise DesignEnumerationError(
                 f"coupled component of size {sizes.max()} exceeds the exact "
@@ -295,11 +298,12 @@ class SignGaussianDesign(Design):
             )
         patterns = enumerate_patterns(self.k)
         probs = np.ones(patterns.shape[0])
-        weights = 1 << np.arange(MAX_EXACT_SIGN_DIM)
-        for c in range(n_comp):
-            idx = np.flatnonzero(comp == c)
+        index = np.arange(patterns.shape[0])
+        for first in np.flatnonzero(sizes):
+            idx = np.flatnonzero(label == first)
             comp_probs = sign_pattern_probabilities(a[np.ix_(idx, idx)])
-            codes = (patterns[:, idx].astype(np.int64) * weights[: idx.size]).sum(axis=1)
+            # the component's own pattern code, read from the bits of the index
+            codes = sum(((index >> c) & 1) << b for b, c in enumerate(idx))
             probs *= comp_probs[codes]
         return patterns, probs
 

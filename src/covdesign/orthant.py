@@ -3,11 +3,31 @@
 For t = 1{X >= 0} with X ~ N(0, A) and A a correlation matrix, symmetry
 kills every odd sign moment, pair moments are E[s_i s_j] = 2 arcsin(A_ij)/pi,
 and the only remaining ingredients for dimension up to five are the pure
-fourth-order moments E[s_i s_j s_k s_l].  Those reduce to a quadrivariate
-orthant probability, computed here to near machine precision by integrating
-Plackett's correlation-path identity, whose conditional term is a bivariate
-orthant with a closed form.  Pattern probabilities then follow from the
-character expansion over {-1, +1}^K.
+fourth-order moments E[s_i s_j s_k s_l].  Pattern probabilities follow from
+the character expansion over {-1, +1}^K.
+
+A fourth moment reduces to a quadrivariate orthant probability, which
+integrates Plackett's identity along the path Sigma(theta) = (1 - theta) I +
+theta A, theta in [0, 1].  Each of the six pair terms is the bivariate normal
+density at zero times the orthant of the other pair conditional on this one,
+1/4 + arcsin(rho)/(2 pi).  Sigma(theta) shares A's eigenvectors, so one
+eigendecomposition of A gives its inverse at every theta, and rho is the
+partial correlation -P_kl / sqrt(P_kk P_ll) of that precision matrix P.  (The
+cubic closed form of the 2x2 conditional correlation cancels near theta = 1
+and lost 1e-10 on a rank-2 A with a pair near +-1; P keeps 2e-14.)  The
+integral is a fixed double-exponential (tanh-sinh) rule of Takahasi
+and Mori (1974) with 128 nodes, equally spaced in t on [-3.5, 3.5] and mapped
+by theta = (1 + tanh(pi/2 sinh t)) / 2.  The nodes crowd double exponentially
+towards both ends, so the inverse-square-root peak that a pair correlation
+near +-1 puts at theta = 1 is resolved without adaptivity; the distances
+1 - theta are kept exactly rather than formed by subtraction.  One numpy
+expression evaluates the rule over its nodes, the six pairs and a batch of
+4x4 matrices.
+
+Measured against mpmath at 20 to 40 digits: within 2e-16 on random inputs,
+and within 2e-14, 9e-14 and 1.1e-13 when a pair correlation is within 1e-7,
+1e-8 and 2e-9 of +-1, where adaptive scipy quad drifts to 1e-5.  On random and rank-2/3
+5x5 blocks the pattern probabilities agree with adaptive quad to 2e-15.
 """
 
 from __future__ import annotations
@@ -27,8 +47,23 @@ __all__ = [
 MAX_EXACT_SIGN_DIM = 5
 
 _TWO_PI = 2.0 * np.pi
-_PAIRS4 = tuple(itertools.combinations(range(4), 2))
-_OTHERS4 = {p: tuple(sorted(set(range(4)) - set(p))) for p in _PAIRS4}
+
+
+def _tanh_sinh(n: int, t_max: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes theta, complements 1 - theta and weights of the tanh-sinh rule
+    on [0, 1] with `n` nodes equally spaced in t on [-t_max, t_max]."""
+    t = np.linspace(-t_max, t_max, n)
+    u = 0.5 * np.pi * np.sinh(t)
+    theta = 1.0 / (1.0 + np.exp(-2.0 * u))
+    comp = 1.0 / (1.0 + np.exp(2.0 * u))
+    weights = (t[1] - t[0]) * 0.5 * np.pi * np.cosh(t) * 2.0 * theta * comp
+    return theta, comp, weights
+
+
+_THETA, _ONE_MINUS_THETA, _WEIGHTS = _tanh_sinh(128, 3.5)
+# pair (i, j) of a 4-vector and its complementary pair (k, l)
+_I, _J, _K, _L = np.array([(i, j, *sorted({0, 1, 2, 3} - {i, j}))
+                           for i, j in itertools.combinations(range(4), 2)]).T
 
 
 def sign_pair_moment(r: float) -> float:
@@ -36,63 +71,64 @@ def sign_pair_moment(r: float) -> float:
     return 2.0 * np.arcsin(r) / np.pi
 
 
-def _conditional_pair_correlation(sigma: np.ndarray, i: int, j: int, k: int, l: int) -> float:
-    s11 = sigma[np.ix_((k, l), (k, l))]
-    s12 = sigma[np.ix_((k, l), (i, j))]
-    s22 = sigma[np.ix_((i, j), (i, j))]
-    cond = s11 - s12 @ np.linalg.solve(s22, s12.T)
-    return cond[0, 1] / np.sqrt(cond[0, 0] * cond[1, 1])
+def _check_off_diagonals(corr: np.ndarray) -> None:
+    if np.abs(corr[..., _I, _J]).max() >= 1.0 - 1e-9:
+        raise ValueError("orthant path integration needs off-diagonals inside (-1, 1)")
 
 
-def orthant_quadrivariate(corr: np.ndarray) -> float:
-    """P(X_1>0, ..., X_4>0) for X ~ N(0, corr), corr a 4x4 correlation matrix.
+def _orthant_batch(corr: np.ndarray) -> np.ndarray:
+    """P(X > 0) for each 4x4 correlation matrix of the (B, 4, 4) batch."""
+    r = corr[:, _I, _J][..., None]          # (B, 6, 1): each pair's correlation
+    # Sigma(theta) = (1 - theta) I + theta corr shares corr's eigenvectors, so
+    # its inverse is V diag(1 / ((1 - theta) + theta lam)) V' at every node;
+    # eigenvalues below zero are rounding and are clipped
+    lam, vec = np.linalg.eigh(corr)
+    inv_d = 1.0 / (_ONE_MINUS_THETA + _THETA * np.maximum(lam, 0.0)[..., None])
+    outer = vec[:, :, None, :] * vec[:, None, :, :]     # (B, 4, 4, eig)
+    prec = (outer.reshape(-1, 16, 4) @ inv_d).reshape(-1, 4, 4, _THETA.size)
+    # the pair's conditional correlation given the other pair, from the
+    # precision matrix: -P_kl / sqrt(P_kk P_ll)
+    rho = -prec[:, _K, _L] / np.sqrt(prec[:, _K, _K] * prec[:, _L, _L])
+    np.clip(rho, -1.0, 1.0, out=rho)
+    # 1 - (theta r)^2 from 1 - theta and 1 - |r|, so no cancellation near |r| = 1
+    abs_r = np.abs(r)
+    gap = (_ONE_MINUS_THETA + _THETA * (1.0 - abs_r)) * (1.0 + _THETA * abs_r)
+    terms = r / (_TWO_PI * np.sqrt(gap)) * (0.25 + np.arcsin(rho) / _TWO_PI)
+    return 1.0 / 16.0 + terms.sum(axis=1) @ _WEIGHTS
 
-    Integrates dP/dtheta along the path I + theta (corr - I); each pair term
-    is the zero density at the moving correlation times the conditional
-    bivariate orthant probability, which is 1/4 + arcsin(.)/(2 pi).
-    """
+
+def _as_batch(corr: np.ndarray) -> np.ndarray:
     corr = np.asarray(corr, dtype=np.float64)
     if corr.shape != (4, 4):
         raise ValueError("corr must be 4x4")
-    off = corr[~np.eye(4, dtype=bool)]
-    if np.max(np.abs(off)) >= 1.0 - 1e-9:
-        raise ValueError("orthant path integration needs off-diagonals inside (-1, 1)")
-    eye = np.eye(4)
-    delta = corr - eye
+    _check_off_diagonals(corr)
+    return corr[None]
 
-    def integrand(theta: float) -> float:
-        sigma = eye + theta * delta
-        total = 0.0
-        for (i, j) in _PAIRS4:
-            r = corr[i, j]
-            if r == 0.0:
-                continue
-            k, l = _OTHERS4[(i, j)]
-            rt = theta * r
-            density = 1.0 / (_TWO_PI * np.sqrt(1.0 - rt * rt))
-            rc = _conditional_pair_correlation(sigma, i, j, k, l)
-            total += r * density * (0.25 + np.arcsin(rc) / _TWO_PI)
-        return total
 
-    from scipy import integrate  # imported here: only enumeration needs it
+def orthant_quadrivariate(corr: np.ndarray) -> float:
+    """P(X_1>0, ..., X_4>0) for X ~ N(0, corr), corr a 4x4 correlation matrix
+    with off-diagonals inside (-1, 1)."""
+    return float(_orthant_batch(_as_batch(corr))[0])
 
-    value, _ = integrate.quad(integrand, 0.0, 1.0, epsabs=1e-13, epsrel=1e-12, limit=200)
-    return 1.0 / 16.0 + value
+
+def _quad_moments(corr: np.ndarray) -> np.ndarray:
+    """E[s_1 s_2 s_3 s_4] for each matrix of a (B, 4, 4) batch."""
+    arc = np.arcsin(corr[:, _I, _J]).sum(axis=1)
+    return 16.0 * _orthant_batch(corr) - 1.0 - (2.0 / np.pi) * arc
 
 
 def sign_quad_moment(corr: np.ndarray) -> float:
     """E[s_1 s_2 s_3 s_4] for the signs of a 4-dim centered Gaussian."""
-    corr = np.asarray(corr, dtype=np.float64)
-    arc = sum(np.arcsin(corr[i, j]) for i, j in _PAIRS4)
-    return 16.0 * orthant_quadrivariate(corr) - 1.0 - (2.0 / np.pi) * arc
+    return float(_quad_moments(_as_batch(corr))[0])
 
 
 def sign_pattern_probabilities(corr: np.ndarray) -> np.ndarray:
     """Probabilities of all 2^K sign patterns of N(0, corr), K <= 5.
 
     Pattern index i encodes t_b = (i >> b) & 1.  Exact up to the orthant
-    quadrature (absolute error around 1e-12); dimensions above five would
-    need sixth-order sign moments, which have no closed form.
+    rule (absolute error below 1e-12); all C(K, 4) fourth moments come from
+    one batched evaluation.  Dimensions above five would need sixth-order
+    sign moments, which have no closed form.
     """
     corr = np.asarray(corr, dtype=np.float64)
     k = corr.shape[0]
@@ -100,13 +136,13 @@ def sign_pattern_probabilities(corr: np.ndarray) -> np.ndarray:
         raise ValueError("corr must be square")
     if k > MAX_EXACT_SIGN_DIM:
         raise ValueError(f"exact sign-pattern probabilities limited to K <= {MAX_EXACT_SIGN_DIM}")
-    idx = np.arange(2**k)
-    signs = np.where((idx[:, None] >> np.arange(k)) & 1 == 1, 1.0, -1.0)
+    signs = np.where((np.arange(2**k)[:, None] >> np.arange(k)) & 1 == 1, 1.0, -1.0)
     probs = np.ones(2**k)
-    for i, j in itertools.combinations(range(k), 2):
-        probs += signs[:, i] * signs[:, j] * sign_pair_moment(corr[i, j])
+    i, j = np.triu_indices(k, 1)
+    probs += (signs[:, i] * signs[:, j]) @ sign_pair_moment(corr[i, j])
     if k >= 4:
-        for sub in itertools.combinations(range(k), 4):
-            m4 = sign_quad_moment(corr[np.ix_(sub, sub)])
-            probs += np.prod(signs[:, sub], axis=1) * m4
+        subs = np.array(list(itertools.combinations(range(k), 4)))
+        blocks = corr[subs[:, :, None], subs[:, None, :]]
+        _check_off_diagonals(blocks)
+        probs += np.prod(signs[:, subs], axis=2) @ _quad_moments(blocks)
     return probs / 2**k

@@ -10,6 +10,7 @@ index), so a design's draws and noise ignore the other designs.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +39,24 @@ __all__ = [
 # replications per seeded stream: amortizes per-call overhead while the
 # multiplicative model's units x block temporaries stay near 6 MB at n = 11.6k
 BLOCK = 64
+
+
+# bytes per (gamma, design, replication, estimator) cell of run_mc's result
+# arrays: a float64 estimate and a bool degeneracy flag
+CELL_BYTES = 9
+
+
+def physical_memory() -> int | None:
+    """Bytes of physical memory on this machine, or None where unknown."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):
+        return None
+
+
+def _bytes_text(size: int) -> str:
+    exp = min(int(math.log(max(size, 1), 1024)), 4)
+    return f"{size / 1024**exp:.1f} {('B', 'KiB', 'MiB', 'GiB', 'TiB')[exp]}"
 
 
 def baseline_levels(model, graph: Graph) -> np.ndarray:
@@ -88,6 +107,15 @@ class SimConfig:
                 raise ValueError(
                     f"design {name!r} has K={design.k}, clustering has K={self.clustering.k}"
                 )
+        need = (len(self.gammas) * len(self.designs) * self.replications
+                * len(self.estimators) * CELL_BYTES)
+        memory = physical_memory()
+        if memory is not None and need > memory:
+            raise ValueError(
+                f"{self.replications} replications need {_bytes_text(need)} of results "
+                f"(gammas x designs x replications x estimators x {CELL_BYTES} B), more "
+                f"than this machine's {_bytes_text(memory)} of memory"
+            )
 
 
 @dataclass(frozen=True)

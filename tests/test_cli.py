@@ -121,6 +121,16 @@ class TestOptimize:
         err = capsys.readouterr().err
         assert "K=3" in err and "K=4" in err
 
+    def test_unparsable_warm_start_names_its_file(self, workspace, capsys):
+        tmp, _, _, graph_path, clusters_path = workspace
+        bad = tmp / "warm.json"
+        bad.write_text('{"root": [[1.0]]}\n')
+        assert run(["optimize", "--graph", graph_path, "--clusters", clusters_path,
+                    "--warm-start", bad, "--out", tmp / "r.csv"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: could not convert string")
+        assert err.count("\n") == 1
+
     def test_rerun_from_manifest_is_byte_identical(self, workspace):
         tmp, _, _, graph_path, clusters_path = workspace
         out = tmp / "root.csv"
@@ -272,6 +282,16 @@ class TestSimulate:
         assert (f"manifest {path}: unknown simulate config key 'workers'"
                 in capsys.readouterr().err)
 
+    def test_oversized_run_is_refused_by_its_size(self, prepared, capsys):
+        tmp, graph_path, clusters_path = prepared
+        cfg = write_sim_config(tmp, graph_path, clusters_path, replications=10**12)
+        assert run(["simulate", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        # 3 gammas x 4 designs x 10^12 replications x 2 estimators x 9 B
+        assert err.startswith("error: 1000000000000 replications need 196.5 TiB of results")
+        assert err.count("\n") == 1
+        assert not (tmp / "simout").exists()
+
     def test_non_finite_model_parameter_names_field(self, prepared, capsys):
         tmp, graph_path, clusters_path = prepared
         cfg = write_sim_config(tmp, graph_path, clusters_path, replications=30)
@@ -317,6 +337,17 @@ class TestAnalyze:
         assert run(["analyze", "--graph", graph_path, "--clusters", clusters_path,
                     "--design", "ber", "--out", out]) == 0
         assert json.loads(out.read_text())["design"] == "ber"
+
+    @pytest.mark.parametrize("flag, value", [("--gamma", "nan"), ("--beta", "inf"),
+                                             ("--omega", "-inf")])
+    def test_non_finite_parameter_is_refused_by_flag(self, workspace, capsys, flag, value):
+        tmp, _, _, graph_path, clusters_path = workspace
+        assert run(["analyze", "--graph", graph_path, "--clusters", clusters_path,
+                    "--design", "cr", f"{flag}={value}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: command line: {flag} must be a finite number, "
+                                f"got {value}\n")
+        assert captured.out == ""
 
     def test_non_enumerable_design_falls_back_to_monte_carlo(self, tmp_path, capsys):
         # six coupled clusters: the correlated design cannot enumerate exactly

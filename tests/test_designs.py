@@ -251,6 +251,34 @@ class TestSignGaussian:
         assert np.allclose(mean, 0.5, atol=1e-12)
         assert np.allclose(cov, design.covariance(), atol=1e-12)
 
+    @staticmethod
+    def chain_root(k, chains):
+        """Root whose Gram couples each chain's clusters only to their
+        neighbours along the chain, which lists cluster indices."""
+        root, dim = np.zeros((k, k)), 0
+        for chain in chains:
+            for pos, cluster in enumerate(chain[:-1]):
+                root[cluster, dim + pos: dim + pos + 2] = 0.8, 0.6
+            root[chain[-1], dim + len(chain) - 1] = 1.0
+            dim += len(chain)
+        return root
+
+    def test_components_are_found_along_chains(self, monkeypatch):
+        import covdesign.designs as designs_module
+
+        sizes = []
+        real = designs_module.sign_pattern_probabilities
+        monkeypatch.setattr(designs_module, "sign_pattern_probabilities",
+                            lambda corr: sizes.append(len(corr)) or real(corr))
+        # cluster 0 sits three links away from the chain's first cluster
+        design = cd.SignGaussianDesign(self.chain_root(9, [[7, 2, 5, 0], [1, 8, 3, 6, 4]]))
+        mean, cov, probs = exact_moments(design)
+        assert sorted(sizes) == [4, 5]
+        assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.abs(cov - design.covariance()).max() < 1e-12
+        with pytest.raises(DesignEnumerationError, match="component of size 6"):
+            cd.SignGaussianDesign(self.chain_root(6, [[5, 0, 3, 1, 4, 2]])).exact_distribution()
+
     def test_generic_large_root_refuses_enumeration(self):
         root = random_unit_rows(6, seed=14)
         with pytest.raises(DesignEnumerationError, match="exceeds"):

@@ -21,3 +21,30 @@ def test_import_loads_no_enumeration_or_clustering_only_module():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
     assert json.loads(out.stdout) == []
+
+
+def test_enumeration_loads_no_quadrature_or_graph_routines():
+    """Exact enumeration of a correlated block design (run_exact and
+    variance_exact) is plain numpy: it must load neither scipy's adaptive
+    quadrature nor its graph routines."""
+    src = str(Path(covdesign.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = """
+import json, sys
+import numpy as np
+import covdesign as cd
+graph, clustering = cd.generate_sbm([3] * 6, 0.6, 0.1, seed=2)
+root = np.zeros((6, 6))
+for block in (slice(0, 4), slice(4, 6)):
+    r = np.random.default_rng(block.start).standard_normal((block.stop - block.start,) * 2)
+    root[block, block] = r / np.linalg.norm(r, axis=1, keepdims=True)
+design = cd.SignGaussianDesign(root)
+model = cd.AnalysisModelParams.uniform(graph.n)
+cd.run_exact(graph, clustering, (("ocd", design),), model, gammas=(1.0,))
+summary = cd.build_cluster_summary(graph, clustering)
+cd.variance_exact(summary, cd.h_vector(model, graph, clustering), 1.0, design)
+print(json.dumps([m for m in ("scipy.integrate", "scipy.sparse.csgraph") if m in sys.modules]))
+"""
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert json.loads(out.stdout) == []

@@ -2,7 +2,10 @@
 
 The quadrivariate orthant value is checked against an independent
 single-integral oracle on one-factor correlation structures, against
-permutation symmetry, and against Monte Carlo on generic matrices.
+permutation symmetry, against Monte Carlo on generic matrices, against a
+20-digit mpmath oracle where a pair correlation is near +-1, and the pattern
+probabilities against an adaptive-quadrature reference on random and
+rank-deficient blocks.
 """
 
 import itertools
@@ -128,3 +131,107 @@ class TestPatternProbabilities:
     def test_dimension_cap(self):
         with pytest.raises(ValueError, match="K <= 5"):
             sign_pattern_probabilities(np.eye(6))
+
+
+# ------------------------------------------------------------ references
+
+PAIRS4 = list(itertools.combinations(range(4), 2))
+
+
+def mpmath_orthant(corr):
+    """Plackett's path integral for P(X > 0) in 20-digit arithmetic, with the
+    conditional correlations from the recursive partial-correlation formula."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(20):
+        c = [[mp.mpf(float(x)) for x in row] for row in corr]
+
+        def ratio(num, var_a, var_b):
+            return max(-1, min(1, num / mp.sqrt(var_a * var_b)))
+
+        def partial(a, b, z, th):
+            return ratio(th * c[a][b] - th * c[a][z] * th * c[b][z],
+                         1 - (th * c[a][z]) ** 2, 1 - (th * c[b][z]) ** 2)
+
+        def integrand(th):
+            total = 0
+            for i, j in PAIRS4:
+                k, l = sorted({0, 1, 2, 3} - {i, j})
+                kj, lj = partial(k, j, i, th), partial(l, j, i, th)
+                rho = ratio(partial(k, l, i, th) - kj * lj, 1 - kj**2, 1 - lj**2)
+                r = c[i][j]
+                total += (r / (2 * mp.pi * mp.sqrt(1 - (th * r) ** 2))
+                          * (mp.mpf(1) / 4 + mp.asin(rho) / (2 * mp.pi)))
+            return total
+
+        return float(mp.mpf(1) / 16 + mp.quad(integrand, [0, 1]))
+
+
+def quad_orthant(corr):
+    """The same path integral by adaptive scipy quadrature, with the
+    conditional correlations from a 2x2 solve at every node."""
+    eye = np.eye(4)
+
+    def integrand(theta):
+        sigma = eye + theta * (corr - eye)
+        total = 0.0
+        for i, j in PAIRS4:
+            k, l = sorted({0, 1, 2, 3} - {i, j})
+            s12 = sigma[np.ix_((k, l), (i, j))]
+            cond = sigma[np.ix_((k, l), (k, l))] - s12 @ np.linalg.solve(
+                sigma[np.ix_((i, j), (i, j))], s12.T)
+            rho = cond[0, 1] / np.sqrt(cond[0, 0] * cond[1, 1])
+            r = corr[i, j]
+            total += (r / (2 * np.pi * np.sqrt(1 - (theta * r) ** 2))
+                      * (0.25 + np.arcsin(rho) / (2 * np.pi)))
+        return total
+
+    value, _ = integrate.quad(integrand, 0.0, 1.0, epsabs=1e-13, epsrel=1e-12, limit=200)
+    return 1.0 / 16.0 + value
+
+
+def quad_pattern_probabilities(corr):
+    """Character expansion over {-1, +1}^K with quad_orthant's fourth moments."""
+    k = corr.shape[0]
+    signs = np.where(((np.arange(2**k)[:, None] >> np.arange(k)) & 1) == 1, 1.0, -1.0)
+    probs = np.ones(2**k)
+    for i, j in itertools.combinations(range(k), 2):
+        probs += signs[:, i] * signs[:, j] * 2 * np.arcsin(corr[i, j]) / np.pi
+    for sub in itertools.combinations(range(k), 4):
+        block = corr[np.ix_(sub, sub)]
+        m4 = (16 * quad_orthant(block) - 1
+              - 2 / np.pi * sum(np.arcsin(block[i, j]) for i, j in PAIRS4))
+        probs += np.prod(signs[:, sub], axis=1) * m4
+    return probs / 2**k
+
+
+def near_singular(eps, sign, seed):
+    """4x4 correlation whose pair (0, 1) sits at sign * (1 - eps)."""
+    rng = np.random.default_rng(seed)
+    root = rng.standard_normal((4, 4))
+    root /= np.linalg.norm(root, axis=1, keepdims=True)
+    away = root[1] - (root[1] @ root[0]) * root[0]
+    away /= np.linalg.norm(away)
+    root[1] = sign * ((1 - eps) * root[0] + np.sqrt(eps * (2 - eps)) * away)
+    corr = root @ root.T
+    np.fill_diagonal(corr, 1.0)
+    return corr
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("eps", [1e-6, 1e-7, 1e-8])
+def test_near_singular_pair_matches_mpmath(eps, sign):
+    corr = near_singular(eps, sign, seed=40)
+    assert abs(corr[0, 1]) == pytest.approx(1 - eps, abs=1e-15)
+    assert orthant_quadrivariate(corr) == pytest.approx(mpmath_orthant(corr), abs=1e-12)
+
+
+@pytest.mark.parametrize("rank", [2, 3, 5])
+def test_pattern_probabilities_match_quad_reference(rank):
+    for seed in range(2):
+        rng = np.random.default_rng([rank, seed])
+        root = rng.standard_normal((5, rank))
+        root /= np.linalg.norm(root, axis=1, keepdims=True)
+        corr = root @ root.T
+        np.fill_diagonal(corr, 1.0)
+        np.testing.assert_allclose(sign_pattern_probabilities(corr),
+                                   quad_pattern_probabilities(corr), rtol=0, atol=1e-12)

@@ -219,6 +219,21 @@ def sbm_setup(sbm4):
 
 
 class TestRunMc:
+    def test_oversized_run_is_refused_by_its_size(self, sbm_setup, monkeypatch):
+        import covdesign.simulation as simulation
+
+        graph, clustering, _ = sbm_setup
+        model = cd.SimModelParams.for_graph(graph, "linear")
+        designs = (("ber", cd.BernoulliDesign(4)),)
+        monkeypatch.setattr(simulation, "physical_memory", lambda: 2**30)
+        # 2**30 bytes hold 119,304,647 cells of 9 B; nothing is allocated here
+        small_config(graph, clustering, designs, model, replications=119_304_647)
+        with pytest.raises(ValueError, match=r"^119304648 replications need 1\.0 GiB .* "
+                                             r"than this machine's 1\.0 GiB of memory$"):
+            small_config(graph, clustering, designs, model, replications=119_304_648)
+        with pytest.raises(ValueError, match=r"need 8\.2 TiB of results"):
+            small_config(graph, clustering, designs, model, replications=10**12)
+
     def test_no_interference_means_no_bias(self, sbm_setup):
         graph, clustering, _ = sbm_setup
         model = cd.SimModelParams.for_graph(graph, "linear", sigma=0.1, gamma=1.0)
