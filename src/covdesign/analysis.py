@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import ClusterSummary, Clustering
-from .designs import Design
+from .designs import Design, pattern_blocks
 from .graph import Graph
 from .outcomes import AnalysisModelParams
 
@@ -166,8 +166,12 @@ def variance_exact(summary: ClusterSummary, h: np.ndarray, gamma: float,
         raise ValueError(f"K={design.k} exceeds enumeration cap {k_max}")
     h = np.asarray(h, dtype=np.float64)
     patterns, probs = design.exact_distribution()
-    u = patterns @ h
-    q = np.einsum("mj,mj->m", patterns @ summary.contact, patterns)
+    u = np.empty(patterns.shape[0])
+    q = np.empty(patterns.shape[0])
+    for rows in pattern_blocks(patterns.shape[0]):
+        t = patterns[rows]
+        np.matmul(t, h, out=u[rows])
+        np.einsum("mj,mj->m", t @ summary.contact, t, out=q[rows])
     estimates = (2.0 / summary.n) * (u + 2.0 * gamma * q)
     mean_u = probs @ u
     mean_q = probs @ q

@@ -17,7 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from .clustering import ClusterSummary
-from .orthant import MAX_EXACT_SIGN_DIM, sign_pattern_probabilities
+from .orthant import (MAX_EXACT_SIGN_DIM, MAX_ORTHANT_CORRELATION,
+                      sign_pattern_probabilities)
 
 __all__ = [
     "Design",
@@ -48,6 +49,16 @@ _ALIASES = {
 
 class DesignEnumerationError(ValueError):
     """Raised when a design cannot expose exact outcome probabilities."""
+
+
+# pattern rows the enumeration oracles evaluate at once: at K = 16 each
+# B x K float64 temporary is 512 KiB, against 8 MiB for all 2^16 rows
+PATTERN_BLOCK = 4096
+
+
+def pattern_blocks(m: int) -> list[slice]:
+    """Consecutive slices of at most `PATTERN_BLOCK` rows covering 0..m-1."""
+    return [slice(lo, min(lo + PATTERN_BLOCK, m)) for lo in range(0, m, PATTERN_BLOCK)]
 
 
 def enumerate_patterns(k: int) -> np.ndarray:
@@ -279,7 +290,9 @@ class SignGaussianDesign(Design):
         off-diagonal zeros; components are independent, and each component
         of dimension <= 5 has closed-form / quadrature-exact sign-pattern
         probabilities.  Larger coupled components have no exact finite
-        expression, so enumeration is refused.
+        expression, so enumeration is refused; so is a component of four or
+        more holding two identical or opposite rows, where the orthant rule
+        does not apply.
         """
         a = self.gram()
         coupled = np.abs(a) > 0.0
@@ -301,7 +314,17 @@ class SignGaussianDesign(Design):
         index = np.arange(patterns.shape[0])
         for first in np.flatnonzero(sizes):
             idx = np.flatnonzero(label == first)
-            comp_probs = sign_pattern_probabilities(a[np.ix_(idx, idx)])
+            block = a[np.ix_(idx, idx)]
+            # fourth moments of a block of four or more need |A_ij| < 1
+            near = np.argwhere(np.triu(np.abs(block), 1) >= MAX_ORTHANT_CORRELATION)
+            if idx.size >= 4 and near.size:
+                i, j = idx[near[0]]
+                raise DesignEnumerationError(
+                    f"clusters {i} and {j} have identical or opposite root rows "
+                    f"(correlation {a[i, j]:.12g}); their coupled component of size "
+                    f"{idx.size} needs correlations inside (-1, 1) for exact enumeration"
+                )
+            comp_probs = sign_pattern_probabilities(block)
             # the component's own pattern code, read from the bits of the index
             codes = sum(((index >> c) & 1) << b for b, c in enumerate(idx))
             probs *= comp_probs[codes]

@@ -8,6 +8,8 @@ from typing import TYPE_CHECKING, NoReturn
 
 import numpy as np
 
+from ._memory import bytes_text, physical_memory
+
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
@@ -49,12 +51,25 @@ class Graph:
         key = _edge_keys(edges, n)
         if np.any(key[1:] == key[:-1]):
             raise ValueError("duplicate edges are not allowed")
-        canon = np.column_stack([key // n, key % n])
-        canon.setflags(write=False)
-        degrees = np.bincount(canon.ravel(), minlength=n).astype(np.int64)
+        self._fill(n, key, labels)
+
+    @classmethod
+    def _from_keys(cls, n: int, key: np.ndarray, labels: np.ndarray | None = None) -> Graph:
+        """The graph of sorted, distinct edge keys ``lo·n + hi`` with lo < hi,
+        taken as given: the parser's keys are canonical by construction."""
+        graph = cls.__new__(cls)
+        graph._fill(n, key, labels)
+        return graph
+
+    def _fill(self, n: int, key: np.ndarray, labels: np.ndarray | None) -> None:
+        edges = np.empty((key.size, 2), dtype=np.int64)
+        np.floor_divide(key, n, out=edges[:, 0])
+        np.remainder(key, n, out=edges[:, 1])
+        edges.setflags(write=False)
+        degrees = np.bincount(edges.ravel(), minlength=n).astype(np.int64)
         degrees.setflags(write=False)
         self.n = int(n)
-        self.edges = canon
+        self.edges = edges
         self.degrees = degrees
         self.labels = None if labels is None else np.asarray(labels)
         self._adjacency = None
@@ -104,7 +119,11 @@ _IS_SPACE[[ord(c) for c in _SPACE]] = True
 _TOKEN = re.compile(f"[^{re.escape(_SPACE)}]+")
 _INTEGER = re.compile(r"-?[0-9]+")
 _LINE_END = re.compile(rb"\r\n|\r|\n")
+_LEADING_SPACE = re.compile(b"[" + re.escape(_SPACE.encode()) + b"]*")
 _MAX_DIGITS = 18  # every id of up to 18 characters fits in int64
+# bytes per scan block: the scan's temporaries, up to about 23 B per input
+# byte, stay near 1.5 MB however large the file
+SCAN_BLOCK = 1 << 16
 
 
 def _lines(data: bytes, lineno: int = 1):
@@ -158,6 +177,41 @@ def _leading_pairs(buf: np.ndarray, comment: str, exact: bool) -> np.ndarray | N
     return value.reshape(-1, 2)
 
 
+def _blocks(data: bytes, start: int):
+    """Yield ``(lo, hi)`` spans that tile ``data[start:]``, each of about
+    `SCAN_BLOCK` bytes and cut just after a CR or LF, so no line is split.
+    A line longer than a block makes its block longer."""
+    size = len(data)
+    lf = cr = -1  # next LF / CR at or after the last search point, or `size`
+    lo = start
+    while lo < size:
+        hi = lo + SCAN_BLOCK
+        if hi >= size:
+            yield lo, size
+            return
+        if lf < hi - 1:
+            lf = data.find(b"\n", hi - 1)
+            lf = size if lf < 0 else lf
+        if cr < hi - 1:
+            cr = data.find(b"\r", hi - 1)
+            cr = size if cr < 0 else cr
+        hi = min(min(lf, cr) + 1, size)
+        yield lo, hi
+        lo = hi
+
+
+def _scan_pairs(data: bytes, start: int, comment: str, exact: bool) -> np.ndarray | None:
+    """`_leading_pairs` of ``data[start:]``, one block at a time; None when
+    any block is rejected."""
+    parts = []
+    for lo, hi in _blocks(data, start):
+        pairs = _leading_pairs(np.frombuffer(data, np.uint8, hi - lo, lo), comment, exact)
+        if pairs is None:
+            return None
+        parts.append(pairs)
+    return np.concatenate(parts) if parts else np.empty((0, 2), dtype=np.int64)
+
+
 def _raise_first_bad_line(data: bytes, lineno: int, size: int | None) -> NoReturn:
     """Re-scan a rejected plain list (`size` None) or MatrixMarket body line
     by line, and raise the error of its first bad line."""
@@ -191,7 +245,7 @@ def _raise_first_bad_line(data: bytes, lineno: int, size: int | None) -> NoRetur
 
 
 def _id_space(ids: np.ndarray) -> tuple[int, np.ndarray, np.ndarray | None]:
-    """Map plain-list node ids to 0..n-1; returns ``(n, mapped, labels)``.
+    """Map plain-list node ids to 0..n-1 in place; returns ``(n, ids, labels)``.
 
     0-based ids stay put and 1-based ids shift down; anything else is
     renumbered in order of first appearance.  ``labels`` holds the original
@@ -203,16 +257,27 @@ def _id_space(ids: np.ndarray) -> tuple[int, np.ndarray, np.ndarray | None]:
         if present.all():
             return top + 1, ids, None
         if not present[0] and present[1:].all():
-            return top, ids - 1, np.arange(1, top + 1, dtype=np.int64)
-    unique, first_seen, inverse = np.unique(ids, return_index=True, return_inverse=True)
-    by_appearance = np.argsort(first_seen)
+            ids -= 1
+            return top, ids, np.arange(1, top + 1, dtype=np.int64)
+    # one stable sort groups equal ids, each group ordered by appearance
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order]
+    first = np.empty(ids.size, dtype=bool)
+    first[0] = True
+    np.not_equal(sorted_ids[1:], sorted_ids[:-1], out=first[1:])
+    unique = sorted_ids[first]
+    del sorted_ids
+    by_appearance = np.argsort(order[first])
     position = np.empty(unique.size, dtype=np.int64)
     position[by_appearance] = np.arange(unique.size)
-    return unique.size, position[inverse], unique[by_appearance]
+    group = np.cumsum(first)
+    group -= 1
+    ids[order] = position[group]
+    return unique.size, ids, unique[by_appearance]
 
 
 def _parse_plain_edge_list(data: bytes) -> tuple[int, np.ndarray, np.ndarray | None]:
-    pairs = _leading_pairs(np.frombuffer(data, dtype=np.uint8), "#", exact=True)
+    pairs = _scan_pairs(data, 0, "#", exact=True)
     if pairs is None:
         _raise_first_bad_line(data, 1, None)
     if pairs.size == 0:
@@ -249,30 +314,39 @@ def _parse_matrix_market(data: bytes) -> tuple[int, np.ndarray, None]:
         rows, cols, _ = (int(t) for t in tokens)
         if rows != cols:
             raise GraphFormatError(f"line {lineno}: matrix must be square, got {rows}x{cols}")
+        _check_size(rows, lineno)
         break
     else:
         raise GraphFormatError("truncated MatrixMarket file")
-    pairs = _leading_pairs(np.frombuffer(data, dtype=np.uint8)[end:], "%", exact=False)
+    pairs = _scan_pairs(data, end, "%", exact=False)
     if pairs is None or (pairs.size and (pairs.min() < 1 or pairs.max() > rows)):
         _raise_first_bad_line(data[end:], lineno + 1, rows)
-    return rows, pairs - 1, None
+    pairs -= 1
+    return rows, pairs, None
+
+
+def _check_size(n: int, lineno: int) -> None:
+    """Refuse a declared node count that cannot be held: its edge keys
+    ``lo·n + hi`` must fit in int64, and its degree vector in memory."""
+    if n * n >= 2**63:
+        raise GraphFormatError(
+            f"line {lineno}: declared size {n} x {n} is too large: edge keys "
+            f"lo*n + hi need n^2 < 2^63")
+    memory = physical_memory()
+    if memory is not None and 8 * n > memory:
+        raise GraphFormatError(
+            f"line {lineno}: declared size {n} x {n} needs {bytes_text(8 * n)} for its "
+            f"degree vector alone, more than this machine's {bytes_text(memory)} of memory")
 
 
 def _edge_keys(pairs: np.ndarray, n: int) -> np.ndarray:
     """Sorted keys ``lo·n + hi`` of the pairs' canonical ``lo <= hi`` forms."""
     u, v = pairs[:, 0], pairs[:, 1]
-    return np.sort(np.minimum(u, v) * n + np.maximum(u, v))
-
-
-def _canonical_edges(pairs: np.ndarray, n: int) -> tuple[np.ndarray, int, int]:
-    """Drop self-loops and duplicates; returns ``(edges, self_loops, duplicates)``."""
-    loop = pairs[:, 0] == pairs[:, 1]
-    key = _edge_keys(pairs[~loop], n)
-    new = np.empty(key.size, dtype=bool)
-    new[:1] = True
-    np.not_equal(key[1:], key[:-1], out=new[1:])
-    unique = key[new]
-    return np.column_stack([unique // n, unique % n]), int(loop.sum()), int(key.size - unique.size)
+    key = np.minimum(u, v)
+    key *= n
+    key += np.maximum(u, v)
+    key.sort()
+    return key
 
 
 def load_edge_list(path, fmt: str = "auto") -> Graph:
@@ -292,25 +366,36 @@ def load_edge_list(path, fmt: str = "auto") -> Graph:
     with open(path, "rb") as fh:
         data = fh.read()
     if fmt == "auto":
-        body = data.lstrip(_SPACE.encode())
-        start = len(data) - len(body)
+        start = _LEADING_SPACE.match(data).end()
         at_line_start = start == 0 or data[start - 1] in b"\r\n"
-        fmt = "matrix-market" if at_line_start and body.startswith(b"%%MatrixMarket") else "edgelist"
+        fmt = ("matrix-market" if at_line_start and data.startswith(b"%%MatrixMarket", start)
+               else "edgelist")
     if fmt in ("edgelist", "plain-edge-list"):
         n, pairs, labels = _parse_plain_edge_list(data)
     elif fmt == "matrix-market":
         n, pairs, labels = _parse_matrix_market(data)
     else:
         raise ValueError(f"unknown edge-list format {fmt!r}")
-    edges, self_loops, duplicates = _canonical_edges(pairs, n)
+    del data
+    loop = pairs[:, 0] == pairs[:, 1]
+    self_loops = int(np.count_nonzero(loop))
+    key = _edge_keys(pairs[~loop] if self_loops else pairs, n)
+    del pairs, loop
+    distinct = np.empty(key.size, dtype=bool)
+    distinct[:1] = True
+    np.not_equal(key[1:], key[:-1], out=distinct[1:])
+    duplicates = key.size - int(np.count_nonzero(distinct))
+    if duplicates:
+        key = key[distinct]
+    del distinct
     if self_loops or duplicates:
         warnings.warn(
             f"{path}: dropped {self_loops} self-loop(s) and {duplicates} duplicate edge(s)",
             stacklevel=2,
         )
-    if edges.shape[0] == 0:
+    if key.size == 0:
         raise GraphFormatError(f"{path}: empty edge set")
-    return Graph(n, edges, labels=labels)
+    return Graph._from_keys(n, key, labels=labels)
 
 
 def save_edge_list(graph: Graph, path) -> None:

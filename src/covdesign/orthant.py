@@ -42,9 +42,12 @@ __all__ = [
     "sign_quad_moment",
     "sign_pattern_probabilities",
     "MAX_EXACT_SIGN_DIM",
+    "MAX_ORTHANT_CORRELATION",
 ]
 
 MAX_EXACT_SIGN_DIM = 5
+# the orthant rule needs every |off-diagonal| of a 4x4 correlation below this
+MAX_ORTHANT_CORRELATION = 1.0 - 1e-9
 
 _TWO_PI = 2.0 * np.pi
 
@@ -72,7 +75,7 @@ def sign_pair_moment(r: float) -> float:
 
 
 def _check_off_diagonals(corr: np.ndarray) -> None:
-    if np.abs(corr[..., _I, _J]).max() >= 1.0 - 1e-9:
+    if np.abs(corr[..., _I, _J]).max() >= MAX_ORTHANT_CORRELATION:
         raise ValueError("orthant path integration needs off-diagonals inside (-1, 1)")
 
 

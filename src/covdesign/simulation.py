@@ -2,21 +2,22 @@
 
 Both run one estimator kernel on per-cluster outcome sums (`ClusterModel`)
 for batches of cluster draws: sampled blocks of `BLOCK` replications, or a
-design's full pattern distribution.  Each block draws from its own
-generator seeded by (base seed, design content key, gamma index, block
-index), so a design's draws and noise ignore the other designs.
+design's full pattern distribution in blocks of `designs.PATTERN_BLOCK`
+rows.  Each sampled block draws from its own generator seeded by (base
+seed, design content key, gamma index, block index), so a design's draws
+and noise ignore the other designs.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._memory import bytes_text, physical_memory
 from .clustering import Clustering, build_cluster_summary
-from .designs import Design
+from .designs import Design, pattern_blocks
 from .estimators import ESTIMATOR_KINDS, cluster_estimates
 from .graph import Graph
 from .outcomes import (
@@ -44,19 +45,6 @@ BLOCK = 64
 # bytes per (gamma, design, replication, estimator) cell of run_mc's result
 # arrays: a float64 estimate and a bool degeneracy flag
 CELL_BYTES = 9
-
-
-def physical_memory() -> int | None:
-    """Bytes of physical memory on this machine, or None where unknown."""
-    try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, OSError, ValueError):
-        return None
-
-
-def _bytes_text(size: int) -> str:
-    exp = min(int(math.log(max(size, 1), 1024)), 4)
-    return f"{size / 1024**exp:.1f} {('B', 'KiB', 'MiB', 'GiB', 'TiB')[exp]}"
 
 
 def baseline_levels(model, graph: Graph) -> np.ndarray:
@@ -112,9 +100,9 @@ class SimConfig:
         memory = physical_memory()
         if memory is not None and need > memory:
             raise ValueError(
-                f"{self.replications} replications need {_bytes_text(need)} of results "
+                f"{self.replications} replications need {bytes_text(need)} of results "
                 f"(gammas x designs x replications x estimators x {CELL_BYTES} B), more "
-                f"than this machine's {_bytes_text(memory)} of memory"
+                f"than this machine's {bytes_text(memory)} of memory"
             )
 
 
@@ -344,8 +332,14 @@ def run_exact(graph: Graph, clustering: Clustering,
     for gamma in gammas:
         oracle = gate_analysis(with_gamma(model, gamma), graph)
         for name, (patterns, probs) in dists:
-            values, degenerate = cluster_estimates(
-                patterns, law.sums(patterns, gamma), law.sizes, law.baseline, estimators)
+            # row blocks keep the B x K outcome temporaries small; every
+            # estimate depends on its own pattern only
+            values = np.empty((patterns.shape[0], len(estimators)))
+            degenerate = np.empty(values.shape, dtype=bool)
+            for rows in pattern_blocks(patterns.shape[0]):
+                t = patterns[rows]
+                values[rows], degenerate[rows] = cluster_estimates(
+                    t, law.sums(t, gamma), law.sizes, law.baseline, estimators)
             for e_idx, estimator in enumerate(estimators):
                 ok = ~degenerate[:, e_idx]
                 est, weights = values[ok, e_idx], probs[ok]

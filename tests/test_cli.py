@@ -369,6 +369,19 @@ class TestAnalyze:
         assert result["variance_bound"] >= result["variance"]["value"] \
             - 5 * result["variance"]["se"]
 
+    def test_identical_root_rows_fall_back_to_monte_carlo(self, workspace, capsys):
+        tmp, _, _, graph_path, clusters_path = workspace
+        root = np.random.default_rng(5).standard_normal((4, 4))
+        root /= np.linalg.norm(root, axis=1, keepdims=True)
+        root[1] = root[0]
+        root_path = tmp / "root.csv"
+        np.savetxt(root_path, root, fmt="%.17g", delimiter=",")
+        assert run(["analyze", "--graph", graph_path, "--clusters", clusters_path,
+                    "--design", "ocd", "--root", root_path, "--mc-reps", "500"]) == 0
+        result = json.loads(capsys.readouterr().out)
+        assert result["variance"]["method"] == "monte-carlo"
+        assert result["variance"]["replications"] == 500
+
 
 class TestReport:
     def test_renders_table_with_minimum_flag(self, workspace, capsys):

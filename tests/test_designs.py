@@ -279,6 +279,19 @@ class TestSignGaussian:
         with pytest.raises(DesignEnumerationError, match="component of size 6"):
             cd.SignGaussianDesign(self.chain_root(6, [[5, 0, 3, 1, 4, 2]])).exact_distribution()
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_identical_or_opposite_rows_in_a_coupled_block_refuse_enumeration(self, sign):
+        root = random_unit_rows(5, seed=3)
+        root[3] = sign * root[1]
+        with pytest.raises(DesignEnumerationError, match="clusters 1 and 3 have identical "
+                                                         "or opposite root rows"):
+            cd.SignGaussianDesign(root).exact_distribution()
+        # a block of three needs only pair moments, which allow |r| = 1
+        small = random_unit_rows(3, seed=3)
+        small[2] = sign * small[0]
+        _, probs = cd.SignGaussianDesign(small).exact_distribution()
+        assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+
     def test_generic_large_root_refuses_enumeration(self):
         root = random_unit_rows(6, seed=14)
         with pytest.raises(DesignEnumerationError, match="exceeds"):

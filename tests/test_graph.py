@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import covdesign as cd
+import covdesign.graph as graph_module
 from covdesign.graph import GraphFormatError
 
 
@@ -96,6 +99,30 @@ class TestMatrixMarket:
         text = "%%MatrixMarket matrix coordinate pattern symmetric\n2 2 1\n1 3\n"
         with pytest.raises(GraphFormatError, match="outside"):
             cd.load_edge_list(write(tmp_path, "g.mtx", text))
+
+    def test_size_whose_keys_overflow_int64_is_refused_unallocated(self, tmp_path):
+        text = ("%%MatrixMarket matrix coordinate pattern symmetric\n% c\n"
+                "1000000000000 1000000000000 1\n1 2\n")
+        path = write(tmp_path, "g.mtx", text)
+        tracemalloc.start()
+        try:
+            with pytest.raises(GraphFormatError,
+                               match=r"line 3: declared size 1000000000000 x 1000000000000 "
+                                     r"is too large: edge keys"):
+                cd.load_edge_list(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_size_beyond_physical_memory_is_refused(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(graph_module, "physical_memory", lambda: 2**30)
+        text = "%%MatrixMarket matrix coordinate pattern symmetric\n1000000000 1000000000 1\n1 2\n"
+        with pytest.raises(GraphFormatError) as info:
+            cd.load_edge_list(write(tmp_path, "g.mtx", text))
+        assert str(info.value) == (
+            "line 2: declared size 1000000000 x 1000000000 needs 7.5 GiB for its degree "
+            "vector alone, more than this machine's 1.0 GiB of memory")
 
     @pytest.mark.parametrize("size_line", ["3 x 2", "3 3 1.5", "3.0 3 2"])
     def test_non_integer_size_line_names_line(self, tmp_path, size_line):
