@@ -11,7 +11,6 @@ from .manifest import VERSION as __version__
 from .graph import (
     Graph,
     GraphFormatError,
-    expand_treatment,
     generate_sbm,
     load_edge_list,
     save_edge_list,
@@ -27,8 +26,6 @@ from .clustering import (
 from .outcomes import (
     AnalysisModelParams,
     SimModelParams,
-    eval_analysis,
-    eval_sim,
     gate_analysis,
     gate_sim,
     with_gamma,
@@ -61,10 +58,7 @@ from .optimizer import (
     OptTrace,
     covariance_from_root,
     evaluate_root,
-    gradient_from_root,
-    objective_from_root,
     optimize,
-    project_rows,
 )
 from .simulation import (
     ReportCell,
@@ -77,12 +71,10 @@ from .simulation import (
 
 __all__ = [
     "__version__",
-    "Graph", "GraphFormatError", "expand_treatment", "generate_sbm",
-    "load_edge_list", "save_edge_list",
+    "Graph", "GraphFormatError", "generate_sbm", "load_edge_list", "save_edge_list",
     "Clustering", "ClusterSummary", "build_cluster_summary", "louvain",
     "read_clustering", "write_clustering",
-    "AnalysisModelParams", "SimModelParams", "eval_analysis", "eval_sim",
-    "gate_analysis", "gate_sim", "with_gamma",
+    "AnalysisModelParams", "SimModelParams", "gate_analysis", "gate_sim", "with_gamma",
     "EstimateRecord", "cluster_estimates", "dim", "ht", "ht_adjusted",
     "ExactVariance", "bias_closed_form", "h_vector", "is_valid_covariance",
     "objective_f", "objective_terms", "omega_from_model", "variance_bound",
@@ -91,7 +83,6 @@ __all__ = [
     "DesignEnumerationError", "SignGaussianDesign", "build_ibr_blocks",
     "make_design",
     "OptimizationError", "OptimizerConfig", "OptTrace", "covariance_from_root",
-    "evaluate_root", "gradient_from_root", "objective_from_root", "optimize",
-    "project_rows",
+    "evaluate_root", "optimize",
     "ReportCell", "SimConfig", "SimReport", "baseline_levels", "run_exact", "run_mc",
 ]

@@ -9,6 +9,7 @@ computation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,6 +163,8 @@ def variance_exact(summary: ClusterSummary, h: np.ndarray, gamma: float,
     """
     if design.k != summary.k:
         raise ValueError(f"design has K={design.k}, summary has K={summary.k}")
+    if not math.isfinite(gamma):
+        raise ValueError(f"gamma must be finite, got {gamma!r}")
     if design.k > k_max:
         raise ValueError(f"K={design.k} exceeds enumeration cap {k_max}")
     h = np.asarray(h, dtype=np.float64)

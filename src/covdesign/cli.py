@@ -277,8 +277,6 @@ def _run_optimize(cfg: dict) -> dict:
     r0 = None
     if cfg["warm_start"]:
         r0 = _read_root(cfg["warm_start"])
-        if r0.shape != (summary.k, summary.k):
-            raise _fail(f"warm start has K={r0.shape[0]} but clustering has K={summary.k}")
         inputs.append(cfg["warm_start"])
     timings["load"] = time.perf_counter() - t0
 

@@ -1,4 +1,4 @@
-"""Undirected simple graphs: file IO, synthetic generators, treatment expansion."""
+"""Undirected simple graphs: file IO and synthetic generators."""
 
 from __future__ import annotations
 
@@ -13,15 +13,12 @@ from ._memory import bytes_text, physical_memory
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
-    from .clustering import Clustering
-
 __all__ = [
     "Graph",
     "GraphFormatError",
     "load_edge_list",
     "save_edge_list",
     "generate_sbm",
-    "expand_treatment",
 ]
 
 
@@ -96,10 +93,6 @@ class Graph:
                 (data, (rows, cols)), shape=(self.n, self.n)
             )
         return self._adjacency
-
-    def neighbor_sums(self, values: np.ndarray) -> np.ndarray:
-        """Return, per node, the sum of `values` over its neighbors."""
-        return self.adjacency @ np.asarray(values, dtype=np.float64)
 
     def __eq__(self, other) -> bool:
         return (
@@ -429,10 +422,3 @@ def generate_sbm(blocks, p_in: float, p_out: float, seed: int):
     edges = np.column_stack([iu[keep], ju[keep]])
     return Graph(n, edges), Clustering(assignment, len(sizes))
 
-
-def expand_treatment(t: np.ndarray, clustering: "Clustering") -> np.ndarray:
-    """Broadcast a cluster-level 0/1 vector to unit level (z_i = t_{k(i)})."""
-    t = np.asarray(t, dtype=np.float64)
-    if t.shape != (clustering.k,):
-        raise ValueError(f"treatment length {t.shape} != cluster count {clustering.k}")
-    return t[clustering.assignment]

@@ -24,11 +24,8 @@ __all__ = [
     "OptimizerConfig",
     "OptTrace",
     "OptimizationError",
-    "project_rows",
     "covariance_from_root",
     "evaluate_root",
-    "objective_from_root",
-    "gradient_from_root",
     "optimize",
 ]
 
@@ -106,12 +103,6 @@ def _normalize_rows(r: np.ndarray) -> np.ndarray:
     return r
 
 
-def project_rows(r: np.ndarray) -> np.ndarray:
-    """Normalize each row to unit 2-norm; numerically zero rows fall back
-    to the corresponding standard basis row."""
-    return _normalize_rows(np.array(r, dtype=np.float64, order="C"))
-
-
 def covariance_from_root(r: np.ndarray) -> np.ndarray:
     """Treatment covariance arcsin(R R^T)/(2 pi) with the diagonal pinned
     at exactly 1/4 (unit rows make it 1/4 up to rounding)."""
@@ -180,18 +171,6 @@ def _finite(gradient: np.ndarray) -> np.ndarray:
     return gradient
 
 
-def objective_from_root(r: np.ndarray, summary: ClusterSummary, omega: float,
-                        clamp_epsilon: float = 1e-6):
-    """``(f, bias_term, variance_term, n_clamped)``; see `evaluate_root`."""
-    return evaluate_root(r, summary, omega, clamp_epsilon)[:4]
-
-
-def gradient_from_root(r: np.ndarray, summary: ClusterSummary, omega: float,
-                       clamp_epsilon: float = 1e-6) -> np.ndarray:
-    """The gradient of `evaluate_root`; FloatingPointError if not finite."""
-    return _finite(evaluate_root(r, summary, omega, clamp_epsilon)[4])
-
-
 def optimize(summary: ClusterSummary, config: OptimizerConfig = OptimizerConfig(),
              r0: np.ndarray | None = None,
              collect_roots: bool = False) -> tuple[np.ndarray, OptTrace]:
@@ -209,10 +188,10 @@ def optimize(summary: ClusterSummary, config: OptimizerConfig = OptimizerConfig(
     if r0 is None:
         r = np.eye(k)
     else:
-        r0 = np.asarray(r0, dtype=np.float64)
-        if r0.shape != (k, k):
-            raise ValueError(f"warm start is {r0.shape}, expected ({k}, {k})")
-        r = project_rows(r0)
+        r = np.array(r0, dtype=np.float64, order="C")
+        if r.shape != (k, k):
+            raise ValueError(f"warm start is {r.shape}, expected ({k}, {k})")
+        _normalize_rows(r)
 
     evaluator = _Step(summary, config.omega, config.clamp_epsilon)
     g = evaluator.grad

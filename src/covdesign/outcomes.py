@@ -12,8 +12,6 @@ from .graph import Graph
 __all__ = [
     "AnalysisModelParams",
     "SimModelParams",
-    "eval_analysis",
-    "eval_sim",
     "gate_analysis",
     "gate_sim",
     "with_gamma",
@@ -87,40 +85,9 @@ def with_gamma(params, gamma: float):
     return replace(params, gamma=float(gamma))
 
 
-def eval_analysis(params: AnalysisModelParams, graph: Graph, z: np.ndarray) -> np.ndarray:
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape != (graph.n,) or params.alpha.shape != (graph.n,):
-        raise ValueError("length mismatch between model, graph, and treatment")
-    return params.alpha + params.beta * z + params.gamma * graph.neighbor_sums(z)
-
-
 def gate_analysis(params: AnalysisModelParams, graph: Graph) -> float:
     """Global average treatment effect under the analysis model: mean(beta_i + gamma d_i)."""
     return float(np.mean(params.beta + params.gamma * graph.degrees))
-
-
-def eval_sim(params: SimModelParams, graph: Graph, z: np.ndarray,
-             noise: np.ndarray) -> np.ndarray:
-    """Evaluate one of the simulation models for a unit-level treatment.
-
-    `noise` is the externally drawn per-unit standard-normal vector, kept
-    explicit so replications are reproducible and noise can be shared
-    across designs when requested.
-    """
-    z = np.asarray(z, dtype=np.float64)
-    noise = np.asarray(noise, dtype=np.float64)
-    if z.shape != (graph.n,) or noise.shape != (graph.n,):
-        raise ValueError("treatment/noise length must equal graph size")
-    deg = graph.degrees.astype(np.float64)
-    nbr = graph.neighbor_sums(z)
-    frac = np.divide(nbr, deg, out=np.zeros_like(nbr), where=deg > 0)
-    dbar = params.mean_degree
-    rel_degree = deg / dbar if dbar > 0 else np.zeros_like(deg)
-    if params.kind == "linear":
-        return (params.alpha + params.beta * z + params.c * rel_degree
-                + params.sigma * noise + params.gamma * frac)
-    return ((params.alpha + params.sigma * noise) * rel_degree
-            * (1.0 + params.beta * z + params.gamma * frac))
 
 
 def gate_sim(params: SimModelParams) -> float:

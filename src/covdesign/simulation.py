@@ -59,6 +59,36 @@ def baseline_levels(model, graph: Graph) -> np.ndarray:
     return model.alpha * rel
 
 
+def _check_inputs(graph: Graph, clustering: Clustering, designs, model, gammas,
+                  estimators) -> None:
+    """The refusals `run_mc` (through `SimConfig`) and `run_exact` share."""
+    if clustering.n != graph.n:
+        raise ValueError(f"clustering covers {clustering.n} units, graph has {graph.n}")
+    if isinstance(model, AnalysisModelParams):
+        for name in ("alpha", "beta"):
+            shape = np.shape(getattr(model, name))
+            if shape != (graph.n,):
+                raise ValueError(f"model {name} has shape {shape}, graph has {graph.n} units")
+    if not gammas:
+        raise ValueError("gamma grid must be nonempty")
+    if not all(math.isfinite(g) for g in gammas):
+        raise ValueError(f"gammas must be finite, got {list(gammas)}")
+    if not designs:
+        raise ValueError("at least one design is required")
+    # SimReport.cell finds a cell by design name and gamma, so both must be unique
+    for label, values in (("design name", [name for name, _ in designs]),
+                          ("gamma", [float(g) for g in gammas])):
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise ValueError(f"duplicate {label} {value!r}")
+    for kind in estimators:
+        if kind not in ESTIMATOR_KINDS:
+            raise ValueError(f"unknown estimator {kind!r}; valid: {ESTIMATOR_KINDS}")
+    for name, design in designs:
+        if design.k != clustering.k:
+            raise ValueError(f"design {name!r} has K={design.k}, clustering has K={clustering.k}")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     graph: Graph
@@ -75,26 +105,8 @@ class SimConfig:
             raise ValueError("replications must be at least 1")
         if self.base_seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.base_seed}")
-        if not self.gammas:
-            raise ValueError("gamma grid must be nonempty")
-        if not all(math.isfinite(g) for g in self.gammas):
-            raise ValueError(f"gammas must be finite, got {list(self.gammas)}")
-        if not self.designs:
-            raise ValueError("at least one design is required")
-        # SimReport.cell finds a cell by design name and gamma, so both must be unique
-        for label, values in (("design name", [name for name, _ in self.designs]),
-                              ("gamma", [float(g) for g in self.gammas])):
-            for i, value in enumerate(values):
-                if value in values[:i]:
-                    raise ValueError(f"duplicate {label} {value!r}")
-        for kind in self.estimators:
-            if kind not in ESTIMATOR_KINDS:
-                raise ValueError(f"unknown estimator {kind!r}; valid: {ESTIMATOR_KINDS}")
-        for name, design in self.designs:
-            if design.k != self.clustering.k:
-                raise ValueError(
-                    f"design {name!r} has K={design.k}, clustering has K={self.clustering.k}"
-                )
+        _check_inputs(self.graph, self.clustering, self.designs, self.model, self.gammas,
+                      self.estimators)
         need = (len(self.gammas) * len(self.designs) * self.replications
                 * len(self.estimators) * CELL_BYTES)
         memory = physical_memory()
@@ -321,10 +333,7 @@ def run_exact(graph: Graph, clustering: Clustering,
     if clustering.k > k_max:
         raise ValueError(f"K={clustering.k} exceeds enumeration cap {k_max}")
     gammas = tuple(gammas) if gammas is not None else (model.gamma,)
-    for name, design in designs:
-        if design.k != clustering.k:
-            raise ValueError(f"design {name!r} has K={design.k}, "
-                             f"clustering has K={clustering.k}")
+    _check_inputs(graph, clustering, designs, model, gammas, estimators)
 
     law = ClusterModel(model, graph, clustering)
     dists = [(name, design.exact_distribution()) for name, design in designs]

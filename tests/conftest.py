@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import covdesign as cd
+from covdesign.optimizer import _normalize_rows
 
 # the desk-scale benchmark instance used by the validation suite:
 # 10 planted clusters of 20 nodes, dense inside (0.3), sparse across (0.02)
@@ -69,11 +70,16 @@ def optimized_root(acceptance_fixture):
     return root, trace
 
 
+def unit_rows(r) -> np.ndarray:
+    """A copy of `r` with unit-norm rows, projected as a warm start is."""
+    return _normalize_rows(np.array(r, dtype=np.float64))
+
+
 def random_unit_rows(k: int, seed: int, max_offdiag: float = 0.95) -> np.ndarray:
     """Random unit-row root whose Gram off-diagonals stay away from +-1."""
     rng = np.random.default_rng(seed)
     while True:
-        r = cd.project_rows(rng.standard_normal((k, k)))
+        r = unit_rows(rng.standard_normal((k, k)))
         gram = r @ r.T
         if np.max(np.abs(gram[~np.eye(k, dtype=bool)]), initial=0.0) < max_offdiag:
             return r

@@ -149,15 +149,15 @@ def test_gate_5_gradient_matches_finite_differences():
     worst = 0.0
     for k, summary in summaries.items():
         root = random_unit_rows(k, seed=50 + k)
-        grad = cd.gradient_from_root(root, summary, 1.0)
+        grad = cd.evaluate_root(root, summary, 1.0)[4]
         scale = np.abs(grad).max()
         rng = np.random.default_rng(60 + k)
         for _ in range(20):
             i, j = rng.integers(0, k, size=2)
             basis = np.zeros((k, k))
             basis[i, j] = step
-            f_plus = cd.objective_from_root(root + basis, summary, 1.0)[0]
-            f_minus = cd.objective_from_root(root - basis, summary, 1.0)[0]
+            f_plus = cd.evaluate_root(root + basis, summary, 1.0)[0]
+            f_minus = cd.evaluate_root(root - basis, summary, 1.0)[0]
             fd = (f_plus - f_minus) / (2 * step)
             rel = abs(fd - grad[i, j]) / max(abs(fd), abs(grad[i, j]), 1e-12 * scale)
             worst = max(worst, rel)

@@ -115,6 +115,12 @@ class TestVarianceExact:
         with pytest.raises(ValueError, match="exceeds"):
             cd.variance_exact(summary, np.zeros(4), 1.0, cd.BernoulliDesign(4), k_max=3)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_gamma_refused(self, sbm4, bad):
+        summary = cd.build_cluster_summary(*sbm4)
+        with pytest.raises(ValueError, match=f"^gamma must be finite, got {bad!r}$"):
+            cd.variance_exact(summary, np.zeros(4), bad, cd.BernoulliDesign(4))
+
     def test_k_mismatch(self, path_summary):
         with pytest.raises(ValueError, match="K="):
             cd.variance_exact(path_summary, np.zeros(2), 1.0, cd.BernoulliDesign(3))

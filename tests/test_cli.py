@@ -115,11 +115,10 @@ class TestOptimize:
         tmp, _, _, graph_path, clusters_path = workspace
         bad = tmp / "warm.csv"
         np.savetxt(bad, np.eye(3), delimiter=",")
-        code = run(["optimize", "--graph", graph_path, "--clusters", clusters_path,
-                    "--warm-start", bad, "--out", tmp / "r.csv"])
-        assert code != 0
-        err = capsys.readouterr().err
-        assert "K=3" in err and "K=4" in err
+        assert run(["optimize", "--graph", graph_path, "--clusters", clusters_path,
+                    "--warm-start", bad, "--out", tmp / "r.csv"]) == 2
+        assert capsys.readouterr().err == "error: warm start is (3, 3), expected (4, 4)\n"
+        assert not list(tmp.glob("r.csv*"))
 
     def test_unparsable_warm_start_names_its_file(self, workspace, capsys):
         tmp, _, _, graph_path, clusters_path = workspace

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import covdesign as cd
 from covdesign.designs import DesignEnumerationError, enumerate_patterns
-from conftest import paired_root, random_unit_rows
+from conftest import paired_root, random_unit_rows, unit_rows
 
 
 def exact_moments(design):
@@ -437,7 +437,7 @@ def enumerable_designs(draw):
         stop = min(k, start + draw(st.integers(1, 5)))
         root[start:stop, start:stop] = rng.standard_normal((stop - start,) * 2)
         start = stop
-    return cd.SignGaussianDesign(cd.project_rows(root))
+    return cd.SignGaussianDesign(unit_rows(root))
 
 
 @settings(max_examples=100, deadline=None)

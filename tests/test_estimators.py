@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import covdesign as cd
+from unit_reference import eval_analysis
 
 
 class TestHT:
@@ -15,7 +16,7 @@ class TestHT:
     def test_path_hand_value(self, path_graph):
         params = cd.AnalysisModelParams.uniform(4)
         z = np.array([1.0, 1.0, 0.0, 0.0])
-        y = cd.eval_analysis(params, path_graph, z)
+        y = eval_analysis(params, path_graph, z)
         assert cd.ht(z, y).value == pytest.approx(1.5, abs=1e-15)
 
     def test_linear_in_outcomes(self):
@@ -44,7 +45,7 @@ class TestHTAdjusted:
     def test_shift_invariance_vs_unadjusted(self, path_graph):
         z = np.array([1.0, 1.0, 0.0, 0.0])
         params = cd.AnalysisModelParams.uniform(4)
-        y = cd.eval_analysis(params, path_graph, z) + 10.0
+        y = eval_analysis(params, path_graph, z) + 10.0
         assert cd.ht_adjusted(z, y, np.full(4, 10.0)).value == pytest.approx(1.5)
 
     def test_equals_ht_of_difference(self):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import covdesign as cd
-from conftest import random_unit_rows
+from conftest import random_unit_rows, unit_rows
 
 RTOL = 1e-12
 
@@ -67,7 +67,7 @@ def ref_optimize(summary, config):
         v = config.beta2 * v + (1.0 - config.beta2) * g * g
         m_hat = m / (1.0 - config.beta1**step)
         v_hat = v / (1.0 - config.beta2**step)
-        r = cd.project_rows(r - config.step_size * m_hat / (np.sqrt(v_hat) + config.moment_epsilon))
+        r = unit_rows(r - config.step_size * m_hat / (np.sqrt(v_hat) + config.moment_epsilon))
         if step % config.trace_stride == 0 or step == config.iterations:
             rows.append((step, *ref_objective(r, summary, config.omega, config.clamp_epsilon)))
     return r, rows
@@ -80,7 +80,7 @@ def near_identical_rows(k, seed):
     r = random_unit_rows(k, seed=seed)
     r[1] = r[0] + 1e-4 * rng.standard_normal(k)
     r[2] = -r[0] + 1e-4 * rng.standard_normal(k)
-    return cd.project_rows(r)
+    return unit_rows(r)
 
 
 def roots_for(k):
@@ -110,9 +110,6 @@ def test_evaluator_matches_three_product_reference(summary, omega):
         assert close(f, ref_f) and close(bias, ref_bias) and close(variance, ref_variance)
         assert n_clamped == ref_clamped
         assert np.linalg.norm(grad - ref_grad) <= RTOL * np.linalg.norm(ref_grad)
-        # the public views are the evaluator itself
-        assert cd.objective_from_root(r, summary, omega) == (f, bias, variance, n_clamped)
-        assert np.array_equal(cd.gradient_from_root(r, summary, omega), grad)
         clamps.append(n_clamped)
     assert clamps[-1] > 0
 
@@ -151,5 +148,5 @@ def test_every_unit_row_root_gives_a_valid_covariance(raw):
     root = np.zeros((k, k))
     width = min(k, raw.shape[1])
     root[:, :width] = raw[:, :width]
-    r = cd.project_rows(root)
+    r = unit_rows(root)
     assert cd.is_valid_covariance(cd.covariance_from_root(r))

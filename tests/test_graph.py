@@ -161,25 +161,22 @@ class TestGraphValidation:
 
 
 class TestExpandTreatment:
+    """A cluster draw t reaches the units as t[clustering.assignment]."""
+
     def test_two_blocks(self):
         clustering = cd.Clustering([0, 0, 1, 1], 2)
-        z = cd.expand_treatment(np.array([1.0, 0.0]), clustering)
+        z = np.array([1.0, 0.0])[clustering.assignment]
         assert np.array_equal(z, [1, 1, 0, 0])
 
     def test_interleaved(self):
         clustering = cd.Clustering([0, 1, 0, 1], 2)
-        z = cd.expand_treatment(np.array([0.0, 1.0]), clustering)
+        z = np.array([0.0, 1.0])[clustering.assignment]
         assert np.array_equal(z, [0, 1, 0, 1])
 
     def test_global_extremes(self):
         clustering = cd.Clustering([0, 1, 2, 0], 3)
-        assert np.array_equal(cd.expand_treatment(np.ones(3), clustering), np.ones(4))
-        assert np.array_equal(cd.expand_treatment(np.zeros(3), clustering), np.zeros(4))
-
-    def test_length_mismatch(self):
-        clustering = cd.Clustering([0, 0, 1, 1], 2)
-        with pytest.raises(ValueError, match="cluster count"):
-            cd.expand_treatment(np.ones(3), clustering)
+        assert np.array_equal(np.ones(3)[clustering.assignment], np.ones(4))
+        assert np.array_equal(np.zeros(3)[clustering.assignment], np.zeros(4))
 
 
 class TestGenerateSbm:

@@ -6,6 +6,14 @@ from pathlib import Path
 
 import covdesign
 
+# public names that went with the unit-level outcome path and the optimizer's
+# views of evaluate_root, with the module that held each
+REMOVED = {
+    "outcomes": ("eval_sim", "eval_analysis"),
+    "graph": ("expand_treatment",),
+    "optimizer": ("objective_from_root", "gradient_from_root", "project_rows"),
+}
+
 LAZY = ("networkx", "scipy.integrate", "scipy.sparse", "scipy.sparse.csgraph", "multiprocessing")
 
 
@@ -48,3 +56,15 @@ print(json.dumps([m for m in ("scipy.integrate", "scipy.sparse.csgraph") if m in
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
     assert json.loads(out.stdout) == []
+
+
+def test_public_surface():
+    """Every exported name resolves, and the removed names are gone from the
+    package, from their modules and, for `neighbor_sums`, from `Graph`."""
+    assert [name for name in covdesign.__all__ if not hasattr(covdesign, name)] == []
+    for module, names in REMOVED.items():
+        for name in names:
+            assert name not in covdesign.__all__
+            assert not hasattr(covdesign, name)
+            assert not hasattr(getattr(covdesign, module), name)
+    assert not hasattr(covdesign.Graph, "neighbor_sums")

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +8,7 @@ import covdesign as cd
 from covdesign.estimators import ESTIMATOR_KINDS
 from covdesign.simulation import ClusterModel
 from conftest import random_unit_rows
+from unit_reference import eval_analysis, eval_sim, unit_outcomes
 
 
 def unit_estimates(kinds, z, y, baseline):
@@ -24,12 +27,6 @@ def unit_estimates(kinds, z, y, baseline):
             else:
                 out.append((y[treated].mean() - y[~treated].mean(), False))
     return out
-
-
-def unit_outcomes(model, graph, z, noise):
-    if isinstance(model, cd.AnalysisModelParams):
-        return cd.eval_analysis(model, graph, z)
-    return cd.eval_sim(model, graph, z, noise)
 
 
 def test_engine_fast_path_matches_estimator_functions():
@@ -104,8 +101,8 @@ def test_cluster_noise_scale_matches_summed_unit_noise(fixture, sbm4):
         scale = law.sums(t, 1.3, np.ones(t.shape)) - law.sums(t, 1.3, np.zeros(t.shape))
         for row in range(t.shape[0]):
             z = t[row][clustering.assignment]
-            slope = (cd.eval_sim(model, graph, z, np.ones(graph.n))
-                     - cd.eval_sim(model, graph, z, np.zeros(graph.n)))
+            slope = (eval_sim(model, graph, z, np.ones(graph.n))
+                     - eval_sim(model, graph, z, np.zeros(graph.n)))
             expected = np.sqrt(np.bincount(clustering.assignment, slope**2, minlength=k))
             assert np.allclose(scale[row], expected, rtol=1e-12, atol=1e-12)
 
@@ -155,7 +152,7 @@ def unit_exact(graph, clustering, design, model, gamma):
     model = cd.with_gamma(model, gamma)
     oracle = cd.gate_analysis(model, graph)
     out = {}
-    rows = [unit_estimates(ESTIMATOR_KINDS, z, cd.eval_analysis(model, graph, z), model.alpha)
+    rows = [unit_estimates(ESTIMATOR_KINDS, z, eval_analysis(model, graph, z), model.alpha)
             for z in patterns[:, clustering.assignment]]
     for e, kind in enumerate(ESTIMATOR_KINDS):
         ok = np.array([not r[e][1] for r in rows])
@@ -451,6 +448,52 @@ class TestRunExact:
         model = cd.AnalysisModelParams.uniform(graph.n)
         with pytest.raises(ValueError, match="cap"):
             cd.run_exact(graph, clustering, (("ber", cd.BernoulliDesign(18)),), model)
+
+
+class TestEngineInputs:
+    """`SimConfig` (and so `run_mc`) and `run_exact` refuse the same inputs
+    with the same message."""
+
+    @staticmethod
+    def engines(graph, clustering, model, gammas=(1.0,), k=None):
+        designs = (("ber", cd.BernoulliDesign(k or clustering.k)),)
+        return (lambda: cd.SimConfig(graph=graph, clustering=clustering, designs=designs,
+                                     model=model, gammas=gammas),
+                lambda: cd.run_exact(graph, clustering, designs, model, gammas=gammas))
+
+    def refused(self, message, *args, **kw):
+        for engine in self.engines(*args, **kw):
+            with pytest.raises(ValueError, match=message):
+                engine()
+
+    @pytest.mark.parametrize("gammas, message", [
+        ((float("nan"),), r"^gammas must be finite, got \[nan\]$"),
+        ((1.0, 1.0), r"^duplicate gamma 1\.0$"),
+        ((), r"^gamma grid must be nonempty$"),
+    ], ids=["nan", "duplicate", "empty"])
+    def test_bad_gamma_grid(self, sbm4, gammas, message):
+        graph, clustering = sbm4
+        self.refused(message, graph, clustering, cd.AnalysisModelParams.uniform(graph.n),
+                     gammas)
+
+    def test_design_of_another_k(self, sbm4):
+        graph, clustering = sbm4
+        self.refused(r"^design 'ber' has K=3, clustering has K=4$", graph, clustering,
+                     cd.AnalysisModelParams.uniform(graph.n), k=3)
+
+    def test_clustering_of_another_graph(self, sbm4):
+        graph, _ = sbm4
+        clustering = cd.Clustering(np.repeat(np.arange(4), 4), 4)
+        self.refused(r"^clustering covers 16 units, graph has 20$", graph, clustering,
+                     cd.AnalysisModelParams.uniform(graph.n))
+
+    @pytest.mark.parametrize("field", ["alpha", "beta"])
+    def test_model_of_another_size(self, sbm4, field):
+        graph, clustering = sbm4
+        model = cd.AnalysisModelParams.uniform(graph.n)
+        model = dataclasses.replace(model, **{field: np.ones(graph.n - 1)})
+        self.refused(rf"^model {field} has shape \(19,\), graph has 20 units$", graph,
+                     clustering, model)
 
 
 class TestReportShape:

@@ -1,0 +1,40 @@
+"""The outcome models evaluated unit by unit, as the tests' reference.
+
+`simulation.ClusterModel` evaluates a model only through its per-cluster
+outcome sums.  The functions below evaluate the same models on the units,
+from the adjacency matrix, as `AnalysisModelParams` and `SimModelParams`
+write them; the tests require the two to agree.
+"""
+
+import numpy as np
+
+import covdesign as cd
+
+
+def eval_analysis(params, graph, z):
+    """Y_i = alpha_i + beta_i z_i + gamma sum_{j~i} z_j for a unit treatment `z`."""
+    z = np.asarray(z, dtype=np.float64)
+    return params.alpha + params.beta * z + params.gamma * (graph.adjacency @ z)
+
+
+def eval_sim(params, graph, z, noise):
+    """A simulation model for a unit treatment `z`; `noise` holds one
+    standard normal per unit, drawn by the caller for one replication."""
+    z = np.asarray(z, dtype=np.float64)
+    noise = np.asarray(noise, dtype=np.float64)
+    deg = graph.degrees.astype(np.float64)
+    nbr = graph.adjacency @ z
+    frac = np.divide(nbr, deg, out=np.zeros_like(nbr), where=deg > 0)
+    dbar = params.mean_degree
+    rel_degree = deg / dbar if dbar > 0 else np.zeros_like(deg)
+    if params.kind == "linear":
+        return (params.alpha + params.beta * z + params.c * rel_degree
+                + params.sigma * noise + params.gamma * frac)
+    return ((params.alpha + params.sigma * noise) * rel_degree
+            * (1.0 + params.beta * z + params.gamma * frac))
+
+
+def unit_outcomes(model, graph, z, noise):
+    if isinstance(model, cd.AnalysisModelParams):
+        return eval_analysis(model, graph, z)
+    return eval_sim(model, graph, z, noise)
