@@ -39,6 +39,11 @@ def _check_cov_shape(summary: ClusterSummary, cov: np.ndarray) -> np.ndarray:
     return cov
 
 
+def _check_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def _bias_core(summary: ClusterSummary, cov: np.ndarray) -> float:
     """4 tr(C Cov) - sum(C); C is symmetric, so tr(C Cov) = <C, Cov>."""
     cov = _check_cov_shape(summary, cov)
@@ -47,6 +52,7 @@ def _bias_core(summary: ClusterSummary, cov: np.ndarray) -> float:
 
 def _variance_core(summary: ClusterSummary, cov: np.ndarray, omega: float) -> float:
     """d' Cov d + (1/4) (1'd)^2, the variance bound's design part; omega >= 0."""
+    _check_finite("omega", omega)
     if omega < 0:
         raise ValueError("omega must be nonnegative")
     cov = _check_cov_shape(summary, cov)
@@ -82,6 +88,7 @@ def h_vector(params: AnalysisModelParams, graph: Graph, clustering: Clustering) 
 def bias_closed_form(summary: ClusterSummary, cov: np.ndarray, gamma: float) -> float:
     """(gamma/n) * (4 trace(C Cov) - sum(C)): the exact estimator bias under
     the analysis model, which depends on the design only through Cov."""
+    _check_finite("gamma", gamma)
     return gamma / summary.n * _bias_core(summary, cov)
 
 
@@ -91,6 +98,7 @@ def omega_from_model(summary: ClusterSummary, h: np.ndarray, gamma: float) -> fl
     Infinite when some cluster has zero degree mass but a nonzero h_k,
     in which case no comparability constant exists.
     """
+    _check_finite("gamma", gamma)
     if gamma == 0.0:
         raise ValueError("omega is undefined for gamma = 0")
     h = np.asarray(h, dtype=np.float64)
@@ -107,6 +115,7 @@ def variance_bound(summary: ClusterSummary, cov: np.ndarray, gamma: float,
                    omega: float) -> float:
     """Upper bound on the estimator variance:
     (8 gamma^2 (omega^2+4) / n^2) * d' (Cov + (1/4) 11') d."""
+    _check_finite("gamma", gamma)
     return 8.0 * gamma**2 * (omega**2 + 4.0) / summary.n**2 * _variance_core(summary, cov, omega)
 
 
@@ -154,7 +163,7 @@ class ExactVariance:
 
 
 def variance_exact(summary: ClusterSummary, h: np.ndarray, gamma: float,
-                   design: Design, k_max: int = 16) -> ExactVariance:
+                   design: Design) -> ExactVariance:
     """Variance of (2/n)(h't + 2 gamma t'Ct) by full enumeration.
 
     Sums over the design's exact outcome distribution, so it is an oracle
@@ -163,11 +172,10 @@ def variance_exact(summary: ClusterSummary, h: np.ndarray, gamma: float,
     """
     if design.k != summary.k:
         raise ValueError(f"design has K={design.k}, summary has K={summary.k}")
-    if not math.isfinite(gamma):
-        raise ValueError(f"gamma must be finite, got {gamma!r}")
-    if design.k > k_max:
-        raise ValueError(f"K={design.k} exceeds enumeration cap {k_max}")
+    _check_finite("gamma", gamma)
     h = np.asarray(h, dtype=np.float64)
+    if h.shape != (summary.k,):
+        raise ValueError(f"h is {h.shape}, expected ({summary.k},)")
     patterns, probs = design.exact_distribution()
     u = np.empty(patterns.shape[0])
     q = np.empty(patterns.shape[0])

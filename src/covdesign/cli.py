@@ -5,8 +5,9 @@ defaults) and executes; `cluster`, `optimize` and `simulate` also write a
 manifest next to their outputs.  Passing ``--from-manifest`` re-runs one of
 these from a previously written manifest, reproducing its primary outputs
 byte for byte.  One table (`_CONFIG`) gives every key of each command's
-resolved config with its type and default; flags, config files and
-manifests are checked against it by name.
+resolved config with its type and default; the command-line flags are
+made from it, and flags, config files and manifests are checked against it
+by name.
 """
 
 from __future__ import annotations
@@ -48,9 +49,9 @@ def _fail(message: str) -> "SystemExit":
     return SystemExit(2)
 
 
-def _load(graph_path, graph_format, clustering):
+def _load(graph_path, clustering):
     """Graph, clustering and summary; `clustering` is a file or a Louvain spec."""
-    graph = load_edge_list(graph_path, graph_format)
+    graph = load_edge_list(graph_path)
     clustering = (louvain(graph, **clustering) if isinstance(clustering, dict)
                   else read_clustering(clustering, n=graph.n))
     return graph, clustering, build_cluster_summary(graph, clustering)
@@ -105,19 +106,19 @@ _OPT = OptimizerConfig
 # every key of each command's resolved config: (type, default)
 _CONFIG = {
     "cluster": {
-        "graph": (str, _REQUIRED), "graph_format": (str, "auto"),
-        "resolution": (float, 1.0), "seed": (int, _REQUIRED), "out": (str, _REQUIRED),
+        "graph": (str, _REQUIRED), "resolution": (float, 1.0), "seed": (int, _REQUIRED),
+        "out": (str, _REQUIRED),
     },
     "optimize": {
-        "graph": (str, _REQUIRED), "graph_format": (str, "auto"),
-        "clustering": (str, _REQUIRED), "omega": (float, _OPT.omega),
+        "graph": (str, _REQUIRED), "clustering": (str, _REQUIRED),
+        "omega": (float, _OPT.omega),
         "iterations": (int, _OPT.iterations), "step_size": (float, _OPT.step_size),
         "trace_stride": (int, _OPT.trace_stride), "clamp_epsilon": (float, _OPT.clamp_epsilon),
         "warm_start": ((str, None), None), "out": (str, _REQUIRED),
     },
     "simulate": {
-        "graph": (str, _REQUIRED), "graph_format": (str, "auto"),
-        "clustering": ((str, _LOUVAIN), _REQUIRED), "designs": ([_DESIGN], _REQUIRED),
+        "graph": (str, _REQUIRED), "clustering": ((str, _LOUVAIN), _REQUIRED),
+        "designs": ([_DESIGN], _REQUIRED),
         "model": (_MODELS, _REQUIRED), "gammas": ([float], [0.5, 1.0, 2.0]),
         "replications": (int, simulation.SimConfig.replications),
         "seed": (int, simulation.SimConfig.base_seed),
@@ -125,17 +126,20 @@ _CONFIG = {
         "out_dir": (str, "simulation-out"),
     },
     "analyze": {
-        "graph": (str, _REQUIRED), "graph_format": (str, "auto"),
-        "clustering": (str, _REQUIRED), "design": (str, _REQUIRED),
+        "graph": (str, _REQUIRED), "clustering": (str, _REQUIRED), "design": (str, _REQUIRED),
         "block_size": (int, 2), "root": ((str, None), None),
         "gamma": (_FINITE, 1.0), "beta": (_FINITE, 1.0), "omega": (_FINITE, None),
-        "exact_max_k": (int, 16), "mc_reps": (int, 100_000), "seed": (int, 0),
+        "mc_reps": (int, 100_000), "seed": (int, 0),
         "out": ((str, None), None),
     },
 }
-# flags spelled unlike their config key (besides "-" for "_") among those a
-# command-line message can name: required ones and checked values
-_FLAGS = {"clustering": "clusters"}
+# the commands that write a manifest, and so can re-run from one
+_MANIFESTED = ("cluster", "optimize", "simulate")
+# the only keys simulate takes as flags; the rest come from its --config file
+_SIMULATE_FLAGS = ("replications", "seed", "out_dir")
+# flag names that are not the key with "-" for "_"
+_FLAGS = {"clustering": "clusters", "iterations": "iters", "step_size": "lr",
+          "clamp_epsilon": "clamp-eps", "replications": "reps"}
 _TYPE_NAMES = {float: "a number", _FINITE: "a finite number", int: "an integer",
                str: "a string", None: "null"}
 
@@ -199,7 +203,8 @@ def _checked(cfg, command: str, source: str) -> dict:
     _refuse_unknown(cfg, table, what, source)
     for key, (_, default) in table.items():
         if default is _REQUIRED and key not in cfg:
-            raise _fail(f"{_flag(key)} is required (or pass --from-manifest)" if flags
+            hint = " (or pass --from-manifest)" if command in _MANIFESTED else ""
+            raise _fail(f"{_flag(key)} is required{hint}" if flags
                         else f"{source}: {what} is missing required key {key!r}")
     for key, value in cfg.items():
         _check(value, table[key][0], _flag(key) if flags else key, source)
@@ -246,7 +251,7 @@ def _resolve(command: str, ns) -> dict:
 def _run_cluster(cfg: dict) -> dict:
     timings = {}
     t0 = time.perf_counter()
-    graph = load_edge_list(cfg["graph"], cfg["graph_format"])
+    graph = load_edge_list(cfg["graph"])
     timings["load"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     clustering = louvain(graph, resolution=cfg["resolution"], seed=cfg["seed"])
@@ -272,7 +277,7 @@ def _run_cluster(cfg: dict) -> dict:
 def _run_optimize(cfg: dict) -> dict:
     timings = {}
     t0 = time.perf_counter()
-    _, _, summary = _load(cfg["graph"], cfg["graph_format"], cfg["clustering"])
+    _, _, summary = _load(cfg["graph"], cfg["clustering"])
     inputs = [cfg["graph"], cfg["clustering"]]
     r0 = None
     if cfg["warm_start"]:
@@ -337,7 +342,7 @@ def _build_designs(specs, summary):
 def _run_simulate(cfg: dict) -> dict:
     timings = {}
     t0 = time.perf_counter()
-    graph, clustering, summary = _load(cfg["graph"], cfg["graph_format"], cfg["clustering"])
+    graph, clustering, summary = _load(cfg["graph"], cfg["clustering"])
     designs = _build_designs(cfg["designs"], summary)
     inputs = [p for p in (cfg["graph"], cfg["clustering"]) if isinstance(p, str)]
     inputs += [spec["root"] for spec in cfg["designs"] if "root" in spec]
@@ -397,7 +402,7 @@ def _report_table(report: simulation.SimReport, estimator: str):
 # ---------------------------------------------------------------- analyze
 
 def _run_analyze(cfg: dict) -> dict:
-    graph, clustering, summary = _load(cfg["graph"], cfg["graph_format"], cfg["clustering"])
+    graph, clustering, summary = _load(cfg["graph"], cfg["clustering"])
     root = _read_root(cfg["root"]) if cfg["root"] else None
     design = make_design(cfg["design"], summary.k, summary=summary,
                          block_size=cfg["block_size"], root=root)
@@ -408,14 +413,10 @@ def _run_analyze(cfg: dict) -> dict:
     omega_star = omega_from_model(summary, h, gamma)
     omega = cfg["omega"] if cfg["omega"] is not None else omega_star
     bias = bias_closed_form(summary, cov, gamma)
-    variance: dict = {}
-    if summary.k <= cfg["exact_max_k"]:
-        try:
-            exact = variance_exact(summary, h, gamma, design, k_max=cfg["exact_max_k"])
-            variance = {"value": exact.variance, "method": "exact", "se": 0.0}
-        except DesignEnumerationError:
-            pass
-    if not variance:
+    try:
+        exact = variance_exact(summary, h, gamma, design)
+        variance = {"value": exact.variance, "method": "exact", "se": 0.0}
+    except DesignEnumerationError:
         report = simulation.run_mc(simulation.SimConfig(
             graph=graph, clustering=clustering, designs=(("design", design),),
             model=model, gammas=(gamma,), estimators=("ht_adjusted",),
@@ -484,62 +485,33 @@ def _run_report(ns) -> None:
 
 # ------------------------------------------------------------------- main
 
-def _add_common_graph_args(p, required=False):
-    p.add_argument("--graph", required=required, help="edge list or MatrixMarket file")
-    p.add_argument("--format", dest="graph_format",
-                   choices=["auto", "edgelist", "plain-edge-list", "matrix-market"])
+_HELP = {
+    "cluster": "partition a graph with Louvain",
+    "optimize": "optimize the treatment-covariance root",
+    "simulate": "Monte Carlo design comparison from a config file",
+    "analyze": "closed-form and oracle diagnostics for one design",
+}
+_ARG_TYPES = {float: float, _FINITE: float, int: int, str: str, (str, None): str}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One flag per `_CONFIG` key (simulate: `_SIMULATE_FLAGS`), named by `_flag`."""
     parser = argparse.ArgumentParser(
         prog="covdesign",
         description="design and validate cluster-level randomized network experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("cluster", help="partition a graph with Louvain")
-    _add_common_graph_args(p)
-    p.add_argument("--resolution", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-    p.add_argument("--from-manifest")
-
-    p = sub.add_parser("optimize", help="optimize the treatment-covariance root")
-    _add_common_graph_args(p)
-    p.add_argument("--clusters", dest="clustering")
-    p.add_argument("--omega", type=float)
-    p.add_argument("--iters", dest="iterations", type=int)
-    p.add_argument("--lr", dest="step_size", type=float)
-    p.add_argument("--trace-stride", type=int)
-    p.add_argument("--clamp-eps", dest="clamp_epsilon", type=float)
-    p.add_argument("--warm-start")
-    p.add_argument("--out")
-    p.add_argument("--from-manifest")
-
-    p = sub.add_parser("simulate", help="Monte Carlo design comparison from a config file")
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--reps", dest="replications", type=int)
-    p.add_argument("--seed", type=int)
-    # accepted only because the benchmark harness still passes it; it has no
-    # effect and is recorded nowhere, and goes once the harness stops passing it
-    p.add_argument("--workers", type=int, help=argparse.SUPPRESS)
-    p.add_argument("--out-dir")
-    p.add_argument("--from-manifest")
-
-    p = sub.add_parser("analyze", help="closed-form and oracle diagnostics for one design")
-    _add_common_graph_args(p, required=True)
-    p.add_argument("--clusters", dest="clustering", required=True)
-    p.add_argument("--design", required=True)
-    p.add_argument("--block-size", type=int)
-    p.add_argument("--root")
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--omega", type=float,
-                   help="comparability constant (default: smallest feasible)")
-    p.add_argument("--exact-max-k", type=int)
-    p.add_argument("--mc-reps", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
+    for command, table in _CONFIG.items():
+        p = sub.add_parser(command, help=_HELP[command])
+        for key in _SIMULATE_FLAGS if command == "simulate" else table:
+            p.add_argument(_flag(key), dest=key, type=_ARG_TYPES[table[key][0]])
+        if command in _MANIFESTED:
+            p.add_argument("--from-manifest")
+        if command == "simulate":
+            p.add_argument("--config", help="JSON config file")
+            # accepted only because the benchmark harness still passes it; it has no
+            # effect and is recorded nowhere, and goes once the harness stops passing it
+            p.add_argument("--workers", type=int, help=argparse.SUPPRESS)
 
     p = sub.add_parser("report", help="render a simulation bundle as a table")
     p.add_argument("--bundle", required=True)

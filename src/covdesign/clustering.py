@@ -29,11 +29,16 @@ class Clustering:
     __slots__ = ("assignment", "k")
 
     def __init__(self, assignment: np.ndarray, k: int):
-        assignment = np.asarray(assignment, dtype=np.int64)
+        assignment = np.asarray(assignment)
         if assignment.ndim != 1 or assignment.size == 0:
             raise ValueError("assignment must be a nonempty 1-d vector")
+        if assignment.dtype.kind not in "iu":
+            raise ValueError(f"cluster ids must be integers, got dtype {assignment.dtype}")
+        assignment = assignment.astype(np.int64, copy=False)
+        if assignment.min() < 0:
+            raise ValueError(f"cluster ids must be nonnegative, got {assignment.min()}")
         counts = np.bincount(assignment, minlength=k)
-        if assignment.min() < 0 or assignment.max() >= k or counts.size != k or np.any(counts == 0):
+        if assignment.max() >= k or counts.size != k or np.any(counts == 0):
             raise ValueError("cluster ids must cover 0..K-1 with no empty cluster")
         assignment.setflags(write=False)
         self.assignment = assignment

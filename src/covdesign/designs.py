@@ -32,6 +32,7 @@ __all__ = [
     "make_design",
     "enumerate_patterns",
     "DESIGN_KINDS",
+    "MAX_EXACT_K",
 ]
 
 DESIGN_KINDS = ("ber", "cr", "ibr", "ocd")
@@ -50,6 +51,9 @@ _ALIASES = {
 class DesignEnumerationError(ValueError):
     """Raised when a design cannot expose exact outcome probabilities."""
 
+
+# largest K whose 2^K outcome patterns the enumeration oracles list
+MAX_EXACT_K = 16
 
 # pattern rows the enumeration oracles evaluate at once: at K = 16 each
 # B x K float64 temporary is 512 KiB, against 8 MiB for all 2^16 rows
@@ -122,7 +126,10 @@ class Design:
         raise NotImplementedError
 
     def exact_distribution(self) -> tuple[np.ndarray, np.ndarray]:
-        """(patterns, probabilities) over the full support; cached, read-only."""
+        """(patterns, probabilities) over the full support; cached, read-only.
+        Refused above `MAX_EXACT_K` clusters."""
+        if self.k > MAX_EXACT_K:
+            raise DesignEnumerationError(f"K={self.k} exceeds enumeration cap {MAX_EXACT_K}")
         if self._exact is None:
             patterns, probs = self._enumerate()
             patterns.setflags(write=False)

@@ -285,9 +285,7 @@ def _parse_matrix_market(data: bytes) -> tuple[int, np.ndarray, None]:
         text = line.decode("utf-8", "replace").strip()
         if not text:
             continue
-        if header is None:
-            if not text.startswith("%%MatrixMarket"):
-                raise GraphFormatError(f"line {lineno}: missing %%MatrixMarket header")
+        if header is None:  # the caller found the %%MatrixMarket banner here
             fields = text.split()
             if len(fields) < 5 or fields[1] != "matrix" or fields[2] != "coordinate":
                 raise GraphFormatError(f"line {lineno}: unsupported header {text!r}")
@@ -342,8 +340,11 @@ def _edge_keys(pairs: np.ndarray, n: int) -> np.ndarray:
     return key
 
 
-def load_edge_list(path, fmt: str = "auto") -> Graph:
+def load_edge_list(path) -> Graph:
     """Load a graph from a plain edge list or MatrixMarket file.
+
+    A file whose first non-blank line starts with ``%%MatrixMarket`` is
+    read as MatrixMarket, any other as a plain list.
 
     Plain lists: one ``u v`` pair per line, separated by ASCII whitespace,
     each id a string of at most 18 ASCII digits; ``#`` comments ignored.
@@ -358,17 +359,12 @@ def load_edge_list(path, fmt: str = "auto") -> Graph:
     path = str(path)
     with open(path, "rb") as fh:
         data = fh.read()
-    if fmt == "auto":
-        start = _LEADING_SPACE.match(data).end()
-        at_line_start = start == 0 or data[start - 1] in b"\r\n"
-        fmt = ("matrix-market" if at_line_start and data.startswith(b"%%MatrixMarket", start)
-               else "edgelist")
-    if fmt in ("edgelist", "plain-edge-list"):
-        n, pairs, labels = _parse_plain_edge_list(data)
-    elif fmt == "matrix-market":
+    start = _LEADING_SPACE.match(data).end()
+    at_line_start = start == 0 or data[start - 1] in b"\r\n"
+    if at_line_start and data.startswith(b"%%MatrixMarket", start):
         n, pairs, labels = _parse_matrix_market(data)
     else:
-        raise ValueError(f"unknown edge-list format {fmt!r}")
+        n, pairs, labels = _parse_plain_edge_list(data)
     del data
     loop = pairs[:, 0] == pairs[:, 1]
     self_loops = int(np.count_nonzero(loop))

@@ -11,7 +11,7 @@ import hashlib
 import json
 from pathlib import Path
 
-VERSION = "0.6.0"
+VERSION = "0.7.0"
 
 __all__ = ["VERSION", "file_digest", "build_manifest", "write_manifest", "load_manifest",
            "read_json"]

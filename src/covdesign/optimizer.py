@@ -30,27 +30,28 @@ __all__ = [
 ]
 
 
+# Adam's moment decay rates and denominator epsilon
+BETA1 = 0.9
+BETA2 = 0.999
+MOMENT_EPSILON = 1e-8
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     iterations: int = 2000
     step_size: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    moment_epsilon: float = 1e-8
     clamp_epsilon: float = 1e-6
     omega: float = 1.0
     trace_stride: int = 10
 
     def __post_init__(self):
-        for name in ("step_size", "omega", "clamp_epsilon", "beta1", "beta2", "moment_epsilon"):
+        for name in ("step_size", "omega", "clamp_epsilon"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.iterations < 1 or self.step_size <= 0 or self.trace_stride < 1:
             raise ValueError("iterations, step_size and trace_stride must be positive")
-        if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
-            raise ValueError("moment decay rates must lie in (0, 1)")
-        if self.moment_epsilon <= 0 or self.clamp_epsilon <= 0 or self.omega < 0:
-            raise ValueError("epsilons must be positive and omega nonnegative")
+        if self.clamp_epsilon <= 0 or self.omega < 0:
+            raise ValueError("clamp_epsilon must be positive and omega nonnegative")
 
 
 @dataclass
@@ -191,6 +192,8 @@ def optimize(summary: ClusterSummary, config: OptimizerConfig = OptimizerConfig(
         r = np.array(r0, dtype=np.float64, order="C")
         if r.shape != (k, k):
             raise ValueError(f"warm start is {r.shape}, expected ({k}, {k})")
+        if not np.all(np.isfinite(r)):
+            raise ValueError("warm start has NaN or inf entries")
         _normalize_rows(r)
 
     evaluator = _Step(summary, config.omega, config.clamp_epsilon)
@@ -201,21 +204,20 @@ def optimize(summary: ClusterSummary, config: OptimizerConfig = OptimizerConfig(
 
     # moments scaled by 1/(1 - beta): m <- beta1 m + g, v <- beta2 v + g*g, and
     # the step lr m_hat / (sqrt(v_hat) + eps) becomes alpha_t m / (sqrt(v) + eps_t)
-    beta1, beta2 = config.beta1, config.beta2
     m = np.zeros((k, k))
     v = np.zeros((k, k))
     work = np.empty((k, k))
     for step in range(1, config.iterations + 1):
         if not math.isfinite(np.vdot(g, g)):
             _finite(g)
-        m *= beta1
+        m *= BETA1
         m += g
-        v *= beta2
+        v *= BETA2
         v += np.multiply(g, g, out=work)
-        c1 = (1.0 - beta1**step) / (1.0 - beta1)
-        c2 = (1.0 - beta2**step) / (1.0 - beta2)
+        c1 = (1.0 - BETA1**step) / (1.0 - BETA1)
+        c2 = (1.0 - BETA2**step) / (1.0 - BETA2)
         np.sqrt(v, out=work)
-        work += config.moment_epsilon * math.sqrt(c2)
+        work += MOMENT_EPSILON * math.sqrt(c2)
         np.divide(m, work, out=work)
         work *= config.step_size * math.sqrt(c2) / c1
         r -= work

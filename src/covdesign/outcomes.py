@@ -30,6 +30,16 @@ class AnalysisModelParams:
     beta: np.ndarray
     gamma: float
 
+    def __post_init__(self):
+        for name in ("alpha", "beta"):
+            values = getattr(self, name)
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:
+                raise ValueError(f"{name} must be finite, got {float(values[bad[0]])!r} "
+                                 f"for unit {bad[0]}")
+        if not math.isfinite(self.gamma):
+            raise ValueError(f"gamma must be finite, got {self.gamma!r}")
+
     @classmethod
     def uniform(cls, n: int, alpha: float = 0.0, beta: float = 1.0, gamma: float = 1.0):
         return cls(np.full(n, float(alpha)), np.full(n, float(beta)), float(gamma))

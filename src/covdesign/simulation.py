@@ -319,8 +319,7 @@ def run_exact(graph: Graph, clustering: Clustering,
               designs: tuple[tuple[str, Design], ...],
               model: AnalysisModelParams,
               estimators: tuple[str, ...] = ("ht",),
-              gammas: tuple[float, ...] | None = None,
-              k_max: int = 16) -> SimReport:
+              gammas: tuple[float, ...] | None = None) -> SimReport:
     """Exact bias / SD / MSE by summing over each design's full outcome
     distribution (noise-free analysis model only).
 
@@ -330,8 +329,6 @@ def run_exact(graph: Graph, clustering: Clustering,
     """
     if isinstance(model, SimModelParams):
         raise ValueError("exact enumeration requires the noise-free analysis model")
-    if clustering.k > k_max:
-        raise ValueError(f"K={clustering.k} exceeds enumeration cap {k_max}")
     gammas = tuple(gammas) if gammas is not None else (model.gamma,)
     _check_inputs(graph, clustering, designs, model, gammas, estimators)
 

@@ -109,11 +109,12 @@ class TestVarianceExact:
         se = np.sqrt((np.mean(centered**4) - var_hat**2) / est.size)
         assert abs(exact.variance - var_hat) <= 3 * se
 
-    def test_k_cap_enforced(self, sbm4):
-        graph, clustering = sbm4
-        summary = cd.build_cluster_summary(graph, clustering)
-        with pytest.raises(ValueError, match="exceeds"):
-            cd.variance_exact(summary, np.zeros(4), 1.0, cd.BernoulliDesign(4), k_max=3)
+    def test_k_cap_enforced(self):
+        k = cd.designs.MAX_EXACT_K + 1
+        graph = cd.Graph(k, [(i, i + 1) for i in range(k - 1)])
+        summary = cd.build_cluster_summary(graph, cd.Clustering(np.arange(k), k))
+        with pytest.raises(cd.DesignEnumerationError, match="^K=17 exceeds enumeration cap 16$"):
+            cd.variance_exact(summary, np.zeros(k), 1.0, cd.BernoulliDesign(k))
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_gamma_refused(self, sbm4, bad):
@@ -124,6 +125,26 @@ class TestVarianceExact:
     def test_k_mismatch(self, path_summary):
         with pytest.raises(ValueError, match="K="):
             cd.variance_exact(path_summary, np.zeros(2), 1.0, cd.BernoulliDesign(3))
+
+    def test_h_length_mismatch_names_both_sizes(self, path_summary):
+        with pytest.raises(ValueError, match=r"^h is \(3,\), expected \(2,\)$"):
+            cd.variance_exact(path_summary, np.zeros(3), 1.0, cd.BernoulliDesign(2))
+
+
+CLOSED_FORMS = {
+    "bias-gamma": ("gamma", lambda s, x: cd.bias_closed_form(s, 0.25 * np.eye(2), x)),
+    "omega-gamma": ("gamma", lambda s, x: cd.omega_from_model(s, np.ones(2), x)),
+    "bound-gamma": ("gamma", lambda s, x: cd.variance_bound(s, 0.25 * np.eye(2), x, 1.0)),
+    "bound-omega": ("omega", lambda s, x: cd.variance_bound(s, 0.25 * np.eye(2), 1.0, x)),
+}
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("case", sorted(CLOSED_FORMS))
+def test_closed_forms_refuse_non_finite_parameters(path_summary, case, bad):
+    name, call = CLOSED_FORMS[case]
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got {bad!r}$"):
+        call(path_summary, bad)
 
 
 class TestVarianceBound:

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -118,6 +119,16 @@ class TestOptimize:
         assert run(["optimize", "--graph", graph_path, "--clusters", clusters_path,
                     "--warm-start", bad, "--out", tmp / "r.csv"]) == 2
         assert capsys.readouterr().err == "error: warm start is (3, 3), expected (4, 4)\n"
+        assert not list(tmp.glob("r.csv*"))
+
+    def test_non_finite_warm_start_is_refused_before_a_step(self, workspace, capsys):
+        tmp, _, _, graph_path, clusters_path = workspace
+        warm = np.eye(4)
+        warm[2, 1] = np.nan
+        np.savetxt(tmp / "warm.csv", warm, delimiter=",")
+        assert run(["optimize", "--graph", graph_path, "--clusters", clusters_path,
+                    "--warm-start", tmp / "warm.csv", "--out", tmp / "r.csv"]) == 2
+        assert capsys.readouterr().err == "error: warm start has NaN or inf entries\n"
         assert not list(tmp.glob("r.csv*"))
 
     def test_unparsable_warm_start_names_its_file(self, workspace, capsys):
@@ -242,7 +253,7 @@ class TestSimulate:
         assert bundle["meta"]["streams"] == {"per": ["design", "gamma", "block"],
                                              "block": cd.simulation.BLOCK}
 
-    @pytest.mark.parametrize("key", ["workers", "shared_noise", "replication"])
+    @pytest.mark.parametrize("key", ["workers", "shared_noise", "replication", "graph_format"])
     def test_unknown_config_key_is_refused_by_name(self, prepared, capsys, key):
         tmp, graph_path, clusters_path = prepared
         cfg = write_sim_config(tmp, graph_path, clusters_path, **{key: 1})
@@ -507,6 +518,14 @@ BOUNDARY = {
                             "{src}has no cell for design 'ber', gamma 0.5 and estimator 'ht'"),
     "manifest-without-out": (_cluster_manifest(lambda c: c.pop("out")),
                              "{src}cluster config is missing required key 'out'"),
+    "manifest-graph-format": (_cluster_manifest(lambda c: c.update(graph_format="auto")),
+                              "{src}unknown cluster config key 'graph_format'"),
+    "analysis-alpha-nan": (_sim(lambda c: {**c, "model": {"kind": "analysis",
+                                                         "alpha": float("nan")}}),
+                           "alpha must be finite, got nan for unit 0"),
+    "flag-analyze-missing-design": (_flags("analyze", "--graph", "GRAPH",
+                                           "--clusters", "CLUSTERS", "--out", "OUT"),
+                                    "--design is required"),
     "manifest-resolution-string": (_cluster_manifest(lambda c: c.update(resolution="high")),
                                    "{src}resolution must be a number, got 'high'"),
     "flag-seed-negative": (_flags("cluster", "--graph", "GRAPH", "--seed", "-1",
@@ -576,3 +595,32 @@ def test_manifest_resolved_config_has_exactly_the_table_keys(workspace):
                           ("simulate", tmp / "simulation-out" / "simulate.manifest.json")):
         manifest = json.loads(path.read_text())
         assert set(manifest["resolved_config"]) == set(_CONFIG[command]), command
+
+
+# the flags each command takes besides one per key of its table
+EXTRA_FLAGS = {"cluster": {"--from-manifest"}, "optimize": {"--from-manifest"},
+               "simulate": {"--from-manifest", "--config", "--workers"}, "analyze": set()}
+
+
+def test_each_command_has_one_flag_per_table_key():
+    from covdesign.cli import _CONFIG, build_parser
+
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {command: {a.option_strings[0]: a.dest for a in parser._actions
+                       if a.option_strings[0] not in ("-h", "--help")}
+             for command, parser in sub.choices.items()}
+    assert flags["cluster"].keys() == {"--graph", "--resolution", "--seed", "--out",
+                                       "--from-manifest"}
+    assert flags["optimize"].keys() == {"--graph", "--clusters", "--omega", "--iters", "--lr",
+                                        "--trace-stride", "--clamp-eps", "--warm-start",
+                                        "--out", "--from-manifest"}
+    assert flags["simulate"].keys() == {"--reps", "--seed", "--out-dir", "--from-manifest",
+                                        "--config", "--workers"}
+    assert flags["analyze"].keys() == {"--graph", "--clusters", "--design", "--block-size",
+                                       "--root", "--gamma", "--beta", "--omega", "--mc-reps",
+                                       "--seed", "--out"}
+    assert flags["report"].keys() == {"--bundle", "--estimator"}
+    for command, extra in EXTRA_FLAGS.items():
+        keys = {dest for flag, dest in flags[command].items() if flag not in extra}
+        assert keys == (set(_CONFIG[command]) if command != "simulate"
+                        else {"replications", "seed", "out_dir"}), command

@@ -146,6 +146,15 @@ class TestClusteringType:
         with pytest.raises(ValueError):
             cd.Clustering([0, 3], 2)
 
+    def test_rejects_negative_id(self):
+        with pytest.raises(ValueError, match="^cluster ids must be nonnegative, got -1$"):
+            cd.Clustering([-1, 0, 1], 2)
+
+    @pytest.mark.parametrize("ids", [[0.7, 1.2], [0.0, 1.0], [True, False]])
+    def test_rejects_non_integer_ids(self, ids):
+        with pytest.raises(ValueError, match="^cluster ids must be integers, got dtype"):
+            cd.Clustering(ids, 2)
+
 
 class TestClusteringIO:
     def test_round_trip(self, tmp_path):

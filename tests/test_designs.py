@@ -300,6 +300,17 @@ class TestSignGaussian:
 
 class TestMarginalsAcrossDesigns:
     @pytest.mark.parametrize("factory", [
+        cd.BernoulliDesign,
+        cd.CompleteDesign,
+        lambda k: cd.BlockDesign(k, [range(k)]),
+        lambda k: cd.SignGaussianDesign(np.eye(k)),
+    ])
+    def test_every_design_refuses_enumeration_above_the_cap(self, factory):
+        design = factory(cd.designs.MAX_EXACT_K + 1)
+        with pytest.raises(DesignEnumerationError, match="^K=17 exceeds enumeration cap 16$"):
+            design.exact_distribution()
+
+    @pytest.mark.parametrize("factory", [
         lambda: cd.BernoulliDesign(5),
         lambda: cd.CompleteDesign(5),
         lambda: cd.BlockDesign(5, [(0, 1), (2, 3), (4,)]),

@@ -15,6 +15,7 @@ from hypothesis.extra.numpy import arrays
 
 import covdesign as cd
 from conftest import random_unit_rows, unit_rows
+from covdesign.optimizer import BETA1, BETA2, MOMENT_EPSILON
 
 RTOL = 1e-12
 
@@ -63,11 +64,11 @@ def ref_optimize(summary, config):
     v = np.zeros((k, k))
     for step in range(1, config.iterations + 1):
         g = ref_gradient(r, summary, config.omega, config.clamp_epsilon)
-        m = config.beta1 * m + (1.0 - config.beta1) * g
-        v = config.beta2 * v + (1.0 - config.beta2) * g * g
-        m_hat = m / (1.0 - config.beta1**step)
-        v_hat = v / (1.0 - config.beta2**step)
-        r = unit_rows(r - config.step_size * m_hat / (np.sqrt(v_hat) + config.moment_epsilon))
+        m = BETA1 * m + (1.0 - BETA1) * g
+        v = BETA2 * v + (1.0 - BETA2) * g * g
+        m_hat = m / (1.0 - BETA1**step)
+        v_hat = v / (1.0 - BETA2**step)
+        r = unit_rows(r - config.step_size * m_hat / (np.sqrt(v_hat) + MOMENT_EPSILON))
         if step % config.trace_stride == 0 or step == config.iterations:
             rows.append((step, *ref_objective(r, summary, config.omega, config.clamp_epsilon)))
     return r, rows

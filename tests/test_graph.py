@@ -69,7 +69,7 @@ class TestLoadEdgeList:
 class TestMatrixMarket:
     def test_pattern_symmetric(self, tmp_path):
         text = "%%MatrixMarket matrix coordinate pattern symmetric\n% comment\n4 4 3\n1 2\n2 3\n3 4\n"
-        g = cd.load_edge_list(write(tmp_path, "g.mtx", text), fmt="matrix-market")
+        g = cd.load_edge_list(write(tmp_path, "g.mtx", text))
         assert g.n == 4
         assert np.array_equal(g.degrees, [1, 2, 2, 1])
 

@@ -173,6 +173,13 @@ class TestOptimize:
         with pytest.raises(ValueError, match="expected"):
             cd.optimize(path_summary, r0=np.eye(3))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_warm_start_is_refused_before_a_step(self, path_summary, bad):
+        r0 = np.eye(2)
+        r0[1, 0] = bad
+        with pytest.raises(ValueError, match="^warm start has NaN or inf entries$"):
+            cd.optimize(path_summary, cd.OptimizerConfig(iterations=5), r0=r0)
+
     def test_warm_start_is_left_unmodified(self, sbm4):
         graph, clustering = sbm4
         summary = cd.build_cluster_summary(graph, clustering)
@@ -220,13 +227,10 @@ class TestOptimizerConfig:
         with pytest.raises(ValueError):
             cd.OptimizerConfig(step_size=-1.0)
         with pytest.raises(ValueError):
-            cd.OptimizerConfig(beta1=1.5)
-        with pytest.raises(ValueError):
             cd.OptimizerConfig(omega=-0.5)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
-    @pytest.mark.parametrize("name", ["step_size", "omega", "clamp_epsilon", "beta1", "beta2",
-                                      "moment_epsilon"])
+    @pytest.mark.parametrize("name", ["step_size", "omega", "clamp_epsilon"])
     def test_non_finite_value_names_field(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             cd.OptimizerConfig(**{name: value})

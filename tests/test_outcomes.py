@@ -47,6 +47,25 @@ class TestEvalAnalysis:
                            atol=1e-14)
 
 
+class TestAnalysisModelParams:
+    @pytest.mark.parametrize("field", ["alpha", "beta"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_unit_values(self, field, bad):
+        params = cd.AnalysisModelParams.uniform(4)
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {bad!r} for unit 2$"):
+            dataclasses.replace(params, **{field: np.array([0.0, 1.0, bad, 2.0])})
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_gamma(self, bad):
+        with pytest.raises(ValueError, match=f"^gamma must be finite, got {bad!r}$"):
+            cd.AnalysisModelParams.uniform(4, gamma=bad)
+
+    def test_keeps_its_arrays(self):
+        alpha, beta = np.zeros(3), np.ones(3, dtype=np.float32)
+        params = cd.AnalysisModelParams(alpha, beta, 1.0)
+        assert params.alpha is alpha and params.beta is beta
+
+
 class TestGateAnalysis:
     def test_no_interference(self, path_graph):
         params = cd.AnalysisModelParams.uniform(4, beta=1.0, gamma=0.0)
