@@ -36,7 +36,6 @@ from .analysis import (
     bias_closed_form,
     h_vector,
     is_valid_covariance,
-    objective_f,
     objective_terms,
     omega_from_model,
     variance_bound,
@@ -56,7 +55,6 @@ from .optimizer import (
     OptimizationError,
     OptimizerConfig,
     OptTrace,
-    covariance_from_root,
     evaluate_root,
     optimize,
 )
@@ -77,12 +75,12 @@ __all__ = [
     "AnalysisModelParams", "SimModelParams", "gate_analysis", "gate_sim", "with_gamma",
     "EstimateRecord", "cluster_estimates", "dim", "ht", "ht_adjusted",
     "ExactVariance", "bias_closed_form", "h_vector", "is_valid_covariance",
-    "objective_f", "objective_terms", "omega_from_model", "variance_bound",
+    "objective_terms", "omega_from_model", "variance_bound",
     "variance_exact",
     "BernoulliDesign", "BlockDesign", "CompleteDesign", "Design",
     "DesignEnumerationError", "SignGaussianDesign", "build_ibr_blocks",
     "make_design",
-    "OptimizationError", "OptimizerConfig", "OptTrace", "covariance_from_root",
-    "evaluate_root", "optimize",
+    "OptimizationError", "OptimizerConfig", "OptTrace", "evaluate_root",
+    "optimize",
     "ReportCell", "SimConfig", "SimReport", "baseline_levels", "run_exact", "run_mc",
 ]

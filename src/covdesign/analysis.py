@@ -25,7 +25,6 @@ __all__ = [
     "omega_from_model",
     "variance_bound",
     "objective_terms",
-    "objective_f",
     "ExactVariance",
     "variance_exact",
     "is_valid_covariance",
@@ -129,11 +128,6 @@ def objective_terms(summary: ClusterSummary, cov: np.ndarray,
     """
     variance_term = 8.0 * (omega**2 + 4.0) * _variance_core(summary, cov, omega)
     return _bias_core(summary, cov) ** 2, variance_term
-
-
-def objective_f(summary: ClusterSummary, cov: np.ndarray, omega: float) -> float:
-    bias_term, variance_term = objective_terms(summary, cov, omega)
-    return bias_term + variance_term
 
 
 @dataclass(frozen=True)

@@ -111,9 +111,7 @@ _CONFIG = {
     },
     "optimize": {
         "graph": (str, _REQUIRED), "clustering": (str, _REQUIRED),
-        "omega": (float, _OPT.omega),
-        "iterations": (int, _OPT.iterations), "step_size": (float, _OPT.step_size),
-        "trace_stride": (int, _OPT.trace_stride), "clamp_epsilon": (float, _OPT.clamp_epsilon),
+        "omega": (float, _OPT.omega), "iterations": (int, _OPT.iterations),
         "warm_start": ((str, None), None), "out": (str, _REQUIRED),
     },
     "simulate": {
@@ -138,8 +136,7 @@ _MANIFESTED = ("cluster", "optimize", "simulate")
 # the only keys simulate takes as flags; the rest come from its --config file
 _SIMULATE_FLAGS = ("replications", "seed", "out_dir")
 # flag names that are not the key with "-" for "_"
-_FLAGS = {"clustering": "clusters", "iterations": "iters", "step_size": "lr",
-          "clamp_epsilon": "clamp-eps", "replications": "reps"}
+_FLAGS = {"clustering": "clusters", "iterations": "iters", "replications": "reps"}
 _TYPE_NAMES = {float: "a number", _FINITE: "a finite number", int: "an integer",
                str: "a string", None: "null"}
 
@@ -285,26 +282,29 @@ def _run_optimize(cfg: dict) -> dict:
         inputs.append(cfg["warm_start"])
     timings["load"] = time.perf_counter() - t0
 
-    config = OptimizerConfig(**{k: cfg[k] for k in (
-        "iterations", "step_size", "clamp_epsilon", "omega", "trace_stride")})
+    config = OptimizerConfig(iterations=cfg["iterations"], omega=cfg["omega"])
     t0 = time.perf_counter()
     root, trace = optimize(summary, config, r0=r0)
     timings["optimize"] = time.perf_counter() - t0
 
     out = Path(cfg["out"])
     out.parent.mkdir(parents=True, exist_ok=True)
-    np.savetxt(out, root, fmt=_FLOAT_FMT, delimiter=",")
+    # zero-padded to K x K: the same Gram, and the same design once read back
+    padded = np.zeros((summary.k, summary.k))
+    padded[:, :root.shape[1]] = root
+    np.savetxt(out, padded, fmt=_FLOAT_FMT, delimiter=",")
     trace_path = out.with_suffix(out.suffix + ".trace.csv")
     _write_csv(trace_path,
                ["iteration", "objective", "bias_term", "variance_term", "clamped",
-                "grad_norm"],
+                "grad_norm", "step", "g"],
                trace.rows())
+    results = {"rank": root.shape[1], "evaluations": trace.evaluations}
     sidecar = {
         "k": summary.k,
         "omega": cfg["omega"],
         "iterations": cfg["iterations"],
-        "step_size": cfg["step_size"],
-        "objective_initial": trace.objective[0],
+        **results,
+        "objective_initial": trace.objective_initial,
         "objective_final": trace.objective[-1],
         "bias_term_final": trace.bias_term[-1],
         "variance_term_final": trace.variance_term[-1],
@@ -317,11 +317,12 @@ def _run_optimize(cfg: dict) -> dict:
                             encoding="utf-8")
     manifest = build_manifest("optimize", cfg, inputs,
                               [out, sidecar_path, trace_path],
-                              {}, timings)
+                              {}, timings, **results)
     write_manifest(manifest, str(out) + ".manifest.json")
-    reduction = 1.0 - trace.objective[-1] / trace.objective[0] if trace.objective[0] else 0.0
-    print(f"wrote {out} (f: {trace.objective[0]:.6g} -> {trace.objective[-1]:.6g}, "
-          f"reduction {100 * reduction:.2f}%)")
+    start, final = trace.objective_initial, trace.objective[-1]
+    reduction = 1.0 - final / start if start else 0.0
+    print(f"wrote {out} (f: {start:.6g} -> {final:.6g}, reduction {100 * reduction:.2f}%, "
+          f"rank {root.shape[1]})")
     return manifest
 
 

@@ -28,6 +28,7 @@ __all__ = [
     "BlockDesign",
     "SignGaussianDesign",
     "arcsin_covariance",
+    "nonzero_columns",
     "build_ibr_blocks",
     "make_design",
     "enumerate_patterns",
@@ -243,6 +244,11 @@ class CompleteDesign(BlockDesign):
         super().__init__(k, [range(k)])
 
 
+def nonzero_columns(root: np.ndarray) -> np.ndarray:
+    """A copy of `root` without its all-zero columns."""
+    return root[:, np.any(root != 0.0, axis=0)]
+
+
 def arcsin_covariance(gram: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Sign-Gaussian covariance arcsin(A)/(2 pi) of correlations A, diagonal
     pinned at 1/4; written into `out` when given (which may be `gram`)."""
@@ -253,22 +259,25 @@ def arcsin_covariance(gram: np.ndarray, out: np.ndarray | None = None) -> np.nda
 
 
 class SignGaussianDesign(Design):
-    """Thresholded-Gaussian design: t = 1{R eta >= 0}, eta ~ N(0, I).
+    """Thresholded-Gaussian design: t = 1{R eta >= 0}, eta ~ N(0, I_p).
 
-    Rows of the root matrix must have unit 2-norm, which pins every
-    marginal at 1/2 and yields the treatment covariance
-    arcsin(R R^T) / (2 pi) elementwise.  Ties at zero count as treated
-    (a measure-zero convention kept for bit reproducibility).
+    The root R is K x p with p <= K.  Its rows must have unit 2-norm, which
+    pins every marginal at 1/2 and yields the treatment covariance
+    arcsin(R R^T) / (2 pi) elementwise.  All-zero columns are dropped, so a
+    zero-padded root and its trimmed form are one design: same covariance,
+    draws and stream.  Ties at zero count as treated (a measure-zero
+    convention kept for bit reproducibility).
     """
 
     kind = "ocd"
 
     def __init__(self, root: np.ndarray):
         root = np.array(root, dtype=np.float64)
-        if root.ndim != 2 or root.shape[0] != root.shape[1]:
-            raise ValueError("root must be a square matrix")
+        if root.ndim != 2 or root.shape[1] > root.shape[0]:
+            raise ValueError(f"root is {root.shape}, expected K x p with p <= K")
         if not np.all(np.isfinite(root)):
             raise ValueError("root has NaN or inf entries")
+        root = nonzero_columns(root)
         norms = np.linalg.norm(root, axis=1)
         if np.max(np.abs(norms - 1.0)) > 1e-6:
             raise ValueError("root rows must have unit 2-norm")
@@ -282,7 +291,8 @@ class SignGaussianDesign(Design):
         return a
 
     def sample_many(self, rng, size):
-        return (rng.standard_normal((size, self.k)) @ self.root.T >= 0.0).astype(np.float64)
+        return (rng.standard_normal((size, self.root.shape[1])) @ self.root.T
+                >= 0.0).astype(np.float64)
 
     def _stream_material(self):
         return self.root.tobytes()
@@ -372,6 +382,6 @@ def make_design(kind: str, k: int, summary: ClusterSummary | None = None,
     if root is None:
         raise ValueError("ocd design needs an optimized root matrix")
     root = np.asarray(root, dtype=np.float64)
-    if root.shape != (k, k):
-        raise ValueError(f"root matrix is {root.shape}, expected ({k}, {k})")
+    if root.ndim != 2 or root.shape[0] != k or root.shape[1] > k:
+        raise ValueError(f"root matrix is {root.shape}, expected ({k}, p) with p <= {k}")
     return SignGaussianDesign(root)

@@ -11,7 +11,7 @@ import hashlib
 import json
 from pathlib import Path
 
-VERSION = "0.7.0"
+VERSION = "0.8.0"
 
 __all__ = ["VERSION", "file_digest", "build_manifest", "write_manifest", "load_manifest",
            "read_json"]
@@ -26,8 +26,10 @@ def file_digest(path) -> str:
 
 
 def build_manifest(command: str, resolved_config: dict, inputs, outputs,
-                   seeds: dict, timings: dict) -> dict:
+                   seeds: dict, timings: dict, **results) -> dict:
+    """The manifest of one run; `results` are extra top-level facts about it."""
     return {
+        **results,
         "tool_version": VERSION,
         "command": command,
         "resolved_config": resolved_config,

@@ -1,65 +1,80 @@
-"""Projected gradient descent over the unit-row correlation root.
+"""Riemannian Barzilai-Borwein descent over a low-rank unit-row root.
 
-The decision variable is a K x K matrix R with unit-norm rows, so the
+The decision variable is a K x p matrix R with unit-norm rows, so the
 Gram matrix A = R R^T is a legal Gaussian correlation matrix and the
 induced treatment covariance X = arcsin(A)/(2 pi) automatically satisfies
 the balanced-design constraints (diagonal 1/4, off-diagonals in
-[-1/4, 1/4]).  Steps use an adaptive-moment update followed by row
-renormalization, which is the Frobenius projection back onto the
-constraint set.
+[-1/4, 1/4]).  The unit-row matrices form the oblique manifold; steps
+follow its Riemannian gradient, row renormalization is the retraction,
+and the step sizes are Barzilai-Borwein steps safeguarded by a
+nonmonotone Armijo backtrack (Grippo, Lampariello & Lucidi 1986).  The
+rank p is a rule of K (Burer-Monteiro; Boumal, Voroninski & Bandeira
+2016), not a setting.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import _bias_core, objective_terms
+from .analysis import _bias_core, _variance_core, objective_terms
 from .clustering import ClusterSummary
-from .designs import arcsin_covariance
+from .designs import arcsin_covariance, nonzero_columns
 
 __all__ = [
     "OptimizerConfig",
     "OptTrace",
     "OptimizationError",
-    "covariance_from_root",
     "evaluate_root",
     "optimize",
+    "rank_for",
 ]
 
 
-# Adam's moment decay rates and denominator epsilon
-BETA1 = 0.9
-BETA2 = 0.999
-MOMENT_EPSILON = 1e-8
+# the arcsine clamp: Gram entries are held within +-(1 - CLAMP_EPSILON)
+CLAMP_EPSILON = 1e-6
+# a trace row every TRACE_STRIDE evaluations
+TRACE_STRIDE = 10
+# nonmonotone Armijo test: sufficient-decrease constant, and how many
+# accepted values of f the reference maximum looks back over
+ARMIJO = 1e-4
+MEMORY = 10
+# the first step moves the root by FIRST_STEP in Frobenius norm
+FIRST_STEP = 0.1
+# seed of the row-normalized Gaussian start used when p < K
+START_SEED = 0
+
+
+def rank_for(k: int) -> int:
+    """Columns of the root for K clusters: min(K, max(32, ceil(sqrt(2K))))."""
+    return min(k, max(32, math.isqrt(2 * k - 1) + 1))
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     iterations: int = 2000
-    step_size: float = 0.01
-    clamp_epsilon: float = 1e-6
     omega: float = 1.0
-    trace_stride: int = 10
 
     def __post_init__(self):
-        for name in ("step_size", "omega", "clamp_epsilon"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if self.iterations < 1 or self.step_size <= 0 or self.trace_stride < 1:
-            raise ValueError("iterations, step_size and trace_stride must be positive")
-        if self.clamp_epsilon <= 0 or self.omega < 0:
-            raise ValueError("clamp_epsilon must be positive and omega nonnegative")
+        if not math.isfinite(self.omega):
+            raise ValueError(f"omega must be finite, got {self.omega!r}")
+        if self.iterations < 1 or self.omega < 0:
+            raise ValueError("iterations must be positive and omega nonnegative")
 
 
 @dataclass
 class OptTrace:
-    """Objective trajectory recorded every `trace_stride` iterations.
+    """Objective trajectory: the current iterate every `TRACE_STRIDE`
+    evaluations, then the returned (best accepted) iterate.
 
-    The first entry is the starting point and the last entry always
-    corresponds to the returned matrix.  `grad_norm` is the gradient's norm.
+    `iterations` holds the evaluation count of each row, `step` the step
+    size that accepted the row's iterate (0 at the start), `grad_norm` the
+    norm of its Riemannian gradient and `design_term` the design-dependent
+    part of f.  `objective_initial` is the value the result may not
+    exceed: f at the warm start, or at the independent design I/4.
     """
 
     iterations: list[int] = field(default_factory=list)
@@ -68,22 +83,28 @@ class OptTrace:
     variance_term: list[float] = field(default_factory=list)
     clamped: list[int] = field(default_factory=list)
     grad_norm: list[float] = field(default_factory=list)
+    step: list[float] = field(default_factory=list)
+    design_term: list[float] = field(default_factory=list)
     roots: list[np.ndarray] = field(default_factory=list)
+    objective_initial: float = math.nan
+    evaluations: int = 0
 
-    def append(self, iteration: int, f: float, bias: float, variance: float,
-               n_clamped: int, grad_norm: float, root: np.ndarray | None = None) -> None:
+    def append(self, iteration: int, point: "_Point", floor: float,
+               root: np.ndarray | None = None) -> None:
         self.iterations.append(iteration)
-        self.objective.append(f)
-        self.bias_term.append(bias)
-        self.variance_term.append(variance)
-        self.clamped.append(n_clamped)
-        self.grad_norm.append(grad_norm)
+        self.objective.append(point.f)
+        self.bias_term.append(point.bias)
+        self.variance_term.append(point.variance)
+        self.clamped.append(point.clamped)
+        self.grad_norm.append(math.sqrt(point.gg))
+        self.step.append(point.step)
+        self.design_term.append(point.f - floor)
         if root is not None:
             self.roots.append(root.copy())
 
     def rows(self):
-        return zip(self.iterations, self.objective, self.bias_term,
-                   self.variance_term, self.clamped, self.grad_norm)
+        return zip(self.iterations, self.objective, self.bias_term, self.variance_term,
+                   self.clamped, self.grad_norm, self.step, self.design_term)
 
 
 class OptimizationError(RuntimeError):
@@ -93,147 +114,175 @@ class OptimizationError(RuntimeError):
 
 
 def _normalize_rows(r: np.ndarray) -> np.ndarray:
-    """Scale each row of `r` to unit 2-norm in place; numerically zero rows
-    become the corresponding standard basis row."""
+    """Scale each row of `r` to unit 2-norm in place; a numerically zero row i
+    becomes the standard basis row e_(i mod p)."""
     norms = np.sqrt(np.einsum("ij,ij->i", r, r))
     zero = norms < 1e-12
     if np.any(zero):
-        r[zero] = np.eye(r.shape[0])[zero]
+        r[zero] = np.eye(r.shape[1])[np.flatnonzero(zero) % r.shape[1]]
         norms[zero] = 1.0
     r /= norms[:, None]
     return r
 
 
-def covariance_from_root(r: np.ndarray) -> np.ndarray:
-    """Treatment covariance arcsin(R R^T)/(2 pi) with the diagonal pinned
-    at exactly 1/4 (unit rows make it 1/4 up to rounding)."""
-    r = np.asarray(r, dtype=np.float64)
-    return arcsin_covariance(np.clip(r @ r.T, -1.0, 1.0))
-
-
 class _Step:
-    """The objective's constants and the K x K buffers of one evaluation.
+    """The objective's constants and the buffers of one evaluation at a
+    K x p root: K x K Gram, covariance and slope, K x p gradient.
 
     With X = arcsin(A)/(2 pi) of the Gram matrix A = R R^T clamped to
-    |A_ij| <= 1 - clamp_epsilon, dF/dX = a C + Q, where a = 8 (4 tr(C X) - S)
+    |A_ij| <= 1 - CLAMP_EPSILON, dF/dX = a C + Q, where a = 8 (4 tr(C X) - S)
     and Q = 8 (omega^2+4) d d'; tr(C X) = <C, X> as C is symmetric.  dX/dA is
     elementwise and dA/dR gives 2 G_A R; the 2 is folded into the slope
-    1/(pi sqrt(1 - A^2)).  diag(A) plays no part: the projection pins it at 1.
+    1/(pi sqrt(1 - A^2)), and its 1/pi into a and Q.  diag(A) plays no part:
+    the retraction pins it at 1.  Each product costs K^2 p.
     """
 
-    def __init__(self, summary: ClusterSummary, omega: float, clamp_epsilon: float):
+    def __init__(self, summary: ClusterSummary, omega: float, p: int):
         d = summary.cluster_degrees
         k = summary.k
         self.summary, self.omega = summary, omega
-        self.q = np.outer(8.0 * (omega**2 + 4.0) * d, d)
-        self.limit = 1.0 - clamp_epsilon
-        self.gram, self.cov, self.d_cov, self.grad = (np.empty((k, k)) for _ in range(4))
+        self.q_pi = np.outer(8.0 * (omega**2 + 4.0) / np.pi * d, d)
+        self.limit = 1.0 - CLAMP_EPSILON
+        self.gram, self.cov, self.d_cov = (np.empty((k, k)) for _ in range(3))
+        self.grad = np.empty((k, p))
 
-    def run(self, r: np.ndarray, terms: bool):
-        """Write the gradient at `r` into ``self.grad``; with `terms`, return
+    def run(self, r: np.ndarray):
+        """Write the gradient at `r` into ``self.grad`` and return
         ``(f, bias_term, variance_term, n_clamped)``, where ``n_clamped``
         counts the off-diagonal Gram entries the clamp moved."""
         gram = np.matmul(r, r.T, out=self.gram)
-        if terms:
-            over = np.abs(gram) > self.limit
-            n_clamped = int(np.count_nonzero(over)) - int(np.count_nonzero(np.diagonal(over)))
+        over = np.abs(gram) > self.limit
+        n_clamped = int(np.count_nonzero(over)) - int(np.count_nonzero(np.diagonal(over)))
         np.clip(gram, -self.limit, self.limit, out=gram)
         cov = arcsin_covariance(gram, out=self.cov)
-        d_cov = np.multiply(self.summary.contact, 8.0 * _bias_core(self.summary, cov),
-                            out=self.d_cov)
-        d_cov += self.q
-        # pi sqrt(1 - A^2) = 1 / (2 dX/dA), built in gram's buffer
+        bias = _bias_core(self.summary, cov)
+        d_cov = np.multiply(self.summary.contact, 8.0 * bias / np.pi, out=self.d_cov)
+        d_cov += self.q_pi
+        # sqrt(1 - A^2) = 1 / (2 pi dX/dA), built in gram's buffer
         denom = np.multiply(gram, gram, out=gram)
         np.subtract(1.0, denom, out=denom)
         np.sqrt(denom, out=denom)
-        denom *= np.pi
         d_cov /= denom
         np.fill_diagonal(d_cov, 0.0)
         np.matmul(d_cov, r, out=self.grad)
-        if terms:
-            bias_term, variance_term = objective_terms(self.summary, cov, self.omega)
-            return bias_term + variance_term, bias_term, variance_term, n_clamped
+        variance_term = 8.0 * (self.omega**2 + 4.0) * _variance_core(self.summary, cov,
+                                                                     self.omega)
+        return bias * bias + variance_term, bias * bias, variance_term, n_clamped
 
 
-def evaluate_root(r: np.ndarray, summary: ClusterSummary, omega: float,
-                  clamp_epsilon: float = 1e-6):
-    """``(f, bias_term, variance_term, n_clamped, gradient)`` at a root, all
-    from one Gram matrix A = R R^T clamped to |A_ij| <= 1 - clamp_epsilon
+def evaluate_root(r: np.ndarray, summary: ClusterSummary, omega: float):
+    """``(f, bias_term, variance_term, n_clamped, gradient)`` at a K x p root,
+    all from one Gram matrix A = R R^T clamped to |A_ij| <= 1 - CLAMP_EPSILON
     (``n_clamped`` counts the off-diagonal entries it moved); see `_Step`.
-    The gradient is unchecked.
+    The gradient is the Euclidean one, K x p, and unchecked.
     """
-    step = _Step(summary, omega, clamp_epsilon)
-    return (*step.run(np.ascontiguousarray(r, dtype=np.float64), True), step.grad)
+    r = np.ascontiguousarray(r, dtype=np.float64)
+    step = _Step(summary, omega, r.shape[1])
+    return (*step.run(r), step.grad)
 
 
-def _finite(gradient: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(gradient)):
+@dataclass
+class _Point:
+    """An accepted iterate's values: f and its terms, the Riemannian
+    gradient `rg` with its squared norm, and the step that reached it."""
+
+    f: float
+    bias: float
+    variance: float
+    clamped: int
+    rg: np.ndarray
+    gg: float
+    step: float
+
+
+def _point(r: np.ndarray, grad: np.ndarray, terms, step: float) -> _Point:
+    """Project the Euclidean gradient onto the tangent space at `r`:
+    G - diag(<G_i, R_i>) R."""
+    rg = grad - np.einsum("ij,ij->i", grad, r)[:, None] * r
+    gg = float(np.vdot(rg, rg))
+    if not math.isfinite(gg):
         raise FloatingPointError("non-finite gradient; arcsine clamp failed")
-    return gradient
+    return _Point(*terms, rg, gg, step)
+
+
+def _start(k: int, r0: np.ndarray | None) -> np.ndarray:
+    """The identity when `rank_for(k)` is K, else a row-normalized Gaussian
+    K x p from `START_SEED`; a warm start keeps its nonzero columns."""
+    if r0 is None:
+        p = rank_for(k)
+        if p == k:
+            return np.eye(k)
+        return _normalize_rows(np.random.default_rng(START_SEED).standard_normal((k, p)))
+    r = np.array(r0, dtype=np.float64)
+    if r.ndim != 2 or r.shape[0] != k or r.shape[1] > k:
+        raise ValueError(f"warm start is {r.shape}, expected ({k}, p) with p <= {k}")
+    if not np.all(np.isfinite(r)):
+        raise ValueError("warm start has NaN or inf entries")
+    r = nonzero_columns(r)
+    if r.shape[1] == 0:
+        raise ValueError("warm start is all zeros")
+    return _normalize_rows(r)
 
 
 def optimize(summary: ClusterSummary, config: OptimizerConfig = OptimizerConfig(),
              r0: np.ndarray | None = None,
              collect_roots: bool = False) -> tuple[np.ndarray, OptTrace]:
-    """Minimize the design objective over unit-row roots.
+    """Minimize the design objective over unit-row K x p roots.
 
-    Starts from the identity (the independent design) unless a warm start
-    is given.  Individual steps may transiently increase the objective
-    (adaptive step plus projection), but the final value is required to
-    improve on - or match - the starting value; a violation raises with
-    the trace attached.  Deterministic for a fixed configuration.  With
-    `collect_roots` the trace keeps a copy of the root at every recorded
-    iteration so constraint satisfaction can be audited afterwards.
+    Starts from `_start`.  `config.iterations` is the budget of objective
+    evaluations after the start; the search stops early only at a zero
+    Riemannian gradient.  Each trial point R - alpha g, renormalized, is
+    accepted once f falls ARMIJO alpha |g|^2 below the largest of the last
+    MEMORY accepted values, and alpha halves otherwise; an accepted step
+    sets the next alpha to the Barzilai-Borwein step |<s,s>/<s,y>| or
+    |<s,y>/<y,y>|, alternately.  Returns the best accepted iterate, which
+    must improve on - or match - `trace.objective_initial`; a violation
+    raises with the trace attached.  Deterministic for a fixed
+    configuration.  With `collect_roots` the trace keeps a copy of the root
+    at every row so constraint satisfaction can be audited afterwards.
     """
-    k = summary.k
-    if r0 is None:
-        r = np.eye(k)
-    else:
-        r = np.array(r0, dtype=np.float64, order="C")
-        if r.shape != (k, k):
-            raise ValueError(f"warm start is {r.shape}, expected ({k}, {k})")
-        if not np.all(np.isfinite(r)):
-            raise ValueError("warm start has NaN or inf entries")
-        _normalize_rows(r)
-
-    evaluator = _Step(summary, config.omega, config.clamp_epsilon)
-    g = evaluator.grad
+    k, omega = summary.k, config.omega
+    r = _start(k, r0)
+    step = _Step(summary, omega, r.shape[1])
+    floor = 2.0 * (omega**2 + 4.0) * summary.total**2
     trace = OptTrace()
-    f0, b0, v0, c0 = evaluator.run(r, True)
-    trace.append(0, f0, b0, v0, c0, float(np.linalg.norm(g)), r if collect_roots else None)
+    cur = _point(r, step.grad, step.run(r), 0.0)
+    trace.objective_initial = (cur.f if r0 is not None
+                               else sum(objective_terms(summary, 0.25 * np.eye(k), omega)))
+    # an iterate is never written to once accepted: the best needs no copy
+    best, best_r = cur, r
+    recent = deque([cur.f], maxlen=MEMORY)
+    alpha = FIRST_STEP / math.sqrt(cur.gg) if cur.gg > 0 else 0.0
+    evaluation = accepted = 0
+    while evaluation < config.iterations and cur.gg > 0.0:
+        if evaluation % TRACE_STRIDE == 0:
+            trace.append(evaluation, cur, floor, r if collect_roots else None)
+        trial = r - alpha * cur.rg
+        _normalize_rows(trial)
+        evaluation += 1
+        terms = step.run(trial)
+        if not math.isfinite(terms[0]):
+            raise OptimizationError(f"objective became non-finite at evaluation {evaluation}",
+                                    trace)
+        if terms[0] > max(recent) - ARMIJO * alpha * cur.gg:
+            alpha *= 0.5
+            continue
+        new = _point(trial, step.grad, terms, alpha)
+        s, y = trial - r, new.rg - cur.rg
+        sy = abs(float(np.vdot(s, y)))
+        accepted += 1
+        if sy > 0.0:
+            alpha = (float(np.vdot(s, s)) / sy if accepted % 2
+                     else sy / float(np.vdot(y, y)))
+        r, cur = trial, new
+        recent.append(cur.f)
+        if cur.f < best.f:
+            best, best_r = cur, r
+    trace.evaluations = evaluation
+    trace.append(evaluation, best, floor, best_r if collect_roots else None)
 
-    # moments scaled by 1/(1 - beta): m <- beta1 m + g, v <- beta2 v + g*g, and
-    # the step lr m_hat / (sqrt(v_hat) + eps) becomes alpha_t m / (sqrt(v) + eps_t)
-    m = np.zeros((k, k))
-    v = np.zeros((k, k))
-    work = np.empty((k, k))
-    for step in range(1, config.iterations + 1):
-        if not math.isfinite(np.vdot(g, g)):
-            _finite(g)
-        m *= BETA1
-        m += g
-        v *= BETA2
-        v += np.multiply(g, g, out=work)
-        c1 = (1.0 - BETA1**step) / (1.0 - BETA1)
-        c2 = (1.0 - BETA2**step) / (1.0 - BETA2)
-        np.sqrt(v, out=work)
-        work += MOMENT_EPSILON * math.sqrt(c2)
-        np.divide(m, work, out=work)
-        work *= config.step_size * math.sqrt(c2) / c1
-        r -= work
-        _normalize_rows(r)
-        traced = step % config.trace_stride == 0 or step == config.iterations
-        terms = evaluator.run(r, traced)
-        if traced:
-            f, b, vt, nc = terms
-            if not np.isfinite(f):
-                raise OptimizationError(f"objective became non-finite at step {step}", trace)
-            trace.append(step, f, b, vt, nc, float(np.linalg.norm(g)),
-                         r if collect_roots else None)
-
-    final = trace.objective[-1]
-    if not final <= f0 * (1.0 + 1e-12) + 1e-12:
+    if not best.f <= trace.objective_initial * (1.0 + 1e-12) + 1e-12:
         raise OptimizationError(
-            f"final objective {final} did not improve on start {f0}", trace
-        )
-    return r, trace
+            f"final objective {best.f} did not improve on start {trace.objective_initial}",
+            trace)
+    return best_r, trace

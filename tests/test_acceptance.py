@@ -182,7 +182,7 @@ def test_gate_6_optimizer_behavior_on_benchmark_fixture(acceptance_fixture):
 
     for r in trace.roots:
         assert np.abs(np.linalg.norm(r, axis=1) - 1.0).max() <= 1e-12
-        cov = cd.covariance_from_root(r)
+        cov = cd.SignGaussianDesign(r).covariance()
         assert np.abs(np.diag(cov) - 0.25).max() == 0.0
         assert np.abs(cov).max() <= 0.25 + 1e-12
 
@@ -324,3 +324,70 @@ def test_gate_9_pipeline_reruns_are_byte_identical(tmp_path, acceptance_fixture)
     after = {p: p.read_bytes() for p in primaries}
     assert before == after
     _announce("9 manifest reruns", True, "cluster/optimize/simulate byte-identical")
+
+
+def _planted_contact_fixture():
+    """20 clusters of 10 units: edges inside a cluster with probability 0.5,
+    between the clusters of each planted pair (2i, 2i+1) with 0.4, and
+    between any other two clusters with 0.01 (seed 5)."""
+    k, size = 20, 10
+    label = np.arange(k * size) // size
+    u, v = np.triu_indices(k * size, 1)
+    a, b = label[u], label[v]
+    prob = np.where(a == b, 0.5, np.where(a // 2 == b // 2, 0.4, 0.01))
+    keep = np.random.default_rng(5).random(u.size) < prob
+    graph = cd.Graph(k * size, np.column_stack([u[keep], v[keep]]))
+    clustering = cd.Clustering(label, k)
+    return graph, clustering, cd.build_cluster_summary(graph, clustering)
+
+
+def test_gate_10_optimizer_finds_planted_contact_pairs():
+    """Where cluster pairs carry heavy contact, positive correlation pays:
+    the default root and a rank-5 warm-started root both correlate every
+    planted pair, and both cut the bias and the MSE of independent and
+    complete randomization by more than 3 Monte Carlo standard errors."""
+    graph, clustering, summary = _planted_contact_fixture()
+    start = time.perf_counter()
+    root, _ = cd.optimize(summary)
+    low, _ = cd.optimize(summary, r0=np.random.default_rng(5).standard_normal((summary.k, 5)))
+    assert low.shape == (summary.k, 5)
+    ocds = {"ocd": cd.SignGaussianDesign(root), "ocd-rank5": cd.SignGaussianDesign(low)}
+    pairs = (np.arange(0, summary.k, 2), np.arange(1, summary.k, 2))
+    planted = {name: design.covariance()[pairs] for name, design in ocds.items()}
+    designs = (("ber", cd.BernoulliDesign(summary.k)), ("cr", cd.CompleteDesign(summary.k)),
+               *ocds.items())
+    failures = [f"{name}: planted pair covariance {cov.min():.3f} <= 0"
+                for name, cov in planted.items() if cov.min() <= 0.0]
+    for kind in ("linear", "multiplicative"):
+        model = cd.SimModelParams.for_graph(graph, kind, alpha=1.0, beta=1.0,
+                                            c=0.5, sigma=0.1, gamma=2.0)
+        report = cd.run_mc(cd.SimConfig(
+            graph=graph, clustering=clustering, designs=designs, model=model,
+            gammas=(2.0,), estimators=("ht",), replications=10_000, base_seed=99,
+        ))
+        cells = {name: report.cell(name, 2.0, "ht") for name, _ in designs}
+        print(f"  {kind}: " + "; ".join(f"{c.design} bias {c.bias:+.3f} mse {c.mse:.3f}"
+                                        for c in cells.values()))
+        ber, cr = cells["ber"], cells["cr"]
+        for name in ocds:
+            ocd = cells[name]
+            sep = 3.0 * np.hypot(ocd.se_bias, ber.se_bias)
+            if not abs(ocd.bias) < abs(ber.bias) - sep:
+                failures.append(f"{kind}: |bias({name})|={abs(ocd.bias):.3f} not below "
+                                f"|bias(ber)|={abs(ber.bias):.3f} by 3 se ({sep:.3f})")
+            for other in (ber, cr):
+                sep = 3.0 * np.hypot(ocd.se_mse, other.se_mse)
+                if not ocd.mse < other.mse - sep:
+                    failures.append(f"{kind}: mse({name})={ocd.mse:.3f} not below "
+                                    f"mse({other.design})={other.mse:.3f} by 3 se ({sep:.3f})")
+    elapsed = time.perf_counter() - start
+    _announce("10 planted contact pairs", not failures,
+              "min planted-pair covariance "
+              + ", ".join(f"{name} {cov.min():.4f}" for name, cov in planted.items())
+              + f"; closed-form bias at gamma 1: ber "
+              f"{cd.bias_closed_form(summary, 0.25 * np.eye(summary.k), 1.0):.2f}, "
+              + ", ".join(f"{name} {cd.bias_closed_form(summary, d.covariance(), 1.0):.2f}"
+                          for name, d in ocds.items())
+              + f"; {elapsed:.1f}s" + (f"; failing: {failures}" if failures else ""))
+    assert elapsed < 60.0
+    assert not failures, failures

@@ -173,12 +173,12 @@ class TestObjective:
         bias_term, variance_term = cd.objective_terms(summary, np.array([[0.25]]), 1.0)
         assert bias_term == 0.0
         assert variance_term == pytest.approx(720.0)
-        assert cd.objective_f(summary, np.array([[0.25]]), 1.0) == pytest.approx(720.0)
+        assert sum(cd.objective_terms(summary, np.array([[0.25]]), 1.0)) == pytest.approx(720.0)
 
     def test_path_independent_value(self, path_summary):
         # independent arithmetic: (4*1-6)^2 = 4; 40 * (d'Xd + (sum d)^2/4)
         # with d = (3,3), X = I/4: 40 * (4.5 + 9) = 540
-        assert cd.objective_f(path_summary, 0.25 * np.eye(2), 1.0) == pytest.approx(544.0)
+        assert sum(cd.objective_terms(path_summary, 0.25 * np.eye(2), 1.0)) == pytest.approx(544.0)
 
     def test_full_correlation_zeroes_bias_term(self, sbm5):
         graph, clustering = sbm5
@@ -192,7 +192,7 @@ class TestObjective:
         root = random_unit_rows(4, seed=23)
         cov = cd.SignGaussianDesign(root).covariance()
         for gamma, omega in [(0.5, 1.0), (2.0, 0.3)]:
-            f = cd.objective_f(summary, cov, omega)
+            f = sum(cd.objective_terms(summary, cov, omega))
             bias = cd.bias_closed_form(summary, cov, gamma)
             bound = cd.variance_bound(summary, cov, gamma, omega)
             assert gamma**2 / summary.n**2 * f == pytest.approx(

@@ -75,14 +75,48 @@ class TestOptimize:
         assert sidecar["omega"] == 1.0
         assert sidecar["objective_final"] <= sidecar["objective_initial"]
         trace_lines = (tmp / "root.csv.trace.csv").read_text().strip().splitlines()
-        assert trace_lines[0] == "iteration,objective,bias_term,variance_term,clamped,grad_norm"
+        assert trace_lines[0] == ("iteration,objective,bias_term,variance_term,clamped,"
+                                  "grad_norm,step,g")
         final = trace_lines[-1].split(",")
         assert float(final[1]) == pytest.approx(sidecar["objective_final"])
-        assert float(final[5]) > 0.0
-        assert "seed" not in sidecar
+        assert float(final[5]) > 0.0 and float(final[6]) > 0.0
+        floor = 2.0 * (1.0 + 4.0) * cd.build_cluster_summary(*workspace[1:3]).total ** 2
+        assert float(final[7]) == pytest.approx(float(final[1]) - floor)
+        assert "seed" not in sidecar and "step_size" not in sidecar
+        assert sidecar["rank"] == 4 and sidecar["evaluations"] == 200
         manifest = json.loads((tmp / "root.csv.manifest.json").read_text())
         assert "seed" not in manifest["resolved_config"]
         assert manifest["seeds"] == {}
+        assert manifest["rank"] == 4 and manifest["evaluations"] == 200
+
+    def test_low_rank_warm_start_is_written_zero_padded(self, workspace):
+        tmp, _, _, graph_path, clusters_path = workspace
+        warm = np.zeros((4, 4))
+        warm[:, 1:3] = np.random.default_rng(3).standard_normal((4, 2))
+        np.savetxt(tmp / "warm.csv", warm, delimiter=",")
+        out = tmp / "root.csv"
+        assert run(["optimize", "--graph", graph_path, "--clusters", clusters_path,
+                    "--iters", "50", "--warm-start", tmp / "warm.csv", "--out", out]) == 0
+        root = np.loadtxt(out, delimiter=",")
+        assert root.shape == (4, 4)
+        assert np.all(root[:, 2:] == 0.0) and np.all(root[:, :2] != 0.0)
+        assert json.loads((tmp / "root.csv.json").read_text())["rank"] == 2
+
+    @pytest.mark.parametrize("key, value", [("step_size", 0.01), ("trace_stride", 10),
+                                            ("clamp_epsilon", 1e-6)])
+    def test_manifest_with_a_removed_optimizer_key_is_refused_by_name(self, workspace, capsys,
+                                                                      key, value):
+        tmp, _, _, graph_path, clusters_path = workspace
+        run(["optimize", "--graph", graph_path, "--clusters", clusters_path,
+             "--iters", "20", "--out", tmp / "root.csv"])
+        path = tmp / "root.csv.manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["resolved_config"][key] = value
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert run(["optimize", "--from-manifest", path]) == 2
+        assert capsys.readouterr().err == (f"error: manifest {path}: unknown optimize "
+                                           f"config key {key!r}\n")
 
     def test_seed_flag_is_gone(self, workspace, capsys):
         tmp, _, _, graph_path, clusters_path = workspace
@@ -118,7 +152,8 @@ class TestOptimize:
         np.savetxt(bad, np.eye(3), delimiter=",")
         assert run(["optimize", "--graph", graph_path, "--clusters", clusters_path,
                     "--warm-start", bad, "--out", tmp / "r.csv"]) == 2
-        assert capsys.readouterr().err == "error: warm start is (3, 3), expected (4, 4)\n"
+        assert capsys.readouterr().err == ("error: warm start is (3, 3), "
+                                           "expected (4, p) with p <= 4\n")
         assert not list(tmp.glob("r.csv*"))
 
     def test_non_finite_warm_start_is_refused_before_a_step(self, workspace, capsys):
@@ -611,9 +646,8 @@ def test_each_command_has_one_flag_per_table_key():
              for command, parser in sub.choices.items()}
     assert flags["cluster"].keys() == {"--graph", "--resolution", "--seed", "--out",
                                        "--from-manifest"}
-    assert flags["optimize"].keys() == {"--graph", "--clusters", "--omega", "--iters", "--lr",
-                                        "--trace-stride", "--clamp-eps", "--warm-start",
-                                        "--out", "--from-manifest"}
+    assert flags["optimize"].keys() == {"--graph", "--clusters", "--omega", "--iters",
+                                        "--warm-start", "--out", "--from-manifest"}
     assert flags["simulate"].keys() == {"--reps", "--seed", "--out-dir", "--from-manifest",
                                         "--config", "--workers"}
     assert flags["analyze"].keys() == {"--graph", "--clusters", "--design", "--block-size",

@@ -235,6 +235,28 @@ class TestSignGaussian:
         with pytest.raises(ValueError):
             design.root[0, 0] = 0.0
 
+    def test_zero_padded_root_and_its_trimmed_form_are_one_design(self):
+        rng = np.random.default_rng(14)
+        trimmed = rng.standard_normal((6, 3))
+        trimmed /= np.linalg.norm(trimmed, axis=1, keepdims=True)
+        padded = np.zeros((6, 6))
+        padded[:, [0, 2, 5]] = trimmed
+        low, square = cd.SignGaussianDesign(trimmed), cd.SignGaussianDesign(padded)
+        assert square.root.shape == (6, 3)
+        assert np.array_equal(low.covariance(), square.covariance())
+        assert np.array_equal(low.sample_many(np.random.default_rng(2), 500),
+                              square.sample_many(np.random.default_rng(2), 500))
+        assert low.stream_key() == square.stream_key()
+        assert cd.make_design("ocd", 6, root=padded).stream_key() == low.stream_key()
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
+    def test_rejects_a_root_that_is_not_k_by_p_with_p_at_most_k(self, shape):
+        root = np.zeros(shape)
+        root[..., 0] = 1.0
+        with pytest.raises(ValueError, match=rf"^root is \({shape[0]},.*expected K x p with "
+                                             rf"p <= K$"):
+            cd.SignGaussianDesign(root)
+
     def test_exact_distribution_matches_covariance(self):
         root = random_unit_rows(5, seed=13)
         design = cd.SignGaussianDesign(root)
@@ -379,6 +401,16 @@ class TestMakeDesign:
     def test_root_shape_checked(self):
         with pytest.raises(ValueError, match="expected"):
             cd.make_design("ocd", 4, root=np.eye(3))
+
+    def test_rank_p_root_is_accepted_and_p_above_k_refused(self):
+        root = np.zeros((4, 2))
+        root[:, 0] = 1.0
+        assert cd.make_design("ocd", 4, root=root).root.shape == (4, 1)
+        wide = np.zeros((4, 5))
+        wide[:, 0] = 1.0
+        with pytest.raises(ValueError, match=r"^root matrix is \(4, 5\), expected \(4, p\) "
+                                             r"with p <= 4$"):
+            cd.make_design("ocd", 4, root=wide)
 
 
 @pytest.mark.parametrize("factory", [

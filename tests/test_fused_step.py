@@ -1,10 +1,11 @@
-"""The fused optimizer step against the three-product formulas it replaced.
+"""The fused optimizer step and loop against plain-numpy references.
 
 `evaluate_root` forms one Gram matrix per iterate and reads tr(C X) as the
 elementwise sum <C, X>.  The reference below keeps the earlier path: a
 clamped Gram for the objective, a second one for the gradient, and
-tr(C X) as a matrix product, evaluated separately on traced steps.  Both
-must agree to rounding.
+tr(C X) as a matrix product.  `optimize`'s Riemannian Barzilai-Borwein
+loop is checked against a written-out reference of the same method.
+Both must agree to rounding.
 """
 
 import numpy as np
@@ -15,7 +16,6 @@ from hypothesis.extra.numpy import arrays
 
 import covdesign as cd
 from conftest import random_unit_rows, unit_rows
-from covdesign.optimizer import BETA1, BETA2, MOMENT_EPSILON
 
 RTOL = 1e-12
 
@@ -54,24 +54,42 @@ def ref_gradient(r, summary, omega, clamp_epsilon=1e-6):
     return 2.0 * (g_cov * deriv) @ r
 
 
-def ref_optimize(summary, config):
-    """The optimize loop as it was: a gradient per step, and the objective
-    evaluated again on every traced step."""
-    k = summary.k
-    r = np.eye(k)
-    rows = [(0, *ref_objective(r, summary, config.omega, config.clamp_epsilon))]
-    m = np.zeros((k, k))
-    v = np.zeros((k, k))
-    for step in range(1, config.iterations + 1):
-        g = ref_gradient(r, summary, config.omega, config.clamp_epsilon)
-        m = BETA1 * m + (1.0 - BETA1) * g
-        v = BETA2 * v + (1.0 - BETA2) * g * g
-        m_hat = m / (1.0 - BETA1**step)
-        v_hat = v / (1.0 - BETA2**step)
-        r = unit_rows(r - config.step_size * m_hat / (np.sqrt(v_hat) + MOMENT_EPSILON))
-        if step % config.trace_stride == 0 or step == config.iterations:
-            rows.append((step, *ref_objective(r, summary, config.omega, config.clamp_epsilon)))
-    return r, rows
+def ref_optimize(summary, iterations, omega=1.0):
+    """Riemannian BB descent from the identity, written out: accept a trial
+    once f falls 1e-4 alpha |g|^2 below the largest of the last 10 accepted
+    values, else halve alpha; after an acceptance alternate the BB steps
+    <s,s>/|<s,y>| and |<s,y>|/<y,y>.  Returns every accepted iterate as
+    (evaluation, root, f).
+
+    Near the arcsine clamp a BB step turns a difference in the last bit of
+    the gradient into one about ten times larger every ten evaluations, so
+    the reference takes f and the gradient from `evaluate_root` (checked
+    above against the three-product formulas) and forms each inner product
+    and row norm with the same numpy primitive as `optimize`: what it pins
+    is the loop."""
+
+    def tangent(r):
+        f, *_, g = cd.evaluate_root(r, summary, omega)
+        return f, g - np.einsum("ij,ij->i", g, r)[:, None] * r
+
+    r = np.eye(summary.k)
+    f, g = tangent(r)
+    alpha = 0.1 / np.sqrt(np.vdot(g, g))
+    accepted = [(0, r, f)]
+    for evaluation in range(1, iterations + 1):
+        trial = r - alpha * g
+        trial = trial / np.sqrt(np.einsum("ij,ij->i", trial, trial))[:, None]
+        f_trial, g_trial = tangent(trial)
+        recent = max(f for _, _, f in accepted[-10:])
+        if f_trial > recent - 1e-4 * alpha * np.vdot(g, g):
+            alpha /= 2.0
+            continue
+        s, y = trial - r, g_trial - g
+        sy = abs(np.vdot(s, y))
+        alpha = np.vdot(s, s) / sy if len(accepted) % 2 else sy / np.vdot(y, y)
+        r, g = trial, g_trial
+        accepted.append((evaluation, r, f_trial))
+    return accepted
 
 
 def near_identical_rows(k, seed):
@@ -126,19 +144,39 @@ def test_clamp_count_ignores_the_diagonal(sbm4):
 
 
 def test_trace_matches_reference_loop(summary):
-    config = cd.OptimizerConfig(iterations=300, trace_stride=10)
-    root, trace = cd.optimize(summary, config, collect_roots=True)
-    ref_root, ref_rows = ref_optimize(summary, config)
-    assert len(trace.iterations) == len(ref_rows) == 31
-    for row, ref, r in zip(trace.rows(), ref_rows, trace.roots):
-        step, f, bias, variance, n_clamped, grad_norm = row
-        assert step == ref[0] and n_clamped == ref[4]
-        assert close(f, ref[1]) and close(bias, ref[2]) and close(variance, ref[3])
-        # near the clamp the gradient is too steep to compare across the two
-        # runs' iterates (1e-13 apart); compare it at the recorded iterate
-        assert close(grad_norm, np.linalg.norm(ref_gradient(r, summary, config.omega)))
-    assert np.abs(root - ref_root).max() <= RTOL
+    root, trace = cd.optimize(summary, cd.OptimizerConfig(iterations=300),
+                              collect_roots=True)
+    accepted = ref_optimize(summary, 300)
+    assert trace.iterations == list(range(0, 300, 10)) + [300]
+    assert sum(step > 0 for step in trace.step[:-1]) > 0
+    for evaluation, r, f in zip(trace.iterations[:-1], trace.roots, trace.objective):
+        # the iterate current at this evaluation: the last one accepted by then
+        _, ref_r, ref_f = [a for a in accepted if a[0] <= evaluation][-1]
+        assert np.abs(r - ref_r).max() <= RTOL
+        assert close(f, ref_f)
+    _, best_r, best_f = min(accepted, key=lambda a: a[2])
+    assert np.abs(root - best_r).max() <= RTOL
+    assert close(trace.objective[-1], best_f)
+    assert np.array_equal(trace.roots[-1], root)
     assert max(trace.clamped) > 0
+
+
+@pytest.mark.parametrize("p", [1, 3, 7])
+def test_rank_p_root_evaluates_as_its_zero_padded_square(acceptance_fixture, p):
+    summary = acceptance_fixture[2]
+    k = summary.k
+    r = unit_rows(np.random.default_rng(p).standard_normal((k, p)))
+    r[1] = unit_rows(r[:1] + 1e-4 * np.random.default_rng(9).standard_normal(p))[0]
+    padded = np.zeros((k, k))
+    padded[:, :p] = r
+    *low, grad = cd.evaluate_root(r, summary, 1.0)
+    *full, full_grad = cd.evaluate_root(padded, summary, 1.0)
+    assert grad.shape == (k, p)
+    for a, b in zip(low[:3], full[:3]):
+        assert close(a, b)
+    assert low[3] == full[3] > 0
+    assert np.abs(full_grad[:, :p] - grad).max() <= RTOL * np.abs(grad).max()
+    assert np.all(full_grad[:, p:] == 0.0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -150,4 +188,4 @@ def test_every_unit_row_root_gives_a_valid_covariance(raw):
     width = min(k, raw.shape[1])
     root[:, :width] = raw[:, :width]
     r = unit_rows(root)
-    assert cd.is_valid_covariance(cd.covariance_from_root(r))
+    assert cd.is_valid_covariance(cd.SignGaussianDesign(r).covariance())

@@ -6,12 +6,15 @@ from pathlib import Path
 
 import covdesign
 
-# public names that went with the unit-level outcome path and the optimizer's
-# views of evaluate_root, with the module that held each
+# public names that went with the unit-level outcome path, the optimizer's
+# views of evaluate_root and the second paths to Cov[t] and f, with the
+# module that held each
 REMOVED = {
     "outcomes": ("eval_sim", "eval_analysis"),
     "graph": ("expand_treatment",),
-    "optimizer": ("objective_from_root", "gradient_from_root", "project_rows"),
+    "optimizer": ("objective_from_root", "gradient_from_root", "project_rows",
+                  "covariance_from_root"),
+    "analysis": ("objective_f",),
 }
 
 LAZY = ("networkx", "scipy.integrate", "scipy.sparse", "scipy.sparse.csgraph", "multiprocessing")

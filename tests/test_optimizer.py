@@ -1,11 +1,12 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 import covdesign as cd
 from covdesign.designs import arcsin_covariance
-from covdesign.optimizer import _normalize_rows
+from covdesign.optimizer import _normalize_rows, rank_for
 from conftest import random_unit_rows, unit_rows
 
 
@@ -41,19 +42,19 @@ class TestProjectRows:
 
 class TestCovarianceFromRoot:
     def test_identity(self):
-        assert np.allclose(cd.covariance_from_root(np.eye(3)), 0.25 * np.eye(3))
+        assert np.allclose(cd.SignGaussianDesign(np.eye(3)).covariance(), 0.25 * np.eye(3))
 
     def test_identical_rows_hit_quarter(self):
         r = np.array([[1.0, 0.0], [1.0, 0.0]])
-        assert cd.covariance_from_root(r)[0, 1] == pytest.approx(0.25)
+        assert cd.SignGaussianDesign(r).covariance()[0, 1] == pytest.approx(0.25)
 
     def test_half_inner_product(self):
         r = np.array([[1.0, 0.0], [0.5, np.sqrt(3) / 2]])
-        assert cd.covariance_from_root(r)[0, 1] == pytest.approx(1 / 12, abs=1e-15)
+        assert cd.SignGaussianDesign(r).covariance()[0, 1] == pytest.approx(1 / 12, abs=1e-15)
 
     def test_constraints_hold_for_random_roots(self):
         for seed in range(3):
-            cov = cd.covariance_from_root(random_unit_rows(5, seed=seed))
+            cov = cd.SignGaussianDesign(random_unit_rows(5, seed=seed)).covariance()
             assert cd.is_valid_covariance(cov)
 
     def test_arcsin_covariance_into_a_buffer_equals_the_allocating_call(self):
@@ -129,7 +130,7 @@ class TestOptimize:
         for r in rs:
             cov = np.array([[0.25, np.arcsin(r) / (2 * np.pi)],
                             [np.arcsin(r) / (2 * np.pi), 0.25]])
-            f = cd.objective_f(summary, cov, 1.0)
+            f = sum(cd.objective_terms(summary, cov, 1.0))
             if f < best_f:
                 best_f, best_r = f, r
         # the minimizer saturates at full anti-correlation: the degree-weighted
@@ -148,7 +149,7 @@ class TestOptimize:
                                collect_roots=True)
         for r in trace.roots:
             assert np.abs(np.linalg.norm(r, axis=1) - 1.0).max() <= 1e-12
-            cov = cd.covariance_from_root(r)
+            cov = cd.SignGaussianDesign(r).covariance()
             assert np.abs(np.diag(cov) - 0.25).max() == 0.0
             assert np.abs(cov).max() <= 0.25 + 1e-12
 
@@ -192,7 +193,7 @@ class TestOptimize:
     def test_collected_roots_are_distinct_snapshots(self, sbm4):
         graph, clustering = sbm4
         summary = cd.build_cluster_summary(graph, clustering)
-        root, trace = cd.optimize(summary, cd.OptimizerConfig(iterations=40, trace_stride=10),
+        root, trace = cd.optimize(summary, cd.OptimizerConfig(iterations=40),
                                   collect_roots=True)
         roots = trace.roots + [root]
         assert len(roots) == 6
@@ -211,8 +212,7 @@ class TestOptimize:
             cd.optimize(bad, cd.OptimizerConfig(iterations=1))
 
     def test_trace_final_entry_matches_returned_root(self, path_summary):
-        root, trace = cd.optimize(path_summary, cd.OptimizerConfig(iterations=123,
-                                                                   trace_stride=10),
+        root, trace = cd.optimize(path_summary, cd.OptimizerConfig(iterations=123),
                                   collect_roots=True)
         assert trace.iterations[-1] == 123
         assert np.array_equal(trace.roots[-1], root)
@@ -220,17 +220,64 @@ class TestOptimize:
         assert trace.objective[-1] == f
 
 
+class TestRank:
+    @pytest.mark.parametrize("k, p", [(1, 1), (16, 16), (32, 32), (33, 32), (200, 32),
+                                      (512, 32), (513, 33), (600, 35)])
+    def test_rule(self, k, p):
+        assert rank_for(k) == p == min(k, max(32, math.ceil(math.sqrt(2 * k))))
+
+    def test_above_32_clusters_starts_from_a_fixed_gaussian_root(self):
+        graph, clustering = cd.generate_sbm([3] * 40, 0.8, 0.05, seed=4)
+        summary = cd.build_cluster_summary(graph, clustering)
+        root, trace = cd.optimize(summary, cd.OptimizerConfig(iterations=30),
+                                  collect_roots=True)
+        assert root.shape == (40, 32) and trace.roots[0].shape == (40, 32)
+        assert not np.allclose(trace.roots[0] @ trace.roots[0].T, np.eye(40))
+        assert np.array_equal(root, cd.optimize(summary, cd.OptimizerConfig(iterations=30))[0])
+        # the result is held to f at the independent design, not at the start
+        independent = sum(cd.objective_terms(summary, 0.25 * np.eye(40), 1.0))
+        assert trace.objective_initial == independent != trace.objective[0]
+        assert trace.objective[-1] <= independent
+
+    def test_warm_start_keeps_its_nonzero_columns(self, sbm5):
+        summary = cd.build_cluster_summary(*sbm5)
+        r0 = np.zeros((5, 5))
+        r0[:, [1, 3]] = np.random.default_rng(2).standard_normal((5, 2))
+        root, trace = cd.optimize(summary, cd.OptimizerConfig(iterations=40), r0=r0)
+        assert root.shape == (5, 2)
+        assert trace.objective_initial == trace.objective[0]
+
+    @pytest.mark.parametrize("shape", [(5, 6), (4, 4), (5,)])
+    def test_warm_start_shape_names_both(self, sbm5, shape):
+        summary = cd.build_cluster_summary(*sbm5)
+        with pytest.raises(ValueError, match=rf"^warm start is \({shape[0]},.*\), "
+                                             r"expected \(5, p\) with p <= 5$"):
+            cd.optimize(summary, r0=np.ones(shape))
+
+    def test_all_zero_warm_start_is_refused(self, sbm5):
+        summary = cd.build_cluster_summary(*sbm5)
+        with pytest.raises(ValueError, match="^warm start is all zeros$"):
+            cd.optimize(summary, r0=np.zeros((5, 5)))
+
+    def test_returns_the_best_accepted_iterate(self, sbm5):
+        summary = cd.build_cluster_summary(*sbm5)
+        root, trace = cd.optimize(summary, cd.OptimizerConfig(iterations=300))
+        assert trace.objective[-1] == min(trace.objective)
+        assert trace.objective[-1] == cd.evaluate_root(root, summary, 1.0)[0]
+        assert trace.evaluations == 300 and trace.step[0] == 0.0
+        floor = 2.0 * 5.0 * summary.total**2
+        assert trace.design_term == [f - floor for f in trace.objective]
+
+
 class TestOptimizerConfig:
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
             cd.OptimizerConfig(iterations=0)
         with pytest.raises(ValueError):
-            cd.OptimizerConfig(step_size=-1.0)
-        with pytest.raises(ValueError):
             cd.OptimizerConfig(omega=-0.5)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
-    @pytest.mark.parametrize("name", ["step_size", "omega", "clamp_epsilon"])
+    @pytest.mark.parametrize("name", ["omega"])
     def test_non_finite_value_names_field(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             cd.OptimizerConfig(**{name: value})
