@@ -34,7 +34,7 @@ from .analysis import (
 from .clustering import build_cluster_summary, louvain, read_clustering, write_clustering
 from .designs import DesignEnumerationError, make_design
 from .graph import load_edge_list
-from .manifest import build_manifest, load_manifest, read_json, write_manifest
+from .manifest import build_manifest, load_manifest, numerics, read_json, write_manifest
 from .optimizer import OptimizerConfig, optimize
 from .outcomes import AnalysisModelParams, SimModelParams
 from . import simulation  # called through the module, so wrappers on run_mc see the calls
@@ -68,6 +68,14 @@ def _read_root(path) -> np.ndarray:
 def _absolute(path, base: Path | None = None) -> str:
     p = Path(path)
     return str(p if p.is_absolute() else ((base or Path.cwd()) / p).resolve())
+
+
+def _write_root(path, root: np.ndarray, k: int) -> None:
+    """`root` zero-padded to K columns, byte for byte as `np.savetxt` writes
+    the padded matrix with `_FLOAT_FMT`; only the K x p entries are formatted."""
+    row = ",".join([_FLOAT_FMT] * root.shape[1]) + ",0" * (k - root.shape[1]) + "\n"
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("".join(row % tuple(r) for r in root))
 
 
 def _write_csv(path, header, rows) -> None:
@@ -290,9 +298,7 @@ def _run_optimize(cfg: dict) -> dict:
     out = Path(cfg["out"])
     out.parent.mkdir(parents=True, exist_ok=True)
     # zero-padded to K x K: the same Gram, and the same design once read back
-    padded = np.zeros((summary.k, summary.k))
-    padded[:, :root.shape[1]] = root
-    np.savetxt(out, padded, fmt=_FLOAT_FMT, delimiter=",")
+    _write_root(out, root, summary.k)
     trace_path = out.with_suffix(out.suffix + ".trace.csv")
     _write_csv(trace_path,
                ["iteration", "objective", "bias_term", "variance_term", "clamped",
@@ -317,7 +323,7 @@ def _run_optimize(cfg: dict) -> dict:
                             encoding="utf-8")
     manifest = build_manifest("optimize", cfg, inputs,
                               [out, sidecar_path, trace_path],
-                              {}, timings, **results)
+                              {}, timings, **results, numerics=numerics())
     write_manifest(manifest, str(out) + ".manifest.json")
     start, final = trace.objective_initial, trace.objective[-1]
     reduction = 1.0 - final / start if start else 0.0

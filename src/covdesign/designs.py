@@ -250,8 +250,9 @@ def nonzero_columns(root: np.ndarray) -> np.ndarray:
 
 
 def arcsin_covariance(gram: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Sign-Gaussian covariance arcsin(A)/(2 pi) of correlations A, diagonal
-    pinned at 1/4; written into `out` when given (which may be `gram`)."""
+    """Sign-Gaussian covariance arcsin(A)/(2 pi) of correlations A, entries
+    (j, j) pinned at 1/4: the diagonal, also of a strip of rows i:i+m and
+    columns i:K of A.  Written into `out` when given (which may be `gram`)."""
     cov = np.arcsin(gram, out=out)
     cov /= 2.0 * np.pi
     np.fill_diagonal(cov, 0.25)

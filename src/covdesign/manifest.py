@@ -9,12 +9,18 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from pathlib import Path
 
-VERSION = "0.8.0"
+import numpy as np
+
+VERSION = "0.8.1"
 
 __all__ = ["VERSION", "file_digest", "build_manifest", "write_manifest", "load_manifest",
-           "read_json"]
+           "read_json", "numerics"]
+
+# the environment variables that set the BLAS thread count
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def file_digest(path) -> str:
@@ -23,6 +29,21 @@ def file_digest(path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+def numerics() -> dict:
+    """The numpy and BLAS build and the BLAS thread settings (null when
+    unset): an optimized root re-runs byte for byte only when they match."""
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:  # numpy < 1.26 only prints its build configuration
+        config = {}
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    return {
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "threads": {name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES},
+    }
 
 
 def build_manifest(command: str, resolved_config: dict, inputs, outputs,

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import _bias_core, _variance_core, objective_terms
+from .analysis import objective_terms
 from .clustering import ClusterSummary
 from .designs import arcsin_covariance, nonzero_columns
 
@@ -46,6 +46,8 @@ MEMORY = 10
 FIRST_STEP = 0.1
 # seed of the row-normalized Gaussian start used when p < K
 START_SEED = 0
+# rows per strip of the Gram matrix in one evaluation
+STRIP = 64
 
 
 def rank_for(k: int) -> int:
@@ -71,10 +73,12 @@ class OptTrace:
     evaluations, then the returned (best accepted) iterate.
 
     `iterations` holds the evaluation count of each row, `step` the step
-    size that accepted the row's iterate (0 at the start), `grad_norm` the
-    norm of its Riemannian gradient and `design_term` the design-dependent
-    part of f.  `objective_initial` is the value the result may not
-    exceed: f at the warm start, or at the independent design I/4.
+    size that accepted the row's iterate (0 at the start), `clamped` the
+    count of its off-diagonal Gram entries beyond the arcsine clamp, counted
+    from the row's root, `grad_norm` the norm of its Riemannian gradient and
+    `design_term` the design-dependent part of f.  `objective_initial` is the
+    value the result may not exceed: f at the warm start, or at the
+    independent design I/4.
     """
 
     iterations: list[int] = field(default_factory=list)
@@ -89,17 +93,17 @@ class OptTrace:
     objective_initial: float = math.nan
     evaluations: int = 0
 
-    def append(self, iteration: int, point: "_Point", floor: float,
-               root: np.ndarray | None = None) -> None:
+    def append(self, iteration: int, point: "_Point", floor: float, root: np.ndarray,
+               keep_root: bool) -> None:
         self.iterations.append(iteration)
         self.objective.append(point.f)
         self.bias_term.append(point.bias)
         self.variance_term.append(point.variance)
-        self.clamped.append(point.clamped)
+        self.clamped.append(_clamp_count(root))
         self.grad_norm.append(math.sqrt(point.gg))
         self.step.append(point.step)
         self.design_term.append(point.f - floor)
-        if root is not None:
+        if keep_root:
             self.roots.append(root.copy())
 
     def rows(self):
@@ -111,6 +115,14 @@ class OptimizationError(RuntimeError):
     def __init__(self, message: str, trace: OptTrace):
         super().__init__(message)
         self.trace = trace
+
+
+def _clamp_count(r: np.ndarray) -> int:
+    """Off-diagonal entries of R R^T beyond the arcsine clamp 1 - CLAMP_EPSILON."""
+    gram = r @ r.T
+    np.abs(gram, out=gram)
+    limit = 1.0 - CLAMP_EPSILON
+    return int(np.count_nonzero(gram > limit)) - int(np.count_nonzero(np.diagonal(gram) > limit))
 
 
 def _normalize_rows(r: np.ndarray) -> np.ndarray:
@@ -127,58 +139,99 @@ def _normalize_rows(r: np.ndarray) -> np.ndarray:
 
 class _Step:
     """The objective's constants and the buffers of one evaluation at a
-    K x p root: K x K Gram, covariance and slope, K x p gradient.
+    K x p root, laid out in strips of `STRIP` rows over the upper triangle.
 
     With X = arcsin(A)/(2 pi) of the Gram matrix A = R R^T clamped to
     |A_ij| <= 1 - CLAMP_EPSILON, dF/dX = a C + Q, where a = 8 (4 tr(C X) - S)
     and Q = 8 (omega^2+4) d d'; tr(C X) = <C, X> as C is symmetric.  dX/dA is
     elementwise and dA/dR gives 2 G_A R; the 2 is folded into the slope
     1/(pi sqrt(1 - A^2)), and its 1/pi into a and Q.  diag(A) plays no part:
-    the retraction pins it at 1.  Each product costs K^2 p.
+    the retraction pins it at 1.
+
+    Strip (i0, i1) holds rows i0:i1 and columns i0:K of A, so an evaluation
+    maps about K^2/2 entries.  The entries right of a strip's diagonal block
+    stand for their mirror images too, so they count twice: `<C, X>` is read
+    against a strip of C with them doubled, and `d'Xd` as d_s'(X_s w_s) with
+    the matching entries of w_s = d[i0:] doubled.  The gradient adds each
+    strip's slope block times R and the transpose of its off-block part
+    times R_s.  The products cost K^2 p / 2 each.
     """
 
     def __init__(self, summary: ClusterSummary, omega: float, p: int):
         d = summary.cluster_degrees
         k = summary.k
         self.summary, self.omega = summary, omega
-        self.q_pi = np.outer(8.0 * (omega**2 + 4.0) / np.pi * d, d)
+        self.strips = [(i0, min(i0 + STRIP, k)) for i0 in range(0, k, STRIP)]
+        self.c2, self.q, self.w = [], [], []
+        for i0, i1 in self.strips:
+            c2 = np.array(summary.contact[i0:i1, i0:])
+            c2[:, i1 - i0:] *= 2.0
+            w = d[i0:].copy()
+            w[i1 - i0:] *= 2.0
+            self.c2.append(c2)
+            self.w.append(w)
+            self.q.append(np.outer(8.0 * (omega**2 + 4.0) / np.pi * d[i0:i1], d[i0:]))
         self.limit = 1.0 - CLAMP_EPSILON
-        self.gram, self.cov, self.d_cov = (np.empty((k, k)) for _ in range(3))
+        self.gram = [np.empty((i1 - i0, k - i0)) for i0, i1 in self.strips]
+        # one buffer, seen per strip, for the covariance and then the slope
+        work = np.empty(self.gram[0].size)
+        self.work = [work[:g.size].reshape(g.shape) for g in self.gram]
+        self.part = np.empty((k, p))
         self.grad = np.empty((k, p))
+        self.bias = math.nan
 
-    def run(self, r: np.ndarray):
-        """Write the gradient at `r` into ``self.grad`` and return
-        ``(f, bias_term, variance_term, n_clamped)``, where ``n_clamped``
-        counts the off-diagonal Gram entries the clamp moved."""
-        gram = np.matmul(r, r.T, out=self.gram)
-        over = np.abs(gram) > self.limit
-        n_clamped = int(np.count_nonzero(over)) - int(np.count_nonzero(np.diagonal(over)))
-        np.clip(gram, -self.limit, self.limit, out=gram)
-        cov = arcsin_covariance(gram, out=self.cov)
-        bias = _bias_core(self.summary, cov)
-        d_cov = np.multiply(self.summary.contact, 8.0 * bias / np.pi, out=self.d_cov)
-        d_cov += self.q_pi
-        # sqrt(1 - A^2) = 1 / (2 pi dX/dA), built in gram's buffer
-        denom = np.multiply(gram, gram, out=gram)
-        np.subtract(1.0, denom, out=denom)
-        np.sqrt(denom, out=denom)
-        d_cov /= denom
-        np.fill_diagonal(d_cov, 0.0)
-        np.matmul(d_cov, r, out=self.grad)
-        variance_term = 8.0 * (self.omega**2 + 4.0) * _variance_core(self.summary, cov,
-                                                                     self.omega)
-        return bias * bias + variance_term, bias * bias, variance_term, n_clamped
+    def objective(self, r: np.ndarray):
+        """``(f, bias_term, variance_term)`` at `r`; keeps the clamped Gram
+        strips for `gradient`."""
+        d = self.summary.cluster_degrees
+        cx = dxd = 0.0
+        for (i0, i1), gram, cov, c2, w in zip(self.strips, self.gram, self.work, self.c2,
+                                              self.w):
+            np.matmul(r[i0:i1], r[i0:].T, out=gram)
+            np.clip(gram, -self.limit, self.limit, out=gram)
+            arcsin_covariance(gram, out=cov)
+            cx += float(np.vdot(c2, cov))
+            dxd += float(d[i0:i1] @ (cov @ w))
+        self.bias = bias = 4.0 * cx - self.summary.total
+        variance_term = 8.0 * (self.omega**2 + 4.0) * (dxd + 0.25 * d.sum() ** 2)
+        return bias * bias + variance_term, bias * bias, variance_term
+
+    def gradient(self, r: np.ndarray) -> np.ndarray:
+        """The Euclidean gradient at `r`, the root of the last `objective`
+        call, written into ``self.grad``; consumes the Gram strips."""
+        grad, part = self.grad, self.part
+        grad.fill(0.0)
+        a = 8.0 * self.bias / np.pi
+        for (i0, i1), gram, slope, c2, q in zip(self.strips, self.gram, self.work, self.c2,
+                                                self.q):
+            m = i1 - i0
+            # a C from the doubled strip: halving a is exact
+            np.multiply(c2[:, :m], a, out=slope[:, :m])
+            np.multiply(c2[:, m:], 0.5 * a, out=slope[:, m:])
+            slope += q
+            # sqrt(1 - A^2) = 1 / (2 pi dX/dA), built in the strip's buffer
+            denom = np.multiply(gram, gram, out=gram)
+            np.subtract(1.0, denom, out=denom)
+            np.sqrt(denom, out=denom)
+            slope /= denom
+            np.fill_diagonal(slope, 0.0)
+            # rows i0:i1, then the off-block part's mirror image on rows i1:K
+            grad[i0:i1] += np.matmul(slope, r[i0:], out=part[:m])
+            grad[i1:] += np.matmul(slope[:, m:].T, r[i0:i1], out=part[i1:])
+        return grad
 
 
 def evaluate_root(r: np.ndarray, summary: ClusterSummary, omega: float):
     """``(f, bias_term, variance_term, n_clamped, gradient)`` at a K x p root,
-    all from one Gram matrix A = R R^T clamped to |A_ij| <= 1 - CLAMP_EPSILON
-    (``n_clamped`` counts the off-diagonal entries it moved); see `_Step`.
-    The gradient is the Euclidean one, K x p, and unchecked.
+    from the Gram matrix A = R R^T clamped to |A_ij| <= 1 - CLAMP_EPSILON
+    (``n_clamped`` counts the off-diagonal entries it moved), evaluated as
+    `optimize` does; see `_Step`.  The gradient is the Euclidean one, K x p,
+    and unchecked.
     """
     r = np.ascontiguousarray(r, dtype=np.float64)
     step = _Step(summary, omega, r.shape[1])
-    return (*step.run(r), step.grad)
+    terms = step.objective(r)
+    return (*terms, _clamp_count(r), step.gradient(r))
 
 
 @dataclass
@@ -189,7 +242,6 @@ class _Point:
     f: float
     bias: float
     variance: float
-    clamped: int
     rg: np.ndarray
     gg: float
     step: float
@@ -218,7 +270,8 @@ def _start(k: int, r0: np.ndarray | None) -> np.ndarray:
         raise ValueError(f"warm start is {r.shape}, expected ({k}, p) with p <= {k}")
     if not np.all(np.isfinite(r)):
         raise ValueError("warm start has NaN or inf entries")
-    r = nonzero_columns(r)
+    # row-major, as every other root is: the row sums then add in one order
+    r = np.ascontiguousarray(nonzero_columns(r))
     if r.shape[1] == 0:
         raise ValueError("warm start is all zeros")
     return _normalize_rows(r)
@@ -233,9 +286,9 @@ def optimize(summary: ClusterSummary, config: OptimizerConfig = OptimizerConfig(
     evaluations after the start; the search stops early only at a zero
     Riemannian gradient.  Each trial point R - alpha g, renormalized, is
     accepted once f falls ARMIJO alpha |g|^2 below the largest of the last
-    MEMORY accepted values, and alpha halves otherwise; an accepted step
-    sets the next alpha to the Barzilai-Borwein step |<s,s>/<s,y>| or
-    |<s,y>/<y,y>|, alternately.  Returns the best accepted iterate, which
+    MEMORY accepted values, and alpha halves otherwise; only an accepted
+    trial has its gradient formed.  An accepted step sets the next alpha to
+    the Barzilai-Borwein step |<s,s>/<s,y>| or |<s,y>/<y,y>|, alternately.  Returns the best accepted iterate, which
     must improve on - or match - `trace.objective_initial`; a violation
     raises with the trace attached.  Deterministic for a fixed
     configuration.  With `collect_roots` the trace keeps a copy of the root
@@ -246,7 +299,8 @@ def optimize(summary: ClusterSummary, config: OptimizerConfig = OptimizerConfig(
     step = _Step(summary, omega, r.shape[1])
     floor = 2.0 * (omega**2 + 4.0) * summary.total**2
     trace = OptTrace()
-    cur = _point(r, step.grad, step.run(r), 0.0)
+    terms = step.objective(r)
+    cur = _point(r, step.gradient(r), terms, 0.0)
     trace.objective_initial = (cur.f if r0 is not None
                                else sum(objective_terms(summary, 0.25 * np.eye(k), omega)))
     # an iterate is never written to once accepted: the best needs no copy
@@ -256,18 +310,18 @@ def optimize(summary: ClusterSummary, config: OptimizerConfig = OptimizerConfig(
     evaluation = accepted = 0
     while evaluation < config.iterations and cur.gg > 0.0:
         if evaluation % TRACE_STRIDE == 0:
-            trace.append(evaluation, cur, floor, r if collect_roots else None)
+            trace.append(evaluation, cur, floor, r, collect_roots)
         trial = r - alpha * cur.rg
         _normalize_rows(trial)
         evaluation += 1
-        terms = step.run(trial)
+        terms = step.objective(trial)
         if not math.isfinite(terms[0]):
             raise OptimizationError(f"objective became non-finite at evaluation {evaluation}",
                                     trace)
         if terms[0] > max(recent) - ARMIJO * alpha * cur.gg:
             alpha *= 0.5
             continue
-        new = _point(trial, step.grad, terms, alpha)
+        new = _point(trial, step.gradient(trial), terms, alpha)
         s, y = trial - r, new.rg - cur.rg
         sy = abs(float(np.vdot(s, y)))
         accepted += 1
@@ -279,7 +333,7 @@ def optimize(summary: ClusterSummary, config: OptimizerConfig = OptimizerConfig(
         if cur.f < best.f:
             best, best_r = cur, r
     trace.evaluations = evaluation
-    trace.append(evaluation, best, floor, best_r if collect_roots else None)
+    trace.append(evaluation, best, floor, best_r, collect_roots)
 
     if not best.f <= trace.objective_initial * (1.0 + 1e-12) + 1e-12:
         raise OptimizationError(

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import covdesign as cd
+from covdesign import cli
 from covdesign.cli import main
 
 
@@ -101,6 +102,38 @@ class TestOptimize:
         assert root.shape == (4, 4)
         assert np.all(root[:, 2:] == 0.0) and np.all(root[:, :2] != 0.0)
         assert json.loads((tmp / "root.csv.json").read_text())["rank"] == 2
+
+    @pytest.mark.parametrize("p", [1, 3, 6])
+    def test_root_file_is_the_padded_savetxt_output(self, tmp_path, p):
+        k = 6
+        root = np.random.default_rng(p).standard_normal((k, p))
+        root[0, 0], root[-1, -1] = -0.0, 5e-324
+        root[1, -1] = -2.2250738585072014e-309
+        padded = np.zeros((k, k))
+        padded[:, :p] = root
+        np.savetxt(tmp_path / "savetxt.csv", padded, fmt="%.17g", delimiter=",")
+        cli._write_root(tmp_path / "root.csv", root, k)
+        assert (tmp_path / "root.csv").read_bytes() == (tmp_path / "savetxt.csv").read_bytes()
+
+    def test_manifest_records_the_numerics_and_still_reruns(self, workspace, monkeypatch):
+        tmp, _, _, graph_path, clusters_path = workspace
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        out = tmp / "root.csv"
+        assert run(["optimize", "--graph", graph_path, "--clusters", clusters_path,
+                    "--iters", "20", "--out", out]) == 0
+        path = tmp / "root.csv.manifest.json"
+        numerics = json.loads(path.read_text())["numerics"]
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert numerics == {
+            "numpy": np.__version__,
+            "blas": {"name": blas["name"], "version": blas["version"]},
+            "threads": {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None,
+                        "MKL_NUM_THREADS": None},
+        }
+        assert "numerics" not in json.loads(path.read_text())["resolved_config"]
+        assert run(["optimize", "--from-manifest", path]) == 0
 
     @pytest.mark.parametrize("key, value", [("step_size", 0.01), ("trace_stride", 10),
                                             ("clamp_epsilon", 1e-6)])

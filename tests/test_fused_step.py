@@ -1,11 +1,11 @@
 """The fused optimizer step and loop against plain-numpy references.
 
-`evaluate_root` forms one Gram matrix per iterate and reads tr(C X) as the
-elementwise sum <C, X>.  The reference below keeps the earlier path: a
-clamped Gram for the objective, a second one for the gradient, and
-tr(C X) as a matrix product.  `optimize`'s Riemannian Barzilai-Borwein
-loop is checked against a written-out reference of the same method.
-Both must agree to rounding.
+`evaluate_root` forms the upper triangle of one Gram matrix per iterate, in
+strips of `STRIP` rows, and reads tr(C X) as the elementwise sum <C, X>.
+The reference below keeps the earlier path: a full clamped Gram for the
+objective, a second one for the gradient, and tr(C X) as a matrix product.
+`optimize`'s Riemannian Barzilai-Borwein loop is checked against a
+written-out reference of the same method.  Both must agree to rounding.
 """
 
 import numpy as np
@@ -16,6 +16,7 @@ from hypothesis.extra.numpy import arrays
 
 import covdesign as cd
 from conftest import random_unit_rows, unit_rows
+from covdesign.optimizer import STRIP
 
 RTOL = 1e-12
 
@@ -54,11 +55,12 @@ def ref_gradient(r, summary, omega, clamp_epsilon=1e-6):
     return 2.0 * (g_cov * deriv) @ r
 
 
-def ref_optimize(summary, iterations, omega=1.0):
-    """Riemannian BB descent from the identity, written out: accept a trial
-    once f falls 1e-4 alpha |g|^2 below the largest of the last 10 accepted
-    values, else halve alpha; after an acceptance alternate the BB steps
-    <s,s>/|<s,y>| and |<s,y>|/<y,y>.  Returns every accepted iterate as
+def ref_optimize(summary, iterations, omega=1.0, r0=None):
+    """Riemannian BB descent from the identity (or from `r0`, row-normalized),
+    written out: accept a trial once f falls 1e-4 alpha |g|^2 below the
+    largest of the last 10 accepted values, else halve alpha; after an
+    acceptance alternate the BB steps <s,s>/|<s,y>| and |<s,y>|/<y,y>, and
+    keep alpha when <s,y> is 0.  Returns every accepted iterate as
     (evaluation, root, f).
 
     Near the arcsine clamp a BB step turns a difference in the last bit of
@@ -72,7 +74,8 @@ def ref_optimize(summary, iterations, omega=1.0):
         f, *_, g = cd.evaluate_root(r, summary, omega)
         return f, g - np.einsum("ij,ij->i", g, r)[:, None] * r
 
-    r = np.eye(summary.k)
+    r = (np.eye(summary.k) if r0 is None
+         else r0 / np.sqrt(np.einsum("ij,ij->i", r0, r0))[:, None])
     f, g = tangent(r)
     alpha = 0.1 / np.sqrt(np.vdot(g, g))
     accepted = [(0, r, f)]
@@ -86,7 +89,8 @@ def ref_optimize(summary, iterations, omega=1.0):
             continue
         s, y = trial - r, g_trial - g
         sy = abs(np.vdot(s, y))
-        alpha = np.vdot(s, s) / sy if len(accepted) % 2 else sy / np.vdot(y, y)
+        if sy > 0.0:
+            alpha = np.vdot(s, s) / sy if len(accepted) % 2 else sy / np.vdot(y, y)
         r, g = trial, g_trial
         accepted.append((evaluation, r, f_trial))
     return accepted
@@ -143,11 +147,11 @@ def test_clamp_count_ignores_the_diagonal(sbm4):
     assert cd.evaluate_root(r, summary, 1.0)[3] == ref_objective(r, summary, 1.0)[3] == 2
 
 
-def test_trace_matches_reference_loop(summary):
-    root, trace = cd.optimize(summary, cd.OptimizerConfig(iterations=300),
+def assert_trace_matches_reference_loop(summary, iterations, r0=None):
+    root, trace = cd.optimize(summary, cd.OptimizerConfig(iterations=iterations), r0=r0,
                               collect_roots=True)
-    accepted = ref_optimize(summary, 300)
-    assert trace.iterations == list(range(0, 300, 10)) + [300]
+    accepted = ref_optimize(summary, iterations, r0=r0)
+    assert trace.iterations == list(range(0, iterations, 10)) + [iterations]
     assert sum(step > 0 for step in trace.step[:-1]) > 0
     for evaluation, r, f in zip(trace.iterations[:-1], trace.roots, trace.objective):
         # the iterate current at this evaluation: the last one accepted by then
@@ -158,6 +162,11 @@ def test_trace_matches_reference_loop(summary):
     assert np.abs(root - best_r).max() <= RTOL
     assert close(trace.objective[-1], best_f)
     assert np.array_equal(trace.roots[-1], root)
+    return trace
+
+
+def test_trace_matches_reference_loop(summary):
+    trace = assert_trace_matches_reference_loop(summary, 300)
     assert max(trace.clamped) > 0
 
 
@@ -189,3 +198,68 @@ def test_every_unit_row_root_gives_a_valid_covariance(raw):
     root[:, :width] = raw[:, :width]
     r = unit_rows(root)
     assert cd.is_valid_covariance(cd.SignGaussianDesign(r).covariance())
+
+
+# ------------------------------------------------- more than one strip
+
+MULTI_STRIP_K = [STRIP + 1, 2 * STRIP, 2 * STRIP + 2]
+
+
+@pytest.fixture(scope="module", params=MULTI_STRIP_K)
+def wide_summary(request):
+    graph, clustering = cd.generate_sbm([3] * request.param, 0.8, 0.02, seed=request.param)
+    return cd.build_cluster_summary(graph, clustering)
+
+
+def straddling_rows(k, p, seed):
+    """Unit-row K x p root with rows 0 and K - 1 within ~1e-4 of opposite,
+    then rows STRIP - 1 and STRIP within ~1e-4 of each other, so the arcsine
+    clamp fires on pairs that lie in different strips (only the second pair
+    at K = STRIP + 1, where row K - 1 is row STRIP)."""
+    rng = np.random.default_rng(seed)
+    r = rng.standard_normal((k, p))
+    r[k - 1] = -r[0] + 1e-4 * rng.standard_normal(p)
+    r[STRIP] = r[STRIP - 1] + 1e-4 * rng.standard_normal(p)
+    return unit_rows(r)
+
+
+@pytest.mark.parametrize("omega", [0.0, 1.0])
+def test_multi_strip_evaluator_matches_three_product_reference(wide_summary, omega):
+    k = wide_summary.k
+    for p in (7, k):
+        for r in (unit_rows(np.random.default_rng(p).standard_normal((k, p))),
+                  straddling_rows(k, p, seed=p + 1)):
+            f, bias, variance, n_clamped, grad = cd.evaluate_root(r, wide_summary, omega)
+            ref_f, ref_bias, ref_variance, ref_clamped = ref_objective(r, wide_summary, omega)
+            ref_grad = ref_gradient(r, wide_summary, omega)
+            assert close(f, ref_f) and close(bias, ref_bias) and close(variance, ref_variance)
+            assert n_clamped == ref_clamped
+            assert np.linalg.norm(grad - ref_grad) <= RTOL * np.linalg.norm(ref_grad)
+        assert n_clamped == (2 if k == STRIP + 1 else 4)
+
+
+def test_multi_strip_trace_matches_reference_loop():
+    k = 2 * STRIP + 2
+    graph, clustering = cd.generate_sbm([3] * k, 0.8, 0.02, seed=k)
+    summary = cd.build_cluster_summary(graph, clustering)
+    r0 = unit_rows(np.random.default_rng(5).standard_normal((k, 12)))
+    assert_trace_matches_reference_loop(summary, 100, r0=r0)
+
+
+@pytest.mark.parametrize("k", [12, 2 * STRIP + 2])
+def test_traced_clamp_count_is_that_of_the_traced_root(k):
+    graph, clustering = cd.generate_sbm([3] * k, 0.8, 0.02, seed=k)
+    summary = cd.build_cluster_summary(graph, clustering)
+    _, trace = cd.optimize(summary, cd.OptimizerConfig(iterations=200), collect_roots=True)
+    assert len(trace.roots) == len(trace.clamped)
+    assert trace.clamped == [ref_clamped_gram(r, 1e-6)[1] for r in trace.roots]
+
+
+def test_arcsin_covariance_pins_only_a_strips_own_diagonal():
+    gram = np.random.default_rng(2).uniform(-1.0, 1.0, (3, 7))
+    out = np.empty((3, 7))
+    cov = cd.designs.arcsin_covariance(gram, out=out)
+    expected = np.arcsin(gram) / (2.0 * np.pi)
+    expected[[0, 1, 2], [0, 1, 2]] = 0.25
+    assert cov is out
+    assert np.array_equal(cov, expected)
