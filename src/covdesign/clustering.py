@@ -4,14 +4,10 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .graph import Graph
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 __all__ = [
     "Clustering",
@@ -92,11 +88,10 @@ def build_cluster_summary(graph: Graph, clustering: Clustering) -> ClusterSummar
     if clustering.n != graph.n:
         raise ValueError(f"clustering covers {clustering.n} units, graph has {graph.n}")
     k = clustering.k
-    a = clustering.assignment[graph.edges[:, 0]]
-    b = clustering.assignment[graph.edges[:, 1]]
-    contact = np.zeros((k, k), dtype=np.float64)
-    np.add.at(contact, (a, b), 1.0)
-    np.add.at(contact, (b, a), 1.0)
+    key = clustering.assignment[graph.edges[:, 0]] * k
+    key += clustering.assignment[graph.edges[:, 1]]
+    counts = np.bincount(key, minlength=k * k).reshape(k, k)
+    contact = np.add(counts, counts.T, dtype=np.float64)
     contact.setflags(write=False)
     degrees = contact.sum(axis=1)
     degrees.setflags(write=False)
@@ -109,22 +104,22 @@ def build_cluster_summary(graph: Graph, clustering: Clustering) -> ClusterSummar
     )
 
 
-def _local_moves(weights: sp.csr_matrix, strength: np.ndarray, m: float,
-                 resolution: float, rng: np.random.Generator) -> np.ndarray:
+def _local_moves(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
+                 strength: np.ndarray, m: float, resolution: float,
+                 rng: np.random.Generator) -> np.ndarray:
     """One Louvain level: move nodes between communities until none moves.
 
-    Nodes are visited in one random order, sweep after sweep.  Node u,
-    taken out of its community, joins the neighbouring community c with
-    the largest gain ``w_to_c/m - resolution·tot_c·k_u/(2m²)`` if that
-    beats returning to its own; scores here are the gains times m.
-    Returns community ids relabelled to 0..K'-1.
+    The level's weights are CSR arrays without the diagonal, each row's
+    neighbours ascending.  Nodes are visited in one random order, sweep
+    after sweep.  Node u, taken out of its community, joins the
+    neighbouring community c with the largest gain
+    ``w_to_c/m - resolution·tot_c·k_u/(2m²)`` if that beats returning to
+    its own; scores here are the gains times m, and of equal scores the
+    first in neighbour order wins.  Returns community ids relabelled to
+    0..K'-1.
     """
-    import scipy.sparse as sp
-
-    n = weights.shape[0]
-    links = (weights - sp.diags(weights.diagonal())).tocsr()
-    links.eliminate_zeros()
-    indptr, indices, data = links.indptr.tolist(), links.indices, links.data
+    n = strength.size
+    indptr = indptr.tolist()
     k = strength.tolist()
     community = np.arange(n)
     total = strength.copy()
@@ -151,10 +146,31 @@ def _local_moves(weights: sp.csr_matrix, strength: np.ndarray, m: float,
     return np.unique(community, return_inverse=True)[1]
 
 
-def _modularity(weights: sp.csr_matrix, strength: np.ndarray, m: float,
+def _aggregate(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
+               diagonal: np.ndarray, community: np.ndarray):
+    """The next level's ``(indptr, indices, data, diagonal)``: every
+    community one node, its internal weight (old diagonal included) on the
+    diagonal, the weights between two communities summed, neighbours
+    ascending."""
+    k = int(community.max()) + 1
+    rows = np.repeat(community, np.diff(indptr))
+    cols = community[indices]
+    inside = rows == cols
+    diagonal = np.bincount(community, diagonal, minlength=k)
+    diagonal += np.bincount(rows[inside], data[inside], minlength=k)
+    key = rows[~inside] * k + cols[~inside]
+    key, slot = np.unique(key, return_inverse=True)
+    data = np.bincount(slot, data[~inside], minlength=key.size)
+    indptr = np.zeros(k + 1, dtype=np.int64)
+    np.cumsum(np.bincount(key // k, minlength=k), out=indptr[1:])
+    return indptr, key % k, data, diagonal
+
+
+def _modularity(diagonal: np.ndarray, strength: np.ndarray, m: float,
                 resolution: float) -> float:
-    """Modularity of the partition whose communities are the nodes of `weights`."""
-    return weights.diagonal().sum() / (2 * m) - resolution * np.sum(strength**2) / (4 * m * m)
+    """Modularity of the partition whose communities are the nodes of a level
+    with internal weights `diagonal` and strengths `strength`."""
+    return diagonal.sum() / (2 * m) - resolution * np.sum(strength**2) / (4 * m * m)
 
 
 def louvain(graph: Graph, resolution: float = 1.0, seed: int = 0) -> Clustering:
@@ -163,12 +179,13 @@ def louvain(graph: Graph, resolution: float = 1.0, seed: int = 0) -> Clustering:
 
     Each level runs local moves in one order drawn from
     ``np.random.default_rng(seed)``, then aggregates every community into
-    one node (``Pᵀ A P``, with intra-community weight on the diagonal).
-    Levels stop once one raises modularity by at most 1e-7.  The
-    resolution parameter multiplies the expected-edges term of the
-    modularity gain, so larger values produce more, smaller communities.
-    Cluster ids are ordered by smallest member.  A graph with no edges
-    returns singleton clusters.
+    one node, with intra-community weight on the diagonal.  Levels stop
+    once one raises modularity by at most 1e-7.  The resolution parameter
+    multiplies the expected-edges term of the modularity gain, so larger
+    values produce more, smaller communities.  Cluster ids are ordered by
+    smallest member.  A graph with no edges returns singleton clusters.
+    Runs on numpy arrays from `Graph.csr`; all weights are integers, so
+    every sum is exact.
     """
     if not 0 < resolution < np.inf:  # a NaN or infinite resolution never converges
         raise ValueError(f"resolution must be positive and finite, got {resolution}")
@@ -176,21 +193,21 @@ def louvain(graph: Graph, resolution: float = 1.0, seed: int = 0) -> Clustering:
         raise ValueError(f"seed must be non-negative, got {seed}")
     if graph.num_edges == 0:
         return Clustering(np.arange(graph.n), graph.n)
-    import scipy.sparse as sp
-
     rng = np.random.default_rng(seed)
     m = float(graph.num_edges)
-    weights = graph.adjacency
+    indptr, indices = graph.csr
+    data = np.ones(indices.size)
+    diagonal = np.zeros(graph.n)
     strength = graph.degrees.astype(np.float64)
     assignment = np.arange(graph.n)
-    quality = _modularity(weights, strength, m, resolution)
+    quality = _modularity(diagonal, strength, m, resolution)
     while True:
-        community = _local_moves(weights, strength, m, resolution, rng)
+        community = _local_moves(indptr, indices, data, strength, m, resolution, rng)
         assignment = community[assignment]
-        indicator = sp.csr_matrix((np.ones(community.size), (np.arange(community.size), community)))
-        weights = (indicator.T @ weights @ indicator).tocsr()
-        strength = np.asarray(weights.sum(axis=1)).ravel()
-        previous, quality = quality, _modularity(weights, strength, m, resolution)
+        indptr, indices, data, diagonal = _aggregate(indptr, indices, data, diagonal,
+                                                     community)
+        strength = np.bincount(community, strength, minlength=diagonal.size)
+        previous, quality = quality, _modularity(diagonal, strength, m, resolution)
         if quality - previous <= 1e-7:
             break
     # stable ids: order communities by their smallest member

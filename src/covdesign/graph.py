@@ -34,7 +34,7 @@ class Graph:
     are precomputed; isolated nodes are legal and retained.
     """
 
-    __slots__ = ("n", "edges", "degrees", "labels", "_adjacency")
+    __slots__ = ("n", "edges", "degrees", "labels", "_csr", "_adjacency")
 
     def __init__(self, n: int, edges: np.ndarray, labels: np.ndarray | None = None):
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
@@ -69,6 +69,7 @@ class Graph:
         self.edges = edges
         self.degrees = degrees
         self.labels = None if labels is None else np.asarray(labels)
+        self._csr = None
         self._adjacency = None
 
     @property
@@ -80,17 +81,32 @@ class Graph:
         return 2.0 * self.num_edges / self.n
 
     @property
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(indptr, indices)`` of the symmetric adjacency, built lazily and
+        cached: the neighbours of u, ascending, are
+        ``indices[indptr[u]:indptr[u + 1]]``."""
+        if self._csr is None:
+            u, v = self.edges[:, 0], self.edges[:, 1]
+            key = np.concatenate([u * self.n + v, v * self.n + u])
+            key.sort()
+            indices = np.remainder(key, self.n, out=key)
+            indptr = np.zeros(self.n + 1, dtype=np.int64)
+            np.cumsum(self.degrees, out=indptr[1:])
+            indices.setflags(write=False)
+            indptr.setflags(write=False)
+            self._csr = indptr, indices
+        return self._csr
+
+    @property
     def adjacency(self) -> sp.csr_matrix:
-        """Symmetric CSR adjacency matrix, built lazily and cached."""
+        """Symmetric scipy CSR adjacency matrix over `csr`, built lazily and
+        cached; only callers that want scipy's sparse algebra load it."""
         if self._adjacency is None:
             import scipy.sparse as sp  # imported on first use: `import covdesign` does not need it
 
-            u, v = self.edges[:, 0], self.edges[:, 1]
-            data = np.ones(2 * self.num_edges, dtype=np.float64)
-            rows = np.concatenate([u, v])
-            cols = np.concatenate([v, u])
+            indptr, indices = self.csr
             self._adjacency = sp.csr_matrix(
-                (data, (rows, cols)), shape=(self.n, self.n)
+                (np.ones(indices.size), indices, indptr), shape=(self.n, self.n)
             )
         return self._adjacency
 

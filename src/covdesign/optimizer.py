@@ -152,9 +152,11 @@ class _Step:
     maps about K^2/2 entries.  The entries right of a strip's diagonal block
     stand for their mirror images too, so they count twice: `<C, X>` is read
     against a strip of C with them doubled, and `d'Xd` as d_s'(X_s w_s) with
-    the matching entries of w_s = d[i0:] doubled.  The gradient adds each
-    strip's slope block times R and the transpose of its off-block part
-    times R_s.  The products cost K^2 p / 2 each.
+    the matching entries of w_s = d[i0:] doubled.  The gradient's slope
+    a C + Q is read from undoubled strips of C and Q whose diagonal entries
+    are zeroed, so the slope is 0 on the diagonal; it adds each strip's
+    slope block times R and the transpose of its off-block part times R_s.
+    The products cost K^2 p / 2 each.
     """
 
     def __init__(self, summary: ClusterSummary, omega: float, p: int):
@@ -162,15 +164,21 @@ class _Step:
         k = summary.k
         self.summary, self.omega = summary, omega
         self.strips = [(i0, min(i0 + STRIP, k)) for i0 in range(0, k, STRIP)]
-        self.c2, self.q, self.w = [], [], []
+        self.c2, self.w, self.c, self.q = [], [], [], []
         for i0, i1 in self.strips:
-            c2 = np.array(summary.contact[i0:i1, i0:])
+            c = np.array(summary.contact[i0:i1, i0:])
+            c2 = c.copy()
             c2[:, i1 - i0:] *= 2.0
             w = d[i0:].copy()
             w[i1 - i0:] *= 2.0
+            q = np.outer(8.0 * (omega**2 + 4.0) / np.pi * d[i0:i1], d[i0:])
+            # the gradient's strips carry no diagonal: its slope there is 0
+            np.fill_diagonal(c, 0.0)
+            np.fill_diagonal(q, 0.0)
             self.c2.append(c2)
             self.w.append(w)
-            self.q.append(np.outer(8.0 * (omega**2 + 4.0) / np.pi * d[i0:i1], d[i0:]))
+            self.c.append(c)
+            self.q.append(q)
         self.limit = 1.0 - CLAMP_EPSILON
         self.gram = [np.empty((i1 - i0, k - i0)) for i0, i1 in self.strips]
         # one buffer, seen per strip, for the covariance and then the slope
@@ -202,19 +210,16 @@ class _Step:
         grad, part = self.grad, self.part
         grad.fill(0.0)
         a = 8.0 * self.bias / np.pi
-        for (i0, i1), gram, slope, c2, q in zip(self.strips, self.gram, self.work, self.c2,
-                                                self.q):
+        for (i0, i1), gram, slope, c, q in zip(self.strips, self.gram, self.work, self.c,
+                                               self.q):
             m = i1 - i0
-            # a C from the doubled strip: halving a is exact
-            np.multiply(c2[:, :m], a, out=slope[:, :m])
-            np.multiply(c2[:, m:], 0.5 * a, out=slope[:, m:])
+            np.multiply(c, a, out=slope)
             slope += q
             # sqrt(1 - A^2) = 1 / (2 pi dX/dA), built in the strip's buffer
             denom = np.multiply(gram, gram, out=gram)
             np.subtract(1.0, denom, out=denom)
             np.sqrt(denom, out=denom)
             slope /= denom
-            np.fill_diagonal(slope, 0.0)
             # rows i0:i1, then the off-block part's mirror image on rows i1:K
             grad[i0:i1] += np.matmul(slope, r[i0:], out=part[:m])
             grad[i1:] += np.matmul(slope[:, m:].T, r[i0:i1], out=part[i1:])

@@ -174,6 +174,43 @@ class SimReport:
         }
 
 
+# unit x cluster cells up to which `ClusterModel` holds the neighbour counts
+# and the cluster indicator as dense arrays; above, as scipy CSR
+DENSE_CELLS = 1 << 16
+# float32 holds every integer below 2^24 exactly
+EXACT_FLOAT32 = 1 << 24
+
+
+def _neighbour_counts(graph: Graph, clustering: Clustering, dtype):
+    """``(indicator, counts)``: the K x n cluster indicator and the n x K
+    neighbour counts N (N_ib: neighbours of unit i in cluster b), dense when
+    n K <= `DENSE_CELLS`, else scipy CSR arrays."""
+    assign, k, n = clustering.assignment, clustering.k, graph.n
+    if n * k <= DENSE_CELLS:
+        indicator = np.zeros((k, n), dtype=dtype)
+        indicator[assign, np.arange(n)] = 1.0
+        u, v = graph.edges[:, 0], graph.edges[:, 1]
+        cells = np.concatenate([u * k + assign[v], v * k + assign[u]])
+        counts = np.bincount(cells, minlength=n * k).reshape(n, k).astype(dtype)
+        return indicator, counts
+    import scipy.sparse as sp
+
+    indicator = sp.csr_array((np.ones(n, dtype=dtype), (assign, np.arange(n))), shape=(k, n))
+    counts = (sp.csr_array(graph.adjacency, dtype=dtype) @ indicator.T).tocsr()
+    return indicator, counts
+
+
+def _cluster_sums(indicator, x: np.ndarray, counts) -> np.ndarray:
+    """The dense K x K matrix indicator diag(x) counts: entry (a, b) sums
+    x_i N_ib over the units i of cluster a.  The CSR product adds the units
+    in descending order, as every earlier version did."""
+    if isinstance(indicator, np.ndarray):
+        return (indicator * x) @ counts
+    import scipy.sparse as sp
+
+    return (indicator @ sp.diags_array(x) @ counts).toarray()
+
+
 class ClusterModel:
     """An outcome model reduced to the law of its per-cluster outcome sums.
 
@@ -181,16 +218,14 @@ class ClusterModel:
     plus, for the noisy models, one normal per cluster with the exact law
     of the summed unit noise: N(0, sigma^2 n_a) for `linear`, and given t,
     N(0, sigma^2 sum_{i in a} rel_i^2 (1 + beta t_a + gamma f_i)^2) for
-    `multiplicative`, where f_i = (N t)_i / d_i over the sparse unit x
-    cluster neighbour counts N.
+    `multiplicative`, where f_i = (N t)_i / d_i over the unit x cluster
+    neighbour counts N (see `_neighbour_counts`).  The multiplicative
+    model's sums over N are integer sums; they run in float32, exactly,
+    when every cluster's sum of squared degrees is below 2^24.
     """
 
     def __init__(self, model, graph: Graph, clustering: Clustering):
-        import scipy.sparse as sp
-
-        assign, k, n = clustering.assignment, clustering.k, graph.n
-        indicator = sp.csr_matrix((np.ones(n), (assign, np.arange(n))), shape=(k, n))
-        counts = (graph.adjacency @ indicator.T).tocsr()  # N_ib: neighbours of i in b
+        assign, k = clustering.assignment, clustering.k
         contact = build_cluster_summary(graph, clustering).contact
         deg = graph.degrees.astype(np.float64)
         self.sizes = np.bincount(assign, minlength=k).astype(np.float64)
@@ -202,17 +237,22 @@ class ClusterModel:
             self.direct = np.bincount(assign, model.beta, minlength=k)
             self.spill = contact
         elif self.kind == "linear":
+            indicator, counts = _neighbour_counts(graph, clustering, np.float64)
             inv_deg = np.divide(1.0, deg, out=np.zeros_like(deg), where=deg > 0)
             self.direct = model.beta * self.sizes
-            self.spill = (indicator @ sp.diags(inv_deg) @ counts).toarray().T
+            self.spill = _cluster_sums(indicator, inv_deg, counts).T
         else:
             # rel_i f_i = (N t)_i / dbar, so the mean needs only the contacts
+            exact32 = np.bincount(assign, deg * deg, minlength=k).max() < EXACT_FLOAT32
+            self.dtype = np.float32 if exact32 else np.float64
+            indicator, counts = _neighbour_counts(graph, clustering, self.dtype)
             self.scale = 1.0 / model.mean_degree if model.mean_degree > 0 else 0.0
             self.beta, self.counts, self.indicator = model.beta, counts, indicator
             self.direct = model.beta * self.baseline
             self.spill = model.alpha * self.scale * contact
             self.rel_sq = np.bincount(assign, (deg * self.scale) ** 2, minlength=k)
-            self.cross = self.scale**2 * (indicator @ sp.diags(deg) @ counts).toarray().T
+            cross = _cluster_sums(indicator, deg.astype(self.dtype), counts)
+            self.cross = self.scale**2 * cross.T.astype(np.float64)
 
     def sums(self, t: np.ndarray, gamma: float, noise: np.ndarray | None = None):
         """Outcome sums (B x K); `noise` holds one standard normal per cluster
@@ -227,10 +267,11 @@ class ClusterModel:
             return np.sqrt(self.sizes)
         # sum_{i in a} (rel_i (1 + beta t_a) + gamma (N t)_i / dbar)^2, expanded
         lift = 1.0 + self.beta * t
-        reach = self.counts @ t.T
+        reach = self.counts @ t.T.astype(self.dtype, copy=False)
         reach *= reach
+        spread = (self.indicator @ reach).T.astype(np.float64, copy=False)
         var = (self.rel_sq * lift**2 + 2.0 * gamma * lift * (t @ self.cross)
-               + (gamma * self.scale) ** 2 * (self.indicator @ reach).T)
+               + (gamma * self.scale) ** 2 * spread)
         return np.sqrt(np.maximum(var, 0.0))
 
 

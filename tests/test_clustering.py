@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import covdesign as cd
+import louvain_reference
 
 
 def modularity(graph, parts, resolution=1.0):
@@ -124,6 +125,46 @@ def test_mean_modularity_within_one_percent_of_networkx(name):
     mean = np.mean([dense_modularity(graph, cd.louvain(graph, 1.0, seed=s).assignment)
                     for s in range(64)])
     assert abs(mean - reference) <= 0.01 * reference, (mean, reference)
+
+
+@pytest.mark.parametrize("name", sorted(NETWORKX_MODULARITY))
+@pytest.mark.parametrize("resolution", [1.0, 2.0])
+def test_louvain_equals_sparse_matrix_reference_on_fixtures(name, resolution):
+    blocks, p_in, p_out, seed = NETWORKX_MODULARITY[name][0]
+    graph, _ = cd.generate_sbm(blocks, p_in, p_out, seed=seed)
+    for s in range(8):
+        assert (cd.louvain(graph, resolution, seed=s)
+                == louvain_reference.louvain(graph, resolution, seed=s)), s
+
+
+@st.composite
+def louvain_cases(draw):
+    """A graph on up to 30 nodes, isolated ones allowed, with a resolution
+    and a seed."""
+    n = draw(st.integers(2, 30))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=120, unique=True))
+    resolution = draw(st.sampled_from([0.5, 1.0, 2.0, 3.7]))
+    return cd.Graph(n, edges), resolution, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(louvain_cases())
+def test_louvain_equals_sparse_matrix_reference(case):
+    graph, resolution, seed = case
+    assert (cd.louvain(graph, resolution, seed=seed)
+            == louvain_reference.louvain(graph, resolution, seed=seed))
+
+
+@settings(max_examples=100, deadline=None)
+@given(louvain_cases())
+def test_csr_arrays_are_the_adjacency(case):
+    graph = case[0]
+    indptr, indices = graph.csr
+    reference = louvain_reference.adjacency(graph)
+    assert np.array_equal(indptr, reference.indptr)
+    assert np.array_equal(indices, reference.indices)
+    assert np.array_equal(graph.adjacency.toarray(), reference.toarray())
 
 
 def test_dense_modularity_matches_brute_force_oracle(two_triangles):
@@ -265,3 +306,8 @@ def test_summary_invariants_on_random_partitions(case):
     assert np.array_equal(contact.sum(axis=1), cluster_degrees)
     assert np.array_equal(summary.cluster_degrees, cluster_degrees)
     assert contact.sum() == summary.total == 2 * graph.num_edges
+    reference = np.zeros(contact.shape)
+    for u, v in graph.edges:
+        reference[clustering.assignment[u], clustering.assignment[v]] += 1.0
+        reference[clustering.assignment[v], clustering.assignment[u]] += 1.0
+    assert np.array_equal(contact, reference)

@@ -22,9 +22,9 @@ LAZY = ("networkx", "scipy.integrate", "scipy.sparse", "scipy.sparse.csgraph", "
 
 def test_import_loads_no_enumeration_or_clustering_only_module():
     """`import covdesign` (and the CLI) must not pay for modules that only
-    enumeration, Louvain or the Monte Carlo engine need (scipy's sparse
-    matrices among them), nor for networkx or multiprocessing, which
-    covdesign no longer uses."""
+    large graphs' Monte Carlo needs (scipy's sparse matrices), nor for
+    scipy's quadrature and graph routines, networkx or multiprocessing,
+    which covdesign no longer uses."""
     src = str(Path(covdesign.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import json, sys, covdesign, covdesign.cli; "
@@ -37,7 +37,7 @@ def test_import_loads_no_enumeration_or_clustering_only_module():
 def test_enumeration_loads_no_quadrature_or_graph_routines():
     """Exact enumeration of a correlated block design (run_exact and
     variance_exact) is plain numpy: it must load neither scipy's adaptive
-    quadrature nor its graph routines."""
+    quadrature nor its sparse matrices or graph routines."""
     src = str(Path(covdesign.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = """
@@ -54,11 +54,52 @@ model = cd.AnalysisModelParams.uniform(graph.n)
 cd.run_exact(graph, clustering, (("ocd", design),), model, gammas=(1.0,))
 summary = cd.build_cluster_summary(graph, clustering)
 cd.variance_exact(summary, cd.h_vector(model, graph, clustering), 1.0, design)
-print(json.dumps([m for m in ("scipy.integrate", "scipy.sparse.csgraph") if m in sys.modules]))
+print(json.dumps([m for m in ("scipy.integrate", "scipy.sparse", "scipy.sparse.csgraph")
+                  if m in sys.modules]))
 """
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
     assert json.loads(out.stdout) == []
+
+
+def test_small_graph_pipeline_loads_no_sparse_matrices(tmp_path):
+    """Below `simulation.DENSE_CELLS` unit x cluster cells the whole pipeline
+    is plain numpy: `cluster`, `optimize`, `simulate` with each outcome
+    model, `analyze`, `run_exact` and `variance_exact` must not load
+    `scipy.sparse`."""
+    src = str(Path(covdesign.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = """
+import json, sys
+import numpy as np
+import covdesign as cd
+from covdesign.cli import main
+graph, planted = cd.generate_sbm([4] * 6, 0.7, 0.1, seed=3)
+cd.save_edge_list(graph, "g.el")
+steps = [main(["cluster", "--graph", "g.el", "--seed", "1", "--out", "c.txt"])]
+clustering = cd.read_clustering("c.txt", n=graph.n)
+steps.append(main(["optimize", "--graph", "g.el", "--clusters", "c.txt", "--iters", "30",
+                   "--out", "root.csv"]))
+for kind, extra in (("linear", {"c": 0.5, "sigma": 0.1}),
+                    ("multiplicative", {"c": 0.5, "sigma": 0.1}), ("analysis", {})):
+    with open(kind + ".json", "w") as fh:
+        json.dump({"graph": "g.el", "clustering": "c.txt", "gammas": [1.0],
+                   "designs": [{"kind": "ber"}, {"kind": "ocd", "root": "root.csv"}],
+                   "model": {"kind": kind, "alpha": 1, "beta": 1, **extra},
+                   "replications": 70, "seed": 2, "out_dir": kind}, fh)
+    steps.append(main(["simulate", "--config", kind + ".json"]))
+steps.append(main(["analyze", "--graph", "g.el", "--clusters", "c.txt", "--design", "ocd",
+                   "--root", "root.csv", "--out", "a.json"]))
+design = cd.make_design("cr", planted.k)
+model = cd.AnalysisModelParams.uniform(graph.n)
+cd.run_exact(graph, planted, (("cr", design),), model)
+summary = cd.build_cluster_summary(graph, planted)
+cd.variance_exact(summary, cd.h_vector(model, graph, planted), 1.0, design)
+print(json.dumps([steps, "scipy.sparse" in sys.modules]))
+"""
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert json.loads(out.stdout.splitlines()[-1]) == [[0] * 6, False]
 
 
 def test_public_surface():

@@ -575,3 +575,74 @@ def test_cluster_sums_are_unit_outcome_sums(case):
             y = unit_outcomes(unit_model, graph, t[row][assign], np.zeros(graph.n))
             assert np.allclose(sums[row], np.bincount(assign, y, minlength=k),
                                rtol=1e-10, atol=1e-10)
+
+
+def _noisy_models(graph):
+    models = [cd.AnalysisModelParams.uniform(graph.n, alpha=0.4, beta=1.1, gamma=0.9)]
+    return models + [cd.SimModelParams.for_graph(graph, kind, alpha=1.2, beta=0.7, c=0.5,
+                                                 sigma=0.8, gamma=1.3)
+                     for kind in ("linear", "multiplicative")]
+
+
+@pytest.mark.parametrize("fixture", ["sbm4", "isolated", "planted"])
+def test_dense_and_csr_counts_give_the_same_sums(fixture, sbm4, monkeypatch):
+    """Dense neighbour counts (n K <= DENSE_CELLS) and CSR ones give equal
+    integer sums, and linear spill sums that agree to rounding."""
+    graph, clustering = {"sbm4": sbm4, "isolated": _isolated_unit_graph(),
+                         "planted": cd.generate_sbm([20] * 10, 0.3, 0.02, seed=7)}[fixture]
+    rng = np.random.default_rng(8)
+    t = rng.integers(0, 2, (40, clustering.k)).astype(float)
+    noise = rng.standard_normal(t.shape)
+    for model in _noisy_models(graph):
+        sums = {}
+        for cells in (0, 1 << 62):
+            monkeypatch.setattr(cd.simulation, "DENSE_CELLS", cells)
+            sums[cells] = ClusterModel(model, graph, clustering).sums(t, 1.3, noise)
+        if getattr(model, "kind", "analysis") == "linear":
+            assert np.allclose(sums[0], sums[1 << 62], rtol=1e-15, atol=0.0)
+        else:
+            assert np.array_equal(sums[0], sums[1 << 62])
+
+
+@pytest.mark.parametrize("dense", [True, False])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_float32_noise_scale_is_bitwise_the_float64_one(dense, seed, monkeypatch):
+    """Below the 2^24 bound the multiplicative model's sums over the
+    neighbour counts run in float32 and give the float64 results bit for
+    bit."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(5, 40, rng.integers(4, 12))
+    graph, clustering = cd.generate_sbm(sizes, 0.6, 0.05, seed=seed)
+    model = cd.SimModelParams.for_graph(graph, "multiplicative", alpha=1.2, beta=0.7,
+                                        sigma=0.8, gamma=1.3)
+    t = rng.integers(0, 2, (64, clustering.k)).astype(float)
+    noise = rng.standard_normal(t.shape)
+    monkeypatch.setattr(cd.simulation, "DENSE_CELLS", 1 << 62 if dense else 0)
+    law = ClusterModel(model, graph, clustering)
+    assert law.dtype == np.float32
+    assert isinstance(law.counts, np.ndarray) == dense
+    monkeypatch.setattr(cd.simulation, "EXACT_FLOAT32", 0)
+    wide = ClusterModel(model, graph, clustering)
+    assert wide.dtype == np.float64
+    assert np.array_equal(law.cross, wide.cross)
+    for gamma in (0.0, 1.3, -2.1):
+        assert np.array_equal(law.sums(t, gamma, noise), wide.sums(t, gamma, noise))
+
+
+@pytest.mark.parametrize("hub, dtype", [(4095, np.float32), (4097, np.float64)])
+def test_a_cluster_with_squared_degrees_beyond_2_to_24_keeps_float64(hub, dtype):
+    """A star's hub of degree 4,097 has d^2 > 2^24, so its sums stay float64;
+    a hub of degree 4,095 with its leaves stays below the bound."""
+    graph = cd.Graph(hub + 1, [(0, leaf) for leaf in range(1, hub + 1)])
+    clustering = cd.Clustering(np.arange(hub + 1) % 2, 2)
+    model = cd.SimModelParams.for_graph(graph, "multiplicative", sigma=0.8, gamma=1.3)
+    law = ClusterModel(model, graph, clustering)
+    assert law.dtype == dtype
+    t = np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
+    z = t[:, clustering.assignment]
+    spread = law.sums(t, 1.3, np.ones(t.shape)) - law.sums(t, 1.3, np.zeros(t.shape))
+    for row in range(t.shape[0]):
+        slope = (eval_sim(model, graph, z[row], np.ones(graph.n))
+                 - eval_sim(model, graph, z[row], np.zeros(graph.n)))
+        assert np.allclose(spread[row], np.sqrt(np.bincount(clustering.assignment, slope**2)),
+                           rtol=1e-12, atol=0.0)
