@@ -19,6 +19,7 @@ from .clustering import (
     Clustering,
     ClusterSummary,
     build_cluster_summary,
+    contact_matrix,
     louvain,
     read_clustering,
     write_clustering,
@@ -70,7 +71,7 @@ from .simulation import (
 __all__ = [
     "__version__",
     "Graph", "GraphFormatError", "generate_sbm", "load_edge_list", "save_edge_list",
-    "Clustering", "ClusterSummary", "build_cluster_summary", "louvain",
+    "Clustering", "ClusterSummary", "build_cluster_summary", "contact_matrix", "louvain",
     "read_clustering", "write_clustering",
     "AnalysisModelParams", "SimModelParams", "gate_analysis", "gate_sim", "with_gamma",
     "EstimateRecord", "cluster_estimates", "dim", "ht", "ht_adjusted",

@@ -79,9 +79,7 @@ def h_vector(params: AnalysisModelParams, graph: Graph, clustering: Clustering) 
     """Per-cluster sums of (beta_i - gamma * d_i), the linear coefficient of
     the centered estimator in the cluster treatment vector."""
     per_unit = params.beta - params.gamma * graph.degrees.astype(np.float64)
-    h = np.zeros(clustering.k)
-    np.add.at(h, clustering.assignment, per_unit)
-    return h
+    return np.bincount(clustering.assignment, per_unit, minlength=clustering.k)
 
 
 def bias_closed_form(summary: ClusterSummary, cov: np.ndarray, gamma: float) -> float:

@@ -418,6 +418,12 @@ def _run_analyze(cfg: dict) -> dict:
     h = h_vector(model, graph, clustering)
     cov = design.covariance()
     omega_star = omega_from_model(summary, h, gamma)
+    if not math.isfinite(omega_star):
+        if cfg["omega"] is None:
+            cluster = np.flatnonzero((summary.cluster_degrees == 0) & (h != 0.0))[0]
+            raise ValueError(f"cluster {cluster} has no edges, so no finite omega bounds "
+                             "|h_k| by omega·gamma·d_k; pass --omega")
+        omega_star = None  # JSON has no infinity
     omega = cfg["omega"] if cfg["omega"] is not None else omega_star
     bias = bias_closed_form(summary, cov, gamma)
     try:

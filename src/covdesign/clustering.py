@@ -13,6 +13,7 @@ __all__ = [
     "Clustering",
     "ClusterSummary",
     "louvain",
+    "contact_matrix",
     "build_cluster_summary",
     "read_clustering",
     "write_clustering",
@@ -83,15 +84,30 @@ class ClusterSummary:
         return self.contact.shape[0]
 
 
-def build_cluster_summary(graph: Graph, clustering: Clustering) -> ClusterSummary:
-    """Count directed cross/within-cluster edge endpoints for a partition."""
+def contact_matrix(graph: Graph, clustering: Clustering, weights=None) -> np.ndarray:
+    """The K x K sum over both orientations i -> j of every edge: cell (a, b)
+    adds ``weights[i]`` for i in cluster a and j in cluster b, or counts
+    the orientations when `weights` is None."""
     if clustering.n != graph.n:
         raise ValueError(f"clustering covers {clustering.n} units, graph has {graph.n}")
     k = clustering.k
-    key = clustering.assignment[graph.edges[:, 0]] * k
-    key += clustering.assignment[graph.edges[:, 1]]
-    counts = np.bincount(key, minlength=k * k).reshape(k, k)
-    contact = np.add(counts, counts.T, dtype=np.float64)
+    u, v = graph.edges[:, 0], graph.edges[:, 1]
+    key = clustering.assignment[u] * k
+    key += clustering.assignment[v]
+    if weights is None:
+        forward = backward = np.bincount(key, minlength=k * k)
+    else:
+        weights = np.asarray(weights, dtype=np.float64)
+        if weights.shape != (graph.n,):
+            raise ValueError(f"weights have shape {weights.shape}, graph has {graph.n} units")
+        forward = np.bincount(key, weights[u], minlength=k * k)
+        backward = np.bincount(key, weights[v], minlength=k * k)
+    return np.add(forward.reshape(k, k), backward.reshape(k, k).T, dtype=np.float64)
+
+
+def build_cluster_summary(graph: Graph, clustering: Clustering) -> ClusterSummary:
+    """Count directed cross/within-cluster edge endpoints for a partition."""
+    contact = contact_matrix(graph, clustering)
     contact.setflags(write=False)
     degrees = contact.sum(axis=1)
     degrees.setflags(write=False)

@@ -4,14 +4,11 @@ from __future__ import annotations
 
 import re
 import warnings
-from typing import TYPE_CHECKING, NoReturn
+from typing import NoReturn
 
 import numpy as np
 
 from ._memory import bytes_text, physical_memory
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 __all__ = [
     "Graph",
@@ -34,7 +31,7 @@ class Graph:
     are precomputed; isolated nodes are legal and retained.
     """
 
-    __slots__ = ("n", "edges", "degrees", "labels", "_csr", "_adjacency")
+    __slots__ = ("n", "edges", "degrees", "labels", "_csr")
 
     def __init__(self, n: int, edges: np.ndarray, labels: np.ndarray | None = None):
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
@@ -70,7 +67,6 @@ class Graph:
         self.degrees = degrees
         self.labels = None if labels is None else np.asarray(labels)
         self._csr = None
-        self._adjacency = None
 
     @property
     def num_edges(self) -> int:
@@ -96,19 +92,6 @@ class Graph:
             indptr.setflags(write=False)
             self._csr = indptr, indices
         return self._csr
-
-    @property
-    def adjacency(self) -> sp.csr_matrix:
-        """Symmetric scipy CSR adjacency matrix over `csr`, built lazily and
-        cached; only callers that want scipy's sparse algebra load it."""
-        if self._adjacency is None:
-            import scipy.sparse as sp  # imported on first use: `import covdesign` does not need it
-
-            indptr, indices = self.csr
-            self._adjacency = sp.csr_matrix(
-                (np.ones(indices.size), indices, indptr), shape=(self.n, self.n)
-            )
-        return self._adjacency
 
     def __eq__(self, other) -> bool:
         return (

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._memory import bytes_text, physical_memory
-from .clustering import Clustering, build_cluster_summary
+from .clustering import Clustering, contact_matrix
 from .designs import Design, pattern_blocks
 from .estimators import ESTIMATOR_KINDS, cluster_estimates
 from .graph import Graph
@@ -174,8 +174,8 @@ class SimReport:
         }
 
 
-# unit x cluster cells up to which `ClusterModel` holds the neighbour counts
-# and the cluster indicator as dense arrays; above, as scipy CSR
+# unit x cluster cells up to which the multiplicative model holds the
+# neighbour counts and the cluster indicator as dense arrays; above, as scipy CSR
 DENSE_CELLS = 1 << 16
 # float32 holds every integer below 2^24 exactly
 EXACT_FLOAT32 = 1 << 24
@@ -186,29 +186,20 @@ def _neighbour_counts(graph: Graph, clustering: Clustering, dtype):
     neighbour counts N (N_ib: neighbours of unit i in cluster b), dense when
     n K <= `DENSE_CELLS`, else scipy CSR arrays."""
     assign, k, n = clustering.assignment, clustering.k, graph.n
+    u, v = graph.edges[:, 0], graph.edges[:, 1]
+    cells = np.concatenate([u * k + assign[v], v * k + assign[u]])
     if n * k <= DENSE_CELLS:
         indicator = np.zeros((k, n), dtype=dtype)
         indicator[assign, np.arange(n)] = 1.0
-        u, v = graph.edges[:, 0], graph.edges[:, 1]
-        cells = np.concatenate([u * k + assign[v], v * k + assign[u]])
         counts = np.bincount(cells, minlength=n * k).reshape(n, k).astype(dtype)
         return indicator, counts
     import scipy.sparse as sp
 
     indicator = sp.csr_array((np.ones(n, dtype=dtype), (assign, np.arange(n))), shape=(k, n))
-    counts = (sp.csr_array(graph.adjacency, dtype=dtype) @ indicator.T).tocsr()
+    # the COO -> CSR conversion sums the duplicate cells into counts
+    counts = sp.csr_array((np.ones(cells.size, dtype=dtype), np.divmod(cells, k)),
+                          shape=(n, k))
     return indicator, counts
-
-
-def _cluster_sums(indicator, x: np.ndarray, counts) -> np.ndarray:
-    """The dense K x K matrix indicator diag(x) counts: entry (a, b) sums
-    x_i N_ib over the units i of cluster a.  The CSR product adds the units
-    in descending order, as every earlier version did."""
-    if isinstance(indicator, np.ndarray):
-        return (indicator * x) @ counts
-    import scipy.sparse as sp
-
-    return (indicator @ sp.diags_array(x) @ counts).toarray()
 
 
 class ClusterModel:
@@ -219,28 +210,27 @@ class ClusterModel:
     of the summed unit noise: N(0, sigma^2 n_a) for `linear`, and given t,
     N(0, sigma^2 sum_{i in a} rel_i^2 (1 + beta t_a + gamma f_i)^2) for
     `multiplicative`, where f_i = (N t)_i / d_i over the unit x cluster
-    neighbour counts N (see `_neighbour_counts`).  The multiplicative
-    model's sums over N are integer sums; they run in float32, exactly,
-    when every cluster's sum of squared degrees is below 2^24.
+    neighbour counts N (see `_neighbour_counts`).  Every K x K sum over the
+    units is a `contact_matrix`.  The multiplicative noise's sums over N are
+    integer sums; they run in float32, exactly, when every cluster's sum of
+    squared degrees is below 2^24.
     """
 
     def __init__(self, model, graph: Graph, clustering: Clustering):
         assign, k = clustering.assignment, clustering.k
-        contact = build_cluster_summary(graph, clustering).contact
         deg = graph.degrees.astype(np.float64)
-        self.sizes = np.bincount(assign, minlength=k).astype(np.float64)
+        self.sizes = clustering.sizes.astype(np.float64)
         self.baseline = np.bincount(assign, baseline_levels(model, graph), minlength=k)
         self.kind = getattr(model, "kind", "analysis")
         self.sigma = getattr(model, "sigma", 0.0)
         self.noisy = self.sigma > 0.0
         if self.kind == "analysis":
             self.direct = np.bincount(assign, model.beta, minlength=k)
-            self.spill = contact
+            self.spill = contact_matrix(graph, clustering)
         elif self.kind == "linear":
-            indicator, counts = _neighbour_counts(graph, clustering, np.float64)
             inv_deg = np.divide(1.0, deg, out=np.zeros_like(deg), where=deg > 0)
             self.direct = model.beta * self.sizes
-            self.spill = _cluster_sums(indicator, inv_deg, counts).T
+            self.spill = contact_matrix(graph, clustering, inv_deg).T
         else:
             # rel_i f_i = (N t)_i / dbar, so the mean needs only the contacts
             exact32 = np.bincount(assign, deg * deg, minlength=k).max() < EXACT_FLOAT32
@@ -249,10 +239,9 @@ class ClusterModel:
             self.scale = 1.0 / model.mean_degree if model.mean_degree > 0 else 0.0
             self.beta, self.counts, self.indicator = model.beta, counts, indicator
             self.direct = model.beta * self.baseline
-            self.spill = model.alpha * self.scale * contact
+            self.spill = model.alpha * self.scale * contact_matrix(graph, clustering)
             self.rel_sq = np.bincount(assign, (deg * self.scale) ** 2, minlength=k)
-            cross = _cluster_sums(indicator, deg.astype(self.dtype), counts)
-            self.cross = self.scale**2 * cross.T.astype(np.float64)
+            self.cross = self.scale**2 * contact_matrix(graph, clustering, deg).T
 
     def sums(self, t: np.ndarray, gamma: float, noise: np.ndarray | None = None):
         """Outcome sums (B x K); `noise` holds one standard normal per cluster

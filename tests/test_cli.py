@@ -460,6 +460,42 @@ class TestAnalyze:
         assert result["variance"]["method"] == "monte-carlo"
         assert result["variance"]["replications"] == 500
 
+    @pytest.fixture
+    def isolated_cluster(self, tmp_path):
+        """Two triangles and node 7 alone: Louvain puts node 7 in cluster 2,
+        which has no edges but a nonzero h."""
+        graph_path = tmp_path / "g.mtx"
+        graph_path.write_text("%%MatrixMarket matrix coordinate pattern symmetric\n7 7 6\n"
+                              "2 1\n3 1\n3 2\n5 4\n6 4\n6 5\n")
+        clusters_path = tmp_path / "c.txt"
+        assert run(["cluster", "--graph", graph_path, "--seed", "1",
+                    "--out", clusters_path]) == 0
+        assert cd.read_clustering(clusters_path).k == 3
+        return graph_path, clusters_path
+
+    def test_edgeless_cluster_without_omega_is_refused_by_name(self, isolated_cluster, capsys):
+        graph_path, clusters_path = isolated_cluster
+        capsys.readouterr()
+        assert run(["analyze", "--graph", graph_path, "--clusters", clusters_path,
+                    "--design", "ber"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: cluster 2 has no edges, so no finite omega bounds "
+                                "|h_k| by omega·gamma·d_k; pass --omega\n")
+        assert captured.out == ""
+
+    def test_edgeless_cluster_with_omega_writes_null_omega_star(self, isolated_cluster, capsys):
+        graph_path, clusters_path = isolated_cluster
+        capsys.readouterr()
+        assert run(["analyze", "--graph", graph_path, "--clusters", clusters_path,
+                    "--design", "ber", "--omega", "1"]) == 0
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        result = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert result["omega_star"] is None
+        assert result["omega_used"] == 1.0
+
 
 class TestReport:
     def test_renders_table_with_minimum_flag(self, workspace, capsys):

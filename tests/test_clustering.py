@@ -12,7 +12,7 @@ import louvain_reference
 def modularity(graph, parts, resolution=1.0):
     """Plain-definition modularity used as a brute-force oracle."""
     two_m = 2.0 * graph.num_edges
-    adj = graph.adjacency.toarray()
+    adj = louvain_reference.adjacency(graph).toarray()
     q = 0.0
     for part in parts:
         for u in part:
@@ -103,7 +103,8 @@ def dense_modularity(graph, assignment, resolution=1.0):
     two_m = 2.0 * graph.num_edges
     k = graph.degrees.astype(float)
     same = assignment[:, None] == assignment[None, :]
-    return (graph.adjacency.toarray() - resolution * np.outer(k, k) / two_m)[same].sum() / two_m
+    adj = louvain_reference.adjacency(graph).toarray()
+    return (adj - resolution * np.outer(k, k) / two_m)[same].sum() / two_m
 
 
 # Mean modularity of networkx 3.6.1's louvain_communities (the implementation
@@ -164,7 +165,6 @@ def test_csr_arrays_are_the_adjacency(case):
     reference = louvain_reference.adjacency(graph)
     assert np.array_equal(indptr, reference.indptr)
     assert np.array_equal(indices, reference.indices)
-    assert np.array_equal(graph.adjacency.toarray(), reference.toarray())
 
 
 def test_dense_modularity_matches_brute_force_oracle(two_triangles):
@@ -311,3 +311,28 @@ def test_summary_invariants_on_random_partitions(case):
         reference[clustering.assignment[u], clustering.assignment[v]] += 1.0
         reference[clustering.assignment[v], clustering.assignment[u]] += 1.0
     assert np.array_equal(contact, reference)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_and_partitions(), st.integers(0, 2**32 - 1))
+def test_contact_matrix_is_the_per_edge_sum(case, seed):
+    """Cell (a, b) adds weights[i] over both orientations i -> j of every
+    edge with i in a and j in b; with no weights it is the summary's C."""
+    graph, clustering = case
+    weights = np.random.default_rng(seed).uniform(-2.0, 3.0, graph.n)
+    reference = np.zeros((clustering.k, clustering.k))
+    for u, v in graph.edges:
+        a, b = clustering.assignment[u], clustering.assignment[v]
+        reference[a, b] += weights[u]
+        reference[b, a] += weights[v]
+    # the loop adds the two orientations interleaved, contact_matrix one after the other
+    np.testing.assert_allclose(cd.contact_matrix(graph, clustering, weights), reference,
+                               rtol=1e-12, atol=1e-12)
+    assert np.array_equal(cd.contact_matrix(graph, clustering),
+                          cd.build_cluster_summary(graph, clustering).contact)
+
+
+def test_contact_matrix_refuses_weights_of_another_length(two_triangles):
+    graph, clustering = two_triangles
+    with pytest.raises(ValueError, match="weights have shape \\(5,\\), graph has 6 units"):
+        cd.contact_matrix(graph, clustering, np.ones(5))

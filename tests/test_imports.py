@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -102,13 +103,56 @@ print(json.dumps([steps, "scipy.sparse" in sys.modules]))
     assert json.loads(out.stdout.splitlines()[-1]) == [[0] * 6, False]
 
 
+def test_linear_model_loads_no_sparse_matrices_above_the_dense_limit():
+    """Every K x K sum of the `linear` model is a `contact_matrix`, so its
+    Monte Carlo loads no `scipy.sparse` even above `simulation.DENSE_CELLS`;
+    the `multiplicative` model's noise still needs the sparse counts there."""
+    src = str(Path(covdesign.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = """
+import json, sys
+import covdesign as cd
+graph, clustering = cd.generate_sbm([20] * 60, 0.3, 0.01, seed=4)
+assert graph.n * clustering.k > cd.simulation.DENSE_CELLS
+loaded = []
+for kind in ("linear", "multiplicative"):
+    model = cd.SimModelParams.for_graph(graph, kind, c=0.5, sigma=0.1)
+    cd.run_mc(cd.SimConfig(graph=graph, clustering=clustering,
+                           designs=(("ber", cd.make_design("ber", clustering.k)),),
+                           model=model, gammas=(1.0,), replications=8))
+    loaded.append("scipy.sparse" in sys.modules)
+print(json.dumps(loaded))
+"""
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert json.loads(out.stdout) == [False, True]
+
+
+def test_scipy_is_imported_only_for_the_sparse_neighbour_counts():
+    """The one `import scipy...` under the package is the one in
+    `simulation._neighbour_counts`, which only the multiplicative model's
+    noise calls above `simulation.DENSE_CELLS`."""
+    sites = []
+    for path in sorted(Path(covdesign.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for scope in ast.walk(tree):
+            for node in ast.iter_child_nodes(scope):
+                names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                         else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+                if any(name.split(".")[0] == "scipy" for name in names):
+                    sites.append((path.stem, getattr(scope, "name", None)))
+    assert sites == [("simulation", "_neighbour_counts")]
+
+
 def test_public_surface():
     """Every exported name resolves, and the removed names are gone from the
-    package, from their modules and, for `neighbor_sums`, from `Graph`."""
+    package, from their modules and, for `neighbor_sums` and `adjacency`,
+    from `Graph`."""
     assert [name for name in covdesign.__all__ if not hasattr(covdesign, name)] == []
     for module, names in REMOVED.items():
         for name in names:
             assert name not in covdesign.__all__
             assert not hasattr(covdesign, name)
             assert not hasattr(getattr(covdesign, module), name)
-    assert not hasattr(covdesign.Graph, "neighbor_sums")
+    for name in ("neighbor_sums", "adjacency", "_adjacency"):
+        assert not hasattr(covdesign.Graph, name)

@@ -2,19 +2,21 @@
 
 `simulation.ClusterModel` evaluates a model only through its per-cluster
 outcome sums.  The functions below evaluate the same models on the units,
-from the adjacency matrix, as `AnalysisModelParams` and `SimModelParams`
-write them; the tests require the two to agree.
+from the adjacency matrix (`louvain_reference.adjacency`), as
+`AnalysisModelParams` and `SimModelParams` write them; the tests require
+the two to agree.
 """
 
 import numpy as np
 
 import covdesign as cd
+from louvain_reference import adjacency
 
 
 def eval_analysis(params, graph, z):
     """Y_i = alpha_i + beta_i z_i + gamma sum_{j~i} z_j for a unit treatment `z`."""
     z = np.asarray(z, dtype=np.float64)
-    return params.alpha + params.beta * z + params.gamma * (graph.adjacency @ z)
+    return params.alpha + params.beta * z + params.gamma * (adjacency(graph) @ z)
 
 
 def eval_sim(params, graph, z, noise):
@@ -23,7 +25,7 @@ def eval_sim(params, graph, z, noise):
     z = np.asarray(z, dtype=np.float64)
     noise = np.asarray(noise, dtype=np.float64)
     deg = graph.degrees.astype(np.float64)
-    nbr = graph.adjacency @ z
+    nbr = adjacency(graph) @ z
     frac = np.divide(nbr, deg, out=np.zeros_like(nbr), where=deg > 0)
     dbar = params.mean_degree
     rel_degree = deg / dbar if dbar > 0 else np.zeros_like(deg)
