@@ -31,12 +31,11 @@ from .outcomes import (
     gate_sim,
     with_gamma,
 )
-from .estimators import EstimateRecord, cluster_estimates, dim, ht, ht_adjusted
+from .estimators import cluster_estimates
 from .analysis import (
     ExactVariance,
     bias_closed_form,
     h_vector,
-    is_valid_covariance,
     objective_terms,
     omega_from_model,
     variance_bound,
@@ -74,10 +73,9 @@ __all__ = [
     "Clustering", "ClusterSummary", "build_cluster_summary", "contact_matrix", "louvain",
     "read_clustering", "write_clustering",
     "AnalysisModelParams", "SimModelParams", "gate_analysis", "gate_sim", "with_gamma",
-    "EstimateRecord", "cluster_estimates", "dim", "ht", "ht_adjusted",
-    "ExactVariance", "bias_closed_form", "h_vector", "is_valid_covariance",
-    "objective_terms", "omega_from_model", "variance_bound",
-    "variance_exact",
+    "cluster_estimates",
+    "ExactVariance", "bias_closed_form", "h_vector", "objective_terms",
+    "omega_from_model", "variance_bound", "variance_exact",
     "BernoulliDesign", "BlockDesign", "CompleteDesign", "Design",
     "DesignEnumerationError", "SignGaussianDesign", "build_ibr_blocks",
     "make_design",

@@ -17,7 +17,7 @@ import numpy as np
 from .clustering import ClusterSummary, Clustering
 from .designs import Design, pattern_blocks
 from .graph import Graph
-from .outcomes import AnalysisModelParams
+from .outcomes import AnalysisModelParams, check_units
 
 __all__ = [
     "h_vector",
@@ -27,15 +27,19 @@ __all__ = [
     "objective_terms",
     "ExactVariance",
     "variance_exact",
-    "is_valid_covariance",
 ]
 
 
-def _check_cov_shape(summary: ClusterSummary, cov: np.ndarray) -> np.ndarray:
-    cov = np.asarray(cov, dtype=np.float64)
-    if cov.shape != (summary.k, summary.k):
-        raise ValueError(f"covariance is {cov.shape}, expected ({summary.k}, {summary.k})")
-    return cov
+def _check_array(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
+    """`value` as float64 of the given shape, every entry finite."""
+    value = np.asarray(value, dtype=np.float64)
+    if value.shape != shape:
+        raise ValueError(f"{name} is {value.shape}, expected {shape}")
+    bad = np.argwhere(~np.isfinite(value))
+    if bad.size:
+        index = tuple(int(i) for i in bad[0])
+        raise ValueError(f"{name} must be finite, got {float(value[index])!r} at {index}")
+    return value
 
 
 def _check_finite(name: str, value: float) -> None:
@@ -45,7 +49,7 @@ def _check_finite(name: str, value: float) -> None:
 
 def _bias_core(summary: ClusterSummary, cov: np.ndarray) -> float:
     """4 tr(C Cov) - sum(C); C is symmetric, so tr(C Cov) = <C, Cov>."""
-    cov = _check_cov_shape(summary, cov)
+    cov = _check_array("covariance", cov, (summary.k, summary.k))
     return float(4.0 * np.vdot(summary.contact, cov) - summary.total)
 
 
@@ -54,30 +58,15 @@ def _variance_core(summary: ClusterSummary, cov: np.ndarray, omega: float) -> fl
     _check_finite("omega", omega)
     if omega < 0:
         raise ValueError("omega must be nonnegative")
-    cov = _check_cov_shape(summary, cov)
+    cov = _check_array("covariance", cov, (summary.k, summary.k))
     d = summary.cluster_degrees
     return float(np.vdot(d @ cov, d) + 0.25 * d.sum() ** 2)
-
-
-def is_valid_covariance(cov: np.ndarray, atol: float = 1e-9) -> bool:
-    """Check the balanced-design covariance constraints (symmetry, PSD,
-    diagonal 1/4, off-diagonals within [-1/4, 1/4])."""
-    cov = np.asarray(cov, dtype=np.float64)
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-        return False
-    if not np.allclose(cov, cov.T, atol=atol):
-        return False
-    if np.max(np.abs(np.diag(cov) - 0.25)) > atol:
-        return False
-    if np.max(np.abs(cov)) > 0.25 + atol:
-        return False
-    eigmin = float(np.linalg.eigvalsh((cov + cov.T) / 2.0).min())
-    return eigmin > -atol
 
 
 def h_vector(params: AnalysisModelParams, graph: Graph, clustering: Clustering) -> np.ndarray:
     """Per-cluster sums of (beta_i - gamma * d_i), the linear coefficient of
     the centered estimator in the cluster treatment vector."""
+    check_units(graph, params, clustering)
     per_unit = params.beta - params.gamma * graph.degrees.astype(np.float64)
     return np.bincount(clustering.assignment, per_unit, minlength=clustering.k)
 
@@ -98,7 +87,7 @@ def omega_from_model(summary: ClusterSummary, h: np.ndarray, gamma: float) -> fl
     _check_finite("gamma", gamma)
     if gamma == 0.0:
         raise ValueError("omega is undefined for gamma = 0")
-    h = np.asarray(h, dtype=np.float64)
+    h = _check_array("h", h, (summary.k,))
     d = summary.cluster_degrees
     ratios = np.zeros_like(h)
     positive = d > 0
@@ -165,9 +154,7 @@ def variance_exact(summary: ClusterSummary, h: np.ndarray, gamma: float,
     if design.k != summary.k:
         raise ValueError(f"design has K={design.k}, summary has K={summary.k}")
     _check_finite("gamma", gamma)
-    h = np.asarray(h, dtype=np.float64)
-    if h.shape != (summary.k,):
-        raise ValueError(f"h is {h.shape}, expected ({summary.k},)")
+    h = _check_array("h", h, (summary.k,))
     patterns, probs = design.exact_distribution()
     u = np.empty(patterns.shape[0])
     q = np.empty(patterns.shape[0])

@@ -7,7 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph
+from .graph import _INTEGER, Graph
+from .outcomes import check_units
 
 __all__ = [
     "Clustering",
@@ -49,9 +50,6 @@ class Clustering:
     def sizes(self) -> np.ndarray:
         return np.bincount(self.assignment, minlength=self.k)
 
-    def members(self, cluster: int) -> np.ndarray:
-        return np.flatnonzero(self.assignment == cluster)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Clustering)
@@ -88,8 +86,7 @@ def contact_matrix(graph: Graph, clustering: Clustering, weights=None) -> np.nda
     """The K x K sum over both orientations i -> j of every edge: cell (a, b)
     adds ``weights[i]`` for i in cluster a and j in cluster b, or counts
     the orientations when `weights` is None."""
-    if clustering.n != graph.n:
-        raise ValueError(f"clustering covers {clustering.n} units, graph has {graph.n}")
+    check_units(graph, clustering=clustering)
     k = clustering.k
     u, v = graph.edges[:, 0], graph.edges[:, 1]
     key = clustering.assignment[u] * k
@@ -257,10 +254,9 @@ def read_clustering(path, n: int | None = None) -> Clustering:
             tokens = text.split()
             if len(tokens) != 2:
                 raise ValueError(f"{path}:{lineno}: expected 'unit_id cluster_id'")
-            try:
-                unit, cid = int(tokens[0]), int(tokens[1])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-integer id in {text!r}") from None
+            if not all(_INTEGER.fullmatch(t) for t in tokens):
+                raise ValueError(f"{path}:{lineno}: non-integer id in {text!r}")
+            unit, cid = int(tokens[0]), int(tokens[1])
             if unit < 0:
                 raise ValueError(f"{path}:{lineno}: negative unit id in {text!r}")
             if unit in seen:

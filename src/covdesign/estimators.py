@@ -6,21 +6,11 @@ count, so one kernel serves clusters and units (each its own cluster) alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["EstimateRecord", "cluster_estimates", "ht", "ht_adjusted", "dim",
-           "ESTIMATOR_KINDS"]
+__all__ = ["cluster_estimates", "ESTIMATOR_KINDS"]
 
 ESTIMATOR_KINDS = ("ht", "ht_adjusted", "dim")
-
-
-@dataclass(frozen=True)
-class EstimateRecord:
-    value: float
-    kind: str
-    degenerate: bool = False
 
 
 def cluster_estimates(t: np.ndarray, y: np.ndarray, sizes: np.ndarray,
@@ -53,29 +43,3 @@ def cluster_estimates(t: np.ndarray, y: np.ndarray, sizes: np.ndarray,
             raise ValueError(f"unknown estimator {kind!r}; valid: {ESTIMATOR_KINDS}")
     return values, degenerate
 
-
-def _unit_estimate(kind: str, z, y, alpha=None) -> EstimateRecord:
-    z = np.asarray(z, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    values, degenerate = cluster_estimates(z[None, :], y[None, :], np.ones(z.size),
-                                           alpha, (kind,))
-    return EstimateRecord(float(values[0, 0]), kind, bool(degenerate[0, 0]))
-
-
-def ht(z: np.ndarray, y: np.ndarray) -> EstimateRecord:
-    """Inverse-probability estimator for marginal treatment probability 1/2.
-
-    With both group propensities equal to 1/2 the weights collapse to
-    (2/n) * sum((2 z_i - 1) * y_i).
-    """
-    return _unit_estimate("ht", z, y)
-
-
-def ht_adjusted(z: np.ndarray, y: np.ndarray, alpha: np.ndarray) -> EstimateRecord:
-    """Base-level-adjusted variant: the plain estimator applied to y - alpha."""
-    return _unit_estimate("ht_adjusted", z, y, alpha)
-
-
-def dim(z: np.ndarray, y: np.ndarray) -> EstimateRecord:
-    """Difference in group means; degenerate when either group is empty."""
-    return _unit_estimate("dim", z, y)

@@ -45,6 +45,17 @@ class AnalysisModelParams:
         return cls(np.full(n, float(alpha)), np.full(n, float(beta)), float(gamma))
 
 
+def check_units(graph: Graph, model=None, clustering=None) -> None:
+    """Refuse a clustering or an analysis model sized for another graph."""
+    if clustering is not None and clustering.n != graph.n:
+        raise ValueError(f"clustering covers {clustering.n} units, graph has {graph.n}")
+    if isinstance(model, AnalysisModelParams):
+        for name in ("alpha", "beta"):
+            shape = np.shape(getattr(model, name))
+            if shape != (graph.n,):
+                raise ValueError(f"model {name} has shape {shape}, graph has {graph.n} units")
+
+
 @dataclass(frozen=True)
 class SimModelParams:
     """Scalar-parameter simulation models with degree-normalized interference.
@@ -97,6 +108,7 @@ def with_gamma(params, gamma: float):
 
 def gate_analysis(params: AnalysisModelParams, graph: Graph) -> float:
     """Global average treatment effect under the analysis model: mean(beta_i + gamma d_i)."""
+    check_units(graph, params)
     return float(np.mean(params.beta + params.gamma * graph.degrees))
 
 

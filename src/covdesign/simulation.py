@@ -23,6 +23,7 @@ from .graph import Graph
 from .outcomes import (
     AnalysisModelParams,
     SimModelParams,
+    check_units,
     gate_analysis,
     gate_sim,
     with_gamma,
@@ -62,13 +63,7 @@ def baseline_levels(model, graph: Graph) -> np.ndarray:
 def _check_inputs(graph: Graph, clustering: Clustering, designs, model, gammas,
                   estimators) -> None:
     """The refusals `run_mc` (through `SimConfig`) and `run_exact` share."""
-    if clustering.n != graph.n:
-        raise ValueError(f"clustering covers {clustering.n} units, graph has {graph.n}")
-    if isinstance(model, AnalysisModelParams):
-        for name in ("alpha", "beta"):
-            shape = np.shape(getattr(model, name))
-            if shape != (graph.n,):
-                raise ValueError(f"model {name} has shape {shape}, graph has {graph.n} units")
+    check_units(graph, model, clustering)
     if not gammas:
         raise ValueError("gamma grid must be nonempty")
     if not all(math.isfinite(g) for g in gammas):

@@ -1,8 +1,12 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
 import covdesign as cd
 from conftest import random_unit_rows
+from unit_reference import is_valid_covariance
 
 
 @pytest.fixture
@@ -21,6 +25,21 @@ class TestHVector:
         h = cd.h_vector(params, path_graph, path_clustering)
         # cluster 0: (1 - 0.5*1) + (2 - 0.5*2); cluster 1: (3 - 1) + (4 - 0.5)
         assert np.allclose(h, [1.5, 5.5])
+
+    def test_clustering_of_another_graph(self, sbm4):
+        graph, _ = sbm4
+        clustering = cd.Clustering(np.arange(22) % 4, 4)
+        with pytest.raises(ValueError, match="^clustering covers 22 units, graph has 20$"):
+            cd.h_vector(cd.AnalysisModelParams.uniform(graph.n), graph, clustering)
+
+    @pytest.mark.parametrize("field", ["alpha", "beta"])
+    def test_model_of_another_size(self, sbm4, field):
+        graph, clustering = sbm4
+        params = dataclasses.replace(cd.AnalysisModelParams.uniform(graph.n),
+                                     **{field: np.ones(graph.n + 1)})
+        with pytest.raises(ValueError,
+                           match=rf"^model {field} has shape \(21,\), graph has 20 units$"):
+            cd.h_vector(params, graph, clustering)
 
 
 class TestBiasClosedForm:
@@ -147,6 +166,28 @@ def test_closed_forms_refuse_non_finite_parameters(path_summary, case, bad):
         call(path_summary, bad)
 
 
+NON_FINITE_ARRAYS = {
+    "bias": ("covariance", lambda s, x: cd.bias_closed_form(s, x, 1.0)),
+    "bound": ("covariance", lambda s, x: cd.variance_bound(s, x, 1.0, 1.0)),
+    "objective": ("covariance", lambda s, x: cd.objective_terms(s, x, 1.0)),
+    "omega": ("h", lambda s, x: cd.omega_from_model(s, x[0], 1.0)),
+    "exact": ("h", lambda s, x: cd.variance_exact(s, x[0], 1.0, cd.BernoulliDesign(2))),
+}
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("case", sorted(NON_FINITE_ARRAYS))
+def test_closed_forms_refuse_non_finite_arrays(path_summary, case, bad):
+    """The first non-finite entry of a covariance or of h is named with its index."""
+    name, call = NON_FINITE_ARRAYS[case]
+    x = 0.25 * np.eye(2)
+    x[0, 1] = bad
+    index = "(1,)" if name == "h" else "(0, 1)"
+    with pytest.raises(ValueError, match=rf"^{name} must be finite, got {bad!r} at "
+                                         rf"{re.escape(index)}$"):
+        call(path_summary, x)
+
+
 class TestVarianceBound:
     def test_single_cluster_hand_value(self, single_cluster):
         _, _, summary = single_cluster
@@ -202,12 +243,12 @@ class TestObjective:
 
 def test_is_valid_covariance_flags_violations():
     good = 0.25 * np.eye(3)
-    assert cd.is_valid_covariance(good)
+    assert is_valid_covariance(good)
     bad_diag = good.copy(); bad_diag[0, 0] = 0.3
-    assert not cd.is_valid_covariance(bad_diag)
+    assert not is_valid_covariance(bad_diag)
     bad_range = good.copy(); bad_range[0, 1] = bad_range[1, 0] = 0.3
-    assert not cd.is_valid_covariance(bad_range)
+    assert not is_valid_covariance(bad_range)
     not_psd = np.array([[0.25, 0.25, -0.25],
                         [0.25, 0.25, 0.25],
                         [-0.25, 0.25, 0.25]])
-    assert not cd.is_valid_covariance(not_psd)
+    assert not is_valid_covariance(not_psd)

@@ -169,7 +169,7 @@ def test_csr_arrays_are_the_adjacency(case):
 
 def test_dense_modularity_matches_brute_force_oracle(two_triangles):
     graph, planted = two_triangles
-    parts = [list(planted.members(c)) for c in range(planted.k)]
+    parts = [list(np.flatnonzero(planted.assignment == c)) for c in range(planted.k)]
     assert np.isclose(dense_modularity(graph, planted.assignment), modularity(graph, parts))
 
 
@@ -177,7 +177,7 @@ class TestClusteringType:
     def test_partition_sizes_sum_to_n(self):
         clustering = cd.Clustering([0, 1, 1, 2, 0], 3)
         assert clustering.sizes.sum() == clustering.n
-        assert np.array_equal(clustering.members(1), [1, 2])
+        assert np.array_equal(np.flatnonzero(clustering.assignment == 1), [1, 2])
 
     def test_rejects_empty_cluster(self):
         with pytest.raises(ValueError, match="empty"):
@@ -229,7 +229,10 @@ class TestClusteringIO:
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:4: duplicate assignment for unit 0$"):
             cd.read_clustering(path)
 
-    @pytest.mark.parametrize("line", ["1 a", "x 0", "1.5 0", "1 2.0"])
+    # the edge-list parser's integers only: no digit separators, plus signs
+    # or non-ASCII digits, which Python's int() would take
+    @pytest.mark.parametrize("line", ["1 a", "x 0", "1.5 0", "1 2.0", "1_0 0", "+1 0",
+                                      "\u0661 0", "1 +0", "1 0_0"])
     def test_non_integer_token_names_its_line(self, tmp_path, line):
         path = tmp_path / "c.txt"
         path.write_text(f"0 0\n\n{line}\n")
@@ -249,6 +252,13 @@ class TestClusteringIO:
             clustering = cd.read_clustering(path)
         assert np.array_equal(clustering.assignment, [0, 0, 1])
         assert clustering.k == 2
+
+    def test_negative_cluster_ids_remapped_with_warning(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_text("0 -2\n1 5\n2 -2\n")
+        with pytest.warns(UserWarning, match="remapped"):
+            clustering = cd.read_clustering(path)
+        assert np.array_equal(clustering.assignment, [0, 1, 0])
 
 
 class TestClusterSummary:

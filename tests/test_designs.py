@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 import covdesign as cd
 from covdesign.designs import DesignEnumerationError, enumerate_patterns
 from conftest import paired_root, random_unit_rows, unit_rows
+from unit_reference import is_valid_covariance
 
 
 def exact_moments(design):
@@ -380,7 +381,7 @@ class TestMarginalsAcrossDesigns:
         lambda: cd.SignGaussianDesign(random_unit_rows(4, seed=19)),
     ])
     def test_covariance_constraints(self, factory):
-        assert cd.is_valid_covariance(factory().covariance())
+        assert is_valid_covariance(factory().covariance())
 
 
 class TestMakeDesign:

@@ -17,6 +17,7 @@ from hypothesis.extra.numpy import arrays
 import covdesign as cd
 from conftest import random_unit_rows, unit_rows
 from covdesign.optimizer import STRIP
+from unit_reference import is_valid_covariance
 
 RTOL = 1e-12
 
@@ -197,7 +198,7 @@ def test_every_unit_row_root_gives_a_valid_covariance(raw):
     width = min(k, raw.shape[1])
     root[:, :width] = raw[:, :width]
     r = unit_rows(root)
-    assert cd.is_valid_covariance(cd.SignGaussianDesign(r).covariance())
+    assert is_valid_covariance(cd.SignGaussianDesign(r).covariance())
 
 
 # ------------------------------------------------- more than one strip

@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,14 +9,16 @@ from pathlib import Path
 import covdesign
 
 # public names that went with the unit-level outcome path, the optimizer's
-# views of evaluate_root and the second paths to Cov[t] and f, with the
-# module that held each
+# views of evaluate_root, the second paths to Cov[t] and f, the unit-level
+# estimator wrappers and the test-only covariance check, with the module
+# that held each
 REMOVED = {
     "outcomes": ("eval_sim", "eval_analysis"),
     "graph": ("expand_treatment",),
     "optimizer": ("objective_from_root", "gradient_from_root", "project_rows",
                   "covariance_from_root"),
-    "analysis": ("objective_f",),
+    "analysis": ("objective_f", "is_valid_covariance"),
+    "estimators": ("EstimateRecord", "ht", "ht_adjusted", "dim"),
 }
 
 LAZY = ("networkx", "scipy.integrate", "scipy.sparse", "scipy.sparse.csgraph", "multiprocessing")
@@ -146,8 +149,8 @@ def test_scipy_is_imported_only_for_the_sparse_neighbour_counts():
 
 def test_public_surface():
     """Every exported name resolves, and the removed names are gone from the
-    package, from their modules and, for `neighbor_sums` and `adjacency`,
-    from `Graph`."""
+    package, from their modules, for `neighbor_sums` and `adjacency` from
+    `Graph`, and for `members` from `Clustering`."""
     assert [name for name in covdesign.__all__ if not hasattr(covdesign, name)] == []
     for module, names in REMOVED.items():
         for name in names:
@@ -156,3 +159,16 @@ def test_public_surface():
             assert not hasattr(getattr(covdesign, module), name)
     for name in ("neighbor_sums", "adjacency", "_adjacency"):
         assert not hasattr(covdesign.Graph, name)
+    assert not hasattr(covdesign.Clustering, "members")
+
+
+def test_readme_entry_points_resolve():
+    """Every backticked name in README's "Library entry points" paragraph
+    is an attribute of `covdesign`."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Library entry points\n\n")[1]
+    paragraph = section.split("\n\n")[0]
+    names = [name for name in re.findall(r"`([^`]+)`", paragraph)
+             if name.isidentifier()]
+    assert "cluster_estimates" in names
+    assert [name for name in names if not hasattr(covdesign, name)] == []

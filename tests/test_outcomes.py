@@ -87,6 +87,12 @@ class TestGateAnalysis:
                        - singleton_outcomes(params, graph, np.zeros(12)))
         assert cd.gate_analysis(params, graph) == pytest.approx(diff, abs=1e-13)
 
+    def test_model_of_another_size(self, sbm4):
+        graph, _ = sbm4
+        params = cd.AnalysisModelParams.uniform(graph.n + 1)
+        with pytest.raises(ValueError, match=r"^model alpha has shape \(21,\), graph has 20 units$"):
+            cd.gate_analysis(params, graph)
+
 
 class TestEvalSim:
     """The simulation models' unit outcomes, through singleton clusters."""

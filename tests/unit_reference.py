@@ -1,4 +1,5 @@
-"""The outcome models evaluated unit by unit, as the tests' reference.
+"""The outcome models evaluated unit by unit, as the tests' reference, and
+the tests' check of a balanced design's covariance.
 
 `simulation.ClusterModel` evaluates a model only through its per-cluster
 outcome sums.  The functions below evaluate the same models on the units,
@@ -40,3 +41,19 @@ def unit_outcomes(model, graph, z, noise):
     if isinstance(model, cd.AnalysisModelParams):
         return eval_analysis(model, graph, z)
     return eval_sim(model, graph, z, noise)
+
+
+def is_valid_covariance(cov, atol=1e-9):
+    """Check the balanced-design covariance constraints (symmetry, PSD,
+    diagonal 1/4, off-diagonals within [-1/4, 1/4])."""
+    cov = np.asarray(cov, dtype=np.float64)
+    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
+        return False
+    if not np.allclose(cov, cov.T, atol=atol):
+        return False
+    if np.max(np.abs(np.diag(cov) - 0.25)) > atol:
+        return False
+    if np.max(np.abs(cov)) > 0.25 + atol:
+        return False
+    eigmin = float(np.linalg.eigvalsh((cov + cov.T) / 2.0).min())
+    return eigmin > -atol
