@@ -62,7 +62,6 @@ from .simulation import (
     ReportCell,
     SimConfig,
     SimReport,
-    baseline_levels,
     run_exact,
     run_mc,
 )
@@ -81,5 +80,5 @@ __all__ = [
     "make_design",
     "OptimizationError", "OptimizerConfig", "OptTrace", "evaluate_root",
     "optimize",
-    "ReportCell", "SimConfig", "SimReport", "baseline_levels", "run_exact", "run_mc",
+    "ReportCell", "SimConfig", "SimReport", "run_exact", "run_mc",
 ]

@@ -417,7 +417,9 @@ def _run_analyze(cfg: dict) -> dict:
     model = AnalysisModelParams.uniform(graph.n, alpha=0.0, beta=cfg["beta"], gamma=gamma)
     h = h_vector(model, graph, clustering)
     cov = design.covariance()
-    omega_star = omega_from_model(summary, h, gamma)
+    # gamma = 0 implies no omega: omega_from_model refuses it unless --omega is given
+    omega_star = (math.inf if gamma == 0.0 and cfg["omega"] is not None
+                  else omega_from_model(summary, h, gamma))
     if not math.isfinite(omega_star):
         if cfg["omega"] is None:
             cluster = np.flatnonzero((summary.cluster_degrees == 0) & (h != 0.0))[0]
@@ -426,16 +428,17 @@ def _run_analyze(cfg: dict) -> dict:
         omega_star = None  # JSON has no infinity
     omega = cfg["omega"] if cfg["omega"] is not None else omega_star
     bias = bias_closed_form(summary, cov, gamma)
+    # built first so that the seed and --mc-reps are checked on both branches
+    mc_config = simulation.SimConfig(
+        graph=graph, clustering=clustering, designs=(("design", design),),
+        model=model, gammas=(gamma,), estimators=("ht_adjusted",),
+        replications=cfg["mc_reps"], base_seed=cfg["seed"],
+    )
     try:
         exact = variance_exact(summary, h, gamma, design)
         variance = {"value": exact.variance, "method": "exact", "se": 0.0}
     except DesignEnumerationError:
-        report = simulation.run_mc(simulation.SimConfig(
-            graph=graph, clustering=clustering, designs=(("design", design),),
-            model=model, gammas=(gamma,), estimators=("ht_adjusted",),
-            replications=cfg["mc_reps"], base_seed=cfg["seed"],
-        ))
-        cell = report.cells[0]
+        cell = simulation.run_mc(mc_config).cells[0]
         variance = {"value": cell.sd**2, "method": "monte-carlo",
                     "se": 2.0 * cell.sd * cell.se_sd, "replications": cfg["mc_reps"]}
     bias_term, variance_term = objective_terms(summary, cov, omega)

@@ -72,15 +72,6 @@ def enumerate_patterns(k: int) -> np.ndarray:
     return np.unpackbits(idx, axis=1, count=k, bitorder="little").astype(np.float64)
 
 
-def _balanced_subset_probs(m: int) -> dict[int, float]:
-    """Treated-count distribution of complete randomization on m clusters."""
-    if m == 1:
-        return {0: 0.5, 1: 0.5}
-    if m % 2 == 0:
-        return {m // 2: 1.0}
-    return {m // 2: 0.5, m // 2 + 1: 0.5}
-
-
 def _smallest(u: np.ndarray, count) -> np.ndarray:
     """1.0 where a uniform ranks among the `count` smallest along the last axis."""
     # the j-th smallest sits at order[..., j]; it is treated iff j < count
@@ -93,14 +84,13 @@ def _smallest(u: np.ndarray, count) -> np.ndarray:
 def _balanced_covariance(m: int) -> np.ndarray:
     # off-diagonals from two-point enumeration: -1/(4(m-1)) even, -1/(4m) odd
     cov = np.full((m, m), -1.0 / (4.0 * (m - 1)) if m % 2 == 0 else -1.0 / (4.0 * m))
-    if m == 1:
-        cov = np.zeros((1, 1))
     np.fill_diagonal(cov, 0.25)
     return cov
 
 
 def _balanced_pattern_prob(pattern_sum: np.ndarray, m: int) -> np.ndarray:
-    counts = _balanced_subset_probs(m)
+    """Pattern probabilities of a completely randomized m-cluster block, by treated count."""
+    counts = {m // 2: 1.0} if m % 2 == 0 else {m // 2: 0.5, m // 2 + 1: 0.5}
     probs = np.zeros(pattern_sum.shape)
     for count, weight in counts.items():
         probs[pattern_sum == count] = weight / comb(m, count)
@@ -177,7 +167,7 @@ class BernoulliDesign(Design):
 class BlockDesign(Design):
     """Independent blocks, each internally completely randomized.
 
-    Blocks of size one fall back to a fair coin; odd blocks use the fair
+    Odd blocks, a single cluster included (a fair coin), use the fair
     mixture of the two middle treated counts.
     """
 
@@ -190,7 +180,7 @@ class BlockDesign(Design):
         super().__init__(k)
         self.blocks = tuple(tuple(int(i) for i in b) for b in blocks)
         # runs of consecutive even blocks of one size, as (blocks x size)
-        # column arrays; every odd or singleton block is a run of its own
+        # column arrays; every odd block is a run of its own
         self._runs: list[np.ndarray] = []
         for m, run in groupby(self.blocks, len):
             if m % 2:

@@ -37,9 +37,6 @@ import itertools
 import numpy as np
 
 __all__ = [
-    "sign_pair_moment",
-    "orthant_quadrivariate",
-    "sign_quad_moment",
     "sign_pattern_probabilities",
     "MAX_EXACT_SIGN_DIM",
     "MAX_ORTHANT_CORRELATION",
@@ -69,16 +66,6 @@ _I, _J, _K, _L = np.array([(i, j, *sorted({0, 1, 2, 3} - {i, j}))
                            for i, j in itertools.combinations(range(4), 2)]).T
 
 
-def sign_pair_moment(r: float) -> float:
-    """E[sgn(X) sgn(Y)] for standard bivariate normal with correlation r."""
-    return 2.0 * np.arcsin(r) / np.pi
-
-
-def _check_off_diagonals(corr: np.ndarray) -> None:
-    if np.abs(corr[..., _I, _J]).max() >= MAX_ORTHANT_CORRELATION:
-        raise ValueError("orthant path integration needs off-diagonals inside (-1, 1)")
-
-
 def _orthant_batch(corr: np.ndarray) -> np.ndarray:
     """P(X > 0) for each 4x4 correlation matrix of the (B, 4, 4) batch."""
     r = corr[:, _I, _J][..., None]          # (B, 6, 1): each pair's correlation
@@ -100,31 +87,6 @@ def _orthant_batch(corr: np.ndarray) -> np.ndarray:
     return 1.0 / 16.0 + terms.sum(axis=1) @ _WEIGHTS
 
 
-def _as_batch(corr: np.ndarray) -> np.ndarray:
-    corr = np.asarray(corr, dtype=np.float64)
-    if corr.shape != (4, 4):
-        raise ValueError("corr must be 4x4")
-    _check_off_diagonals(corr)
-    return corr[None]
-
-
-def orthant_quadrivariate(corr: np.ndarray) -> float:
-    """P(X_1>0, ..., X_4>0) for X ~ N(0, corr), corr a 4x4 correlation matrix
-    with off-diagonals inside (-1, 1)."""
-    return float(_orthant_batch(_as_batch(corr))[0])
-
-
-def _quad_moments(corr: np.ndarray) -> np.ndarray:
-    """E[s_1 s_2 s_3 s_4] for each matrix of a (B, 4, 4) batch."""
-    arc = np.arcsin(corr[:, _I, _J]).sum(axis=1)
-    return 16.0 * _orthant_batch(corr) - 1.0 - (2.0 / np.pi) * arc
-
-
-def sign_quad_moment(corr: np.ndarray) -> float:
-    """E[s_1 s_2 s_3 s_4] for the signs of a 4-dim centered Gaussian."""
-    return float(_quad_moments(_as_batch(corr))[0])
-
-
 def sign_pattern_probabilities(corr: np.ndarray) -> np.ndarray:
     """Probabilities of all 2^K sign patterns of N(0, corr), K <= 5.
 
@@ -142,10 +104,14 @@ def sign_pattern_probabilities(corr: np.ndarray) -> np.ndarray:
     signs = np.where((np.arange(2**k)[:, None] >> np.arange(k)) & 1 == 1, 1.0, -1.0)
     probs = np.ones(2**k)
     i, j = np.triu_indices(k, 1)
-    probs += (signs[:, i] * signs[:, j]) @ sign_pair_moment(corr[i, j])
+    probs += (signs[:, i] * signs[:, j]) @ (2.0 * np.arcsin(corr[i, j]) / np.pi)
     if k >= 4:
         subs = np.array(list(itertools.combinations(range(k), 4)))
         blocks = corr[subs[:, :, None], subs[:, None, :]]
-        _check_off_diagonals(blocks)
-        probs += np.prod(signs[:, subs], axis=2) @ _quad_moments(blocks)
+        pairs = blocks[:, _I, _J]
+        if np.abs(pairs).max() >= MAX_ORTHANT_CORRELATION:
+            raise ValueError("orthant path integration needs off-diagonals inside (-1, 1)")
+        # E[s_i s_j s_k s_l] = 16 P(X > 0) - 1 - (2 / pi) * (sum of the six pair arcsines)
+        quad = 16.0 * _orthant_batch(blocks) - 1.0 - (2.0 / np.pi) * np.arcsin(pairs).sum(axis=1)
+        probs += np.prod(signs[:, subs], axis=2) @ quad
     return probs / 2**k

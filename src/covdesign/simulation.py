@@ -35,7 +35,6 @@ __all__ = [
     "SimReport",
     "run_mc",
     "run_exact",
-    "baseline_levels",
 ]
 
 # replications per seeded stream: amortizes per-call overhead while the
@@ -48,18 +47,6 @@ BLOCK = 64
 CELL_BYTES = 9
 
 
-def baseline_levels(model, graph: Graph) -> np.ndarray:
-    """Known per-unit base level of a model: its deterministic outcome under
-    global control with the noise switched off."""
-    if isinstance(model, AnalysisModelParams):
-        return np.asarray(model.alpha, dtype=np.float64)
-    deg = graph.degrees.astype(np.float64)
-    rel = deg / model.mean_degree if model.mean_degree > 0 else np.zeros_like(deg)
-    if model.kind == "linear":
-        return model.alpha + model.c * rel
-    return model.alpha * rel
-
-
 def _check_inputs(graph: Graph, clustering: Clustering, designs, model, gammas,
                   estimators) -> None:
     """The refusals `run_mc` (through `SimConfig`) and `run_exact` share."""
@@ -68,11 +55,13 @@ def _check_inputs(graph: Graph, clustering: Clustering, designs, model, gammas,
         raise ValueError("gamma grid must be nonempty")
     if not all(math.isfinite(g) for g in gammas):
         raise ValueError(f"gammas must be finite, got {list(gammas)}")
-    if not designs:
-        raise ValueError("at least one design is required")
-    # SimReport.cell finds a cell by design name and gamma, so both must be unique
+    for label, items in (("design", designs), ("estimator", estimators)):
+        if not items:
+            raise ValueError(f"at least one {label} is required")
+    # SimReport.cell finds a cell by design name, gamma and estimator, so each must be unique
     for label, values in (("design name", [name for name, _ in designs]),
-                          ("gamma", [float(g) for g in gammas])):
+                          ("gamma", [float(g) for g in gammas]),
+                          ("estimator", list(estimators))):
         for i, value in enumerate(values):
             if value in values[:i]:
                 raise ValueError(f"duplicate {label} {value!r}")
@@ -96,8 +85,9 @@ class SimConfig:
     base_seed: int = 0
 
     def __post_init__(self):
-        if self.replications < 1:
-            raise ValueError("replications must be at least 1")
+        if self.replications < 2:
+            raise ValueError("replications must be at least 2 (a standard deviation needs "
+                             f"two draws), got {self.replications}")
         if self.base_seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.base_seed}")
         _check_inputs(self.graph, self.clustering, self.designs, self.model, self.gammas,
@@ -215,18 +205,23 @@ class ClusterModel:
         assign, k = clustering.assignment, clustering.k
         deg = graph.degrees.astype(np.float64)
         self.sizes = clustering.sizes.astype(np.float64)
-        self.baseline = np.bincount(assign, baseline_levels(model, graph), minlength=k)
         self.kind = getattr(model, "kind", "analysis")
         self.sigma = getattr(model, "sigma", 0.0)
         self.noisy = self.sigma > 0.0
+        # the base level: the noise-free outcome under global control
         if self.kind == "analysis":
+            self.baseline = np.bincount(assign, model.alpha, minlength=k)
             self.direct = np.bincount(assign, model.beta, minlength=k)
             self.spill = contact_matrix(graph, clustering)
-        elif self.kind == "linear":
+            return
+        rel = deg / model.mean_degree if model.mean_degree > 0 else np.zeros_like(deg)
+        if self.kind == "linear":
             inv_deg = np.divide(1.0, deg, out=np.zeros_like(deg), where=deg > 0)
+            self.baseline = np.bincount(assign, model.alpha + model.c * rel, minlength=k)
             self.direct = model.beta * self.sizes
             self.spill = contact_matrix(graph, clustering, inv_deg).T
         else:
+            self.baseline = np.bincount(assign, model.alpha * rel, minlength=k)
             # rel_i f_i = (N t)_i / dbar, so the mean needs only the contacts
             exact32 = np.bincount(assign, deg * deg, minlength=k).max() < EXACT_FLOAT32
             self.dtype = np.float32 if exact32 else np.float64

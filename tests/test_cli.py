@@ -496,6 +496,17 @@ class TestAnalyze:
         assert result["omega_star"] is None
         assert result["omega_used"] == 1.0
 
+    def test_gamma_zero_with_omega_writes_null_omega_star(self, workspace, capsys):
+        # no interference: no omega is implied, and the bias and the bound are 0
+        tmp, _, _, graph_path, clusters_path = workspace
+        assert run(["analyze", "--graph", graph_path, "--clusters", clusters_path,
+                    "--design", "cr", "--gamma", "0", "--omega", "1"]) == 0
+        result = json.loads(capsys.readouterr().out)
+        assert result["omega_star"] is None
+        assert result["omega_used"] == 1.0
+        assert result["bias"] == 0.0
+        assert result["variance_bound"] == 0.0
+
 
 class TestReport:
     def test_renders_table_with_minimum_flag(self, workspace, capsys):
@@ -617,6 +628,13 @@ BOUNDARY = {
                          "duplicate design name 'ber'"),
     "duplicate-gamma": (_sim(lambda c: {**c, "gammas": [1, 0.5, 1.0]}),
                         "duplicate gamma 1.0"),
+    "replications-one": (_sim(lambda c: {**c, "replications": 1}),
+                         "replications must be at least 2 (a standard deviation needs two "
+                         "draws), got 1"),
+    "estimators-empty": (_sim(lambda c: {**c, "estimators": []}),
+                         "at least one estimator is required"),
+    "duplicate-estimator": (_sim(lambda c: {**c, "estimators": ["ht", "ht"]}),
+                            "duplicate estimator 'ht'"),
     "bundle-missing-cell": (_bundle({"designs": ["ber"], "gammas": [0.5],
                                      "estimators": ["ht"], "cells": []}),
                             "{src}has no cell for design 'ber', gamma 0.5 and estimator 'ht'"),
@@ -635,6 +653,19 @@ BOUNDARY = {
     "flag-seed-negative": (_flags("cluster", "--graph", "GRAPH", "--seed", "-1",
                                   "--out", "OUT"),
                            "seed must be non-negative, got -1"),
+    # the workspace's four clusters enumerate exactly, so no Monte Carlo runs
+    "flag-analyze-exact-seed-negative": (_flags("analyze", "--graph", "GRAPH", "--clusters",
+                                                "CLUSTERS", "--design", "ber", "--seed", "-1",
+                                                "--out", "OUT"),
+                                         "seed must be non-negative, got -1"),
+    "flag-analyze-exact-mc-reps-one": (_flags("analyze", "--graph", "GRAPH", "--clusters",
+                                              "CLUSTERS", "--design", "cr", "--mc-reps", "1",
+                                              "--out", "OUT"),
+                                       "replications must be at least 2 (a standard "
+                                       "deviation needs two draws), got 1"),
+    "flag-analyze-gamma-zero": (_flags("analyze", "--graph", "GRAPH", "--clusters", "CLUSTERS",
+                                       "--design", "cr", "--gamma", "0", "--out", "OUT"),
+                                "omega is undefined for gamma = 0"),
     "flag-resolution-nan": (_flags("cluster", "--graph", "GRAPH", "--resolution", "nan",
                                    "--seed", "1", "--out", "OUT"),
                             "resolution must be positive and finite, got nan"),

@@ -8,10 +8,11 @@ from pathlib import Path
 
 import covdesign
 
-# public names that went with the unit-level outcome path, the optimizer's
-# views of evaluate_root, the second paths to Cov[t] and f, the unit-level
-# estimator wrappers and the test-only covariance check, with the module
-# that held each
+# names that went with the unit-level outcome path, the optimizer's views of
+# evaluate_root, the second paths to Cov[t] and f, the unit-level estimator
+# wrappers, the test-only covariance check, the single-matrix orthant entry
+# points, the base levels outside ClusterModel and the balanced blocks'
+# treated-count table, with the module that held each
 REMOVED = {
     "outcomes": ("eval_sim", "eval_analysis"),
     "graph": ("expand_treatment",),
@@ -19,6 +20,9 @@ REMOVED = {
                   "covariance_from_root"),
     "analysis": ("objective_f", "is_valid_covariance"),
     "estimators": ("EstimateRecord", "ht", "ht_adjusted", "dim"),
+    "orthant": ("sign_pair_moment", "orthant_quadrivariate", "sign_quad_moment", "_as_batch"),
+    "simulation": ("baseline_levels",),
+    "designs": ("_balanced_subset_probs",),
 }
 
 LAZY = ("networkx", "scipy.integrate", "scipy.sparse", "scipy.sparse.csgraph", "multiprocessing")

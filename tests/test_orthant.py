@@ -1,11 +1,11 @@
 """Oracles for the sign-probability machinery.
 
-The quadrivariate orthant value is checked against an independent
-single-integral oracle on one-factor correlation structures, against
-permutation symmetry, against Monte Carlo on generic matrices, against a
-20-digit mpmath oracle where a pair correlation is near +-1, and the pattern
-probabilities against an adaptive-quadrature reference on random and
-rank-deficient blocks.
+The quadrivariate orthant value, the all-positive entry of the 4x4
+pattern probabilities, is checked against an independent single-integral
+oracle on one-factor correlation structures, against permutation symmetry,
+against Monte Carlo on generic matrices, against a 20-digit mpmath oracle
+where a pair correlation is near +-1, and the pattern probabilities against
+an adaptive-quadrature reference on random and rank-deficient blocks.
 """
 
 import itertools
@@ -15,13 +15,20 @@ import pytest
 from scipy import integrate
 from scipy.stats import norm
 
-from covdesign.orthant import (
-    orthant_quadrivariate,
-    sign_pair_moment,
-    sign_pattern_probabilities,
-    sign_quad_moment,
-)
+from covdesign.orthant import sign_pattern_probabilities
 from conftest import random_unit_rows
+
+
+def orthant(corr):
+    """P(X > 0) for X ~ N(0, corr), corr 4x4: the all-treated pattern, index 15."""
+    return sign_pattern_probabilities(corr)[15]
+
+
+def sign_moment(corr):
+    """E[s_1 ... s_K], the product of all K signs, from the pattern probabilities."""
+    k = np.shape(corr)[0]
+    signs = np.where(((np.arange(2**k)[:, None] >> np.arange(k)) & 1) == 1, 1.0, -1.0)
+    return sign_pattern_probabilities(corr) @ np.prod(signs, axis=1)
 
 
 def one_factor_orthant(lam):
@@ -37,7 +44,7 @@ def one_factor_orthant(lam):
 
 
 def test_independent_orthant_is_one_sixteenth():
-    assert orthant_quadrivariate(np.eye(4)) == pytest.approx(1 / 16, abs=1e-13)
+    assert orthant(np.eye(4)) == pytest.approx(1 / 16, abs=1e-13)
 
 
 def test_one_factor_oracle_agreement():
@@ -46,7 +53,7 @@ def test_one_factor_oracle_agreement():
         lam = rng.uniform(-0.9, 0.9, size=4)
         corr = np.outer(lam, lam)
         np.fill_diagonal(corr, 1.0)
-        assert orthant_quadrivariate(corr) == pytest.approx(
+        assert orthant(corr) == pytest.approx(
             one_factor_orthant(lam), abs=1e-11
         )
 
@@ -55,10 +62,10 @@ def test_permutation_invariance():
     root = random_unit_rows(4, seed=5)
     corr = root @ root.T
     np.fill_diagonal(corr, 1.0)
-    base = orthant_quadrivariate(corr)
+    base = orthant(corr)
     for perm in ((1, 0, 3, 2), (3, 2, 1, 0)):
         p = np.asarray(perm)
-        assert orthant_quadrivariate(corr[np.ix_(p, p)]) == pytest.approx(base, abs=1e-12)
+        assert orthant(corr[np.ix_(p, p)]) == pytest.approx(base, abs=1e-12)
 
 
 def test_monte_carlo_agreement():
@@ -70,17 +77,20 @@ def test_monte_carlo_agreement():
     hits = np.all(draws > 0, axis=1)
     p_hat = hits.mean()
     se = np.sqrt(p_hat * (1 - p_hat) / n)
-    assert abs(orthant_quadrivariate(corr) - p_hat) < 4 * se
+    assert abs(orthant(corr) - p_hat) < 4 * se
 
 
 def test_quad_moment_independent_case_is_zero():
-    assert sign_quad_moment(np.eye(4)) == pytest.approx(0.0, abs=1e-12)
+    assert sign_moment(np.eye(4)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_pair_moment_closed_form():
-    assert sign_pair_moment(0.5) == pytest.approx(1 / 3, abs=1e-15)
-    assert sign_pair_moment(1.0) == pytest.approx(1.0)
-    assert sign_pair_moment(-1.0) == pytest.approx(-1.0)
+    def pair_moment(r):
+        return sign_moment(np.array([[1.0, r], [r, 1.0]]))
+
+    assert pair_moment(0.5) == pytest.approx(1 / 3, abs=1e-15)
+    assert pair_moment(1.0) == pytest.approx(1.0)
+    assert pair_moment(-1.0) == pytest.approx(-1.0)
 
 
 class TestPatternProbabilities:
@@ -222,7 +232,7 @@ def near_singular(eps, sign, seed):
 def test_near_singular_pair_matches_mpmath(eps, sign):
     corr = near_singular(eps, sign, seed=40)
     assert abs(corr[0, 1]) == pytest.approx(1 - eps, abs=1e-15)
-    assert orthant_quadrivariate(corr) == pytest.approx(mpmath_orthant(corr), abs=1e-12)
+    assert orthant(corr) == pytest.approx(mpmath_orthant(corr), abs=1e-12)
 
 
 @pytest.mark.parametrize("rank", [2, 3, 5])

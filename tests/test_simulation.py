@@ -75,7 +75,7 @@ def test_cluster_sums_match_unit_loop_without_noise(fixture, sbm4):
         law = ClusterModel(model, graph, clustering)
         values, degenerate = cd.cluster_estimates(t, law.sums(t, model.gamma), law.sizes,
                                                   law.baseline)
-        baseline = cd.baseline_levels(model, graph)
+        baseline = unit_outcomes(model, graph, np.zeros(graph.n), np.zeros(graph.n))
         for row in range(t.shape[0]):
             z = t[row][clustering.assignment]
             y = unit_outcomes(model, graph, z, np.zeros(graph.n))
@@ -108,7 +108,7 @@ def unit_mc(graph, clustering, design, model, reps, seed):
     """Reference Monte Carlo: unit-level outcomes and estimators, one draw
     at a time.  Returns per estimator (mean, sd, se_mean, se_sd)."""
     rng = np.random.default_rng(seed)
-    baseline = cd.baseline_levels(model, graph)
+    baseline = unit_outcomes(model, graph, np.zeros(graph.n), np.zeros(graph.n))
     rows = []
     for t in design.sample_many(rng, reps):
         z = t[clustering.assignment]
@@ -372,6 +372,30 @@ class TestRunMc:
             small_config(graph, clustering, (("ber", cd.BernoulliDesign(4)),),
                          model, estimators=("hajek",))
 
+    @pytest.mark.parametrize("reps", [0, 1])
+    def test_fewer_than_two_replications_rejected(self, sbm_setup, reps):
+        # one draw has no standard deviation: its cells would be NaN
+        graph, clustering, _ = sbm_setup
+        model = cd.SimModelParams.for_graph(graph, "linear")
+        with pytest.raises(ValueError, match=rf"^replications must be at least 2 \(a standard "
+                                             rf"deviation needs two draws\), got {reps}$"):
+            small_config(graph, clustering, (("ber", cd.BernoulliDesign(4)),), model,
+                         replications=reps)
+
+    @pytest.mark.parametrize("estimators, message", [
+        ((), "at least one estimator is required"),
+        (("ht", "dim", "ht"), "duplicate estimator 'ht'"),
+    ])
+    def test_empty_or_repeated_estimators_rejected(self, sbm_setup, estimators, message):
+        graph, clustering, _ = sbm_setup
+        designs = (("ber", cd.BernoulliDesign(4)),)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            small_config(graph, clustering, designs,
+                         cd.SimModelParams.for_graph(graph, "linear"), estimators=estimators)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            cd.run_exact(graph, clustering, designs, cd.AnalysisModelParams.uniform(graph.n),
+                         estimators=estimators)
+
 
 class TestRunExact:
     def test_path_bernoulli_matches_closed_form(self, path_graph, path_clustering,
@@ -524,20 +548,25 @@ class TestReportShape:
             report.cell("cr", 1.0, "ht")
 
 
+def unit_baseline(model, graph):
+    """Per-unit base levels, read from `ClusterModel` over one cluster per unit."""
+    return ClusterModel(model, graph, cd.Clustering(np.arange(graph.n), graph.n)).baseline
+
+
 class TestBaselineLevels:
     def test_analysis_model_uses_alpha(self, path_graph):
         model = cd.AnalysisModelParams(np.arange(4.0), np.ones(4), 1.0)
-        assert np.array_equal(cd.baseline_levels(model, path_graph), np.arange(4.0))
+        assert np.array_equal(unit_baseline(model, path_graph), np.arange(4.0))
 
     def test_linear_model_baseline(self, path_graph):
         model = cd.SimModelParams.for_graph(path_graph, "linear", alpha=1.0, c=0.5)
         expected = 1.0 + 0.5 * path_graph.degrees / path_graph.mean_degree
-        assert np.allclose(cd.baseline_levels(model, path_graph), expected)
+        assert np.allclose(unit_baseline(model, path_graph), expected)
 
     def test_multiplicative_model_baseline(self, path_graph):
         model = cd.SimModelParams.for_graph(path_graph, "multiplicative", alpha=2.0)
         expected = 2.0 * path_graph.degrees / path_graph.mean_degree
-        assert np.allclose(cd.baseline_levels(model, path_graph), expected)
+        assert np.allclose(unit_baseline(model, path_graph), expected)
 
 
 @st.composite
