@@ -302,9 +302,10 @@ def _run_optimize(cfg: dict) -> dict:
     trace_path = out.with_suffix(out.suffix + ".trace.csv")
     _write_csv(trace_path,
                ["iteration", "objective", "bias_term", "variance_term", "clamped",
-                "grad_norm", "step", "g"],
+                "grad_norm", "step", "g", "epsilon"],
                trace.rows())
-    results = {"rank": root.shape[1], "evaluations": trace.evaluations}
+    results = {"rank": root.shape[1], "evaluations": trace.evaluations, "stop": trace.stop,
+               "stages": [{"epsilon": epsilon, "evaluations": n} for epsilon, n in trace.stages]}
     sidecar = {
         "k": summary.k,
         "omega": cfg["omega"],
@@ -328,7 +329,8 @@ def _run_optimize(cfg: dict) -> dict:
     start, final = trace.objective_initial, trace.objective[-1]
     reduction = 1.0 - final / start if start else 0.0
     print(f"wrote {out} (f: {start:.6g} -> {final:.6g}, reduction {100 * reduction:.2f}%, "
-          f"rank {root.shape[1]})")
+          f"rank {root.shape[1]}, {trace.evaluations} of {cfg['iterations']} evaluations, "
+          f"stop: {trace.stop})")
     return manifest
 
 
@@ -381,8 +383,9 @@ def _run_simulate(cfg: dict) -> dict:
     # wherever they are written (it lives in the manifest)
     bundle["meta"]["config"] = {k: v for k, v in cfg.items() if k != "out_dir"}
     bundle_path = out_dir / "report.json"
-    bundle_path.write_text(json.dumps(bundle, indent=2, sort_keys=True) + "\n",
-                           encoding="utf-8")
+    # an undefined statistic is null (SimReport.to_dict); NaN is not JSON
+    text = json.dumps(bundle, indent=2, sort_keys=True, allow_nan=False)
+    bundle_path.write_text(text + "\n", encoding="utf-8")
     outputs.append(bundle_path)
     manifest = build_manifest("simulate", cfg, inputs, outputs,
                               {"base_seed": cfg["seed"]}, timings)
@@ -493,7 +496,9 @@ def _run_report(ns) -> None:
                     raise _fail(f"bundle {ns.bundle} has no cell for design {design!r}, "
                                 f"gamma {gamma:g} and estimator {estimator!r}")
                 flag = "*" if minima.get(f"{estimator}|gamma={gamma:g}") == design else " "
-                row += f"{c['bias']:>14.4f}{c['sd']:>10.4f}{c['mse']:>9.4f}{flag}"
+                bias, sd, mse = (math.nan if c[key] is None else c[key]
+                                 for key in ("bias", "sd", "mse"))
+                row += f"{bias:>14.4f}{sd:>10.4f}{mse:>9.4f}{flag}"
             lines.append(row)
         lines.append("(* = minimum MSE in its column group)")
     print("\n".join(lines))

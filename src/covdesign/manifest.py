@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-VERSION = "0.9.0"
+VERSION = "0.10.0"
 
 __all__ = ["VERSION", "file_digest", "build_manifest", "write_manifest", "load_manifest",
            "read_json", "numerics"]

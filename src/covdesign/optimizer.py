@@ -9,7 +9,9 @@ follow its Riemannian gradient, row renormalization is the retraction,
 and the step sizes are Barzilai-Borwein steps safeguarded by a
 nonmonotone Armijo backtrack (Grippo, Lampariello & Lucidi 1986).  The
 rank p is a rule of K (Burer-Monteiro; Boumal, Voroninski & Bandeira
-2016), not a setting.
+2016), not a setting.  The arcsine's slope is infinite at +-1, where plain BB
+stalls, so the descent runs in stages under a falling clamp of the Gram
+entries (`SCHEDULE`) and ends once it stalls under the last.
 """
 
 from __future__ import annotations
@@ -36,6 +38,13 @@ __all__ = [
 
 # the arcsine clamp: Gram entries are held within +-(1 - CLAMP_EPSILON)
 CLAMP_EPSILON = 1e-6
+# clamp continuation: (fraction of the budget at which the stage ends, its
+# clamp epsilon); the result is scored under the last stage's, CLAMP_EPSILON
+SCHEDULE = ((1 / 3, 1e-2), (2 / 3, 1e-4), (1.0, CLAMP_EPSILON))
+# a stage ends, and in the last stage the run, once its best design-dependent
+# part g fell by at most STALL g over the last WINDOW evaluations
+WINDOW = 100
+STALL = 1e-3
 # a trace row every TRACE_STRIDE evaluations
 TRACE_STRIDE = 10
 # nonmonotone Armijo test: sufficient-decrease constant, and how many
@@ -74,11 +83,14 @@ class OptTrace:
 
     `iterations` holds the evaluation count of each row, `step` the step
     size that accepted the row's iterate (0 at the start), `clamped` the
-    count of its off-diagonal Gram entries beyond the arcsine clamp, counted
-    from the row's root, `grad_norm` the norm of its Riemannian gradient and
-    `design_term` the design-dependent part of f.  `objective_initial` is the
-    value the result may not exceed: f at the warm start, or at the
-    independent design I/4.
+    count of its off-diagonal Gram entries beyond the final clamp
+    1 - CLAMP_EPSILON, counted from the row's root, `grad_norm` the norm of
+    its Riemannian gradient, `design_term` the design-dependent part of f and
+    `epsilon` the clamp that f (and so every column but `clamped`) was taken
+    under.  `objective_initial` is the value the result may not exceed: f
+    under CLAMP_EPSILON at the warm start, or at the independent design I/4.
+    `stages` holds each `SCHEDULE` stage's (epsilon, evaluations used), and
+    `stop` why the last one ended: "stall", "budget" or "zero-gradient".
     """
 
     iterations: list[int] = field(default_factory=list)
@@ -89,12 +101,15 @@ class OptTrace:
     grad_norm: list[float] = field(default_factory=list)
     step: list[float] = field(default_factory=list)
     design_term: list[float] = field(default_factory=list)
+    epsilon: list[float] = field(default_factory=list)
     roots: list[np.ndarray] = field(default_factory=list)
     objective_initial: float = math.nan
     evaluations: int = 0
+    stages: list[tuple[float, int]] = field(default_factory=list)
+    stop: str = ""
 
-    def append(self, iteration: int, point: "_Point", floor: float, root: np.ndarray,
-               keep_root: bool) -> None:
+    def append(self, iteration: int, point: "_Point", floor: float, epsilon: float,
+               root: np.ndarray, keep_root: bool) -> None:
         self.iterations.append(iteration)
         self.objective.append(point.f)
         self.bias_term.append(point.bias)
@@ -103,12 +118,13 @@ class OptTrace:
         self.grad_norm.append(math.sqrt(point.gg))
         self.step.append(point.step)
         self.design_term.append(point.f - floor)
+        self.epsilon.append(epsilon)
         if keep_root:
             self.roots.append(root.copy())
 
     def rows(self):
         return zip(self.iterations, self.objective, self.bias_term, self.variance_term,
-                   self.clamped, self.grad_norm, self.step, self.design_term)
+                   self.clamped, self.grad_norm, self.step, self.design_term, self.epsilon)
 
 
 class OptimizationError(RuntimeError):
@@ -142,11 +158,11 @@ class _Step:
     K x p root, laid out in strips of `STRIP` rows over the upper triangle.
 
     With X = arcsin(A)/(2 pi) of the Gram matrix A = R R^T clamped to
-    |A_ij| <= 1 - CLAMP_EPSILON, dF/dX = a C + Q, where a = 8 (4 tr(C X) - S)
-    and Q = 8 (omega^2+4) d d'; tr(C X) = <C, X> as C is symmetric.  dX/dA is
-    elementwise and dA/dR gives 2 G_A R; the 2 is folded into the slope
-    1/(pi sqrt(1 - A^2)), and its 1/pi into a and Q.  diag(A) plays no part:
-    the retraction pins it at 1.
+    |A_ij| <= `limit` (1 - CLAMP_EPSILON unless reset), dF/dX = a C + Q, where
+    a = 8 (4 tr(C X) - S) and Q = 8 (omega^2+4) d d'; tr(C X) = <C, X> as C
+    is symmetric.  dX/dA is elementwise and dA/dR gives 2 G_A R; the 2 is
+    folded into the slope 1/(pi sqrt(1 - A^2)), and its 1/pi into a and Q.
+    diag(A) plays no part: the retraction pins it at 1.
 
     Strip (i0, i1) holds rows i0:i1 and columns i0:K of A, so an evaluation
     maps about K^2/2 entries.  The entries right of a strip's diagonal block
@@ -287,58 +303,81 @@ def optimize(summary: ClusterSummary, config: OptimizerConfig = OptimizerConfig(
              collect_roots: bool = False) -> tuple[np.ndarray, OptTrace]:
     """Minimize the design objective over unit-row K x p roots.
 
-    Starts from `_start`.  `config.iterations` is the budget of objective
-    evaluations after the start; the search stops early only at a zero
-    Riemannian gradient.  Each trial point R - alpha g, renormalized, is
-    accepted once f falls ARMIJO alpha |g|^2 below the largest of the last
-    MEMORY accepted values, and alpha halves otherwise; only an accepted
-    trial has its gradient formed.  An accepted step sets the next alpha to
-    the Barzilai-Borwein step |<s,s>/<s,y>| or |<s,y>/<y,y>|, alternately.  Returns the best accepted iterate, which
-    must improve on - or match - `trace.objective_initial`; a violation
-    raises with the trace attached.  Deterministic for a fixed
-    configuration.  With `collect_roots` the trace keeps a copy of the root
-    at every row so constraint satisfaction can be audited afterwards.
+    Starts from `_start`.  `config.iterations` is the budget of trial
+    evaluations.  The search runs in the stages of `SCHEDULE`: stage i clamps
+    the Gram entries to +-(1 - epsilon_i) and ends once the evaluations reach
+    its fraction of the budget, once its best design-dependent part g fell by
+    at most STALL g over the last WINDOW evaluations, or at a zero Riemannian
+    gradient.  Each stage starts afresh (step, memory and best) from the
+    previous stage's best iterate, re-evaluated under its own clamp.  Each
+    trial point R - alpha g, renormalized, is accepted once f falls ARMIJO
+    alpha |g|^2 below the largest of the stage's last MEMORY accepted values,
+    and alpha halves otherwise; only an accepted trial has its gradient
+    formed.  An accepted step sets the next alpha to the Barzilai-Borwein
+    step |<s,s>/<s,y>| or |<s,y>/<y,y>|, alternately.  Returns the last
+    stage's best accepted iterate, which must improve on - or match -
+    `trace.objective_initial`; a violation raises with the trace attached.
+    Deterministic for a fixed configuration.  With `collect_roots` the trace
+    keeps a copy of the root at every row so constraint satisfaction can be
+    audited afterwards.
     """
     k, omega = summary.k, config.omega
-    r = _start(k, r0)
-    step = _Step(summary, omega, r.shape[1])
+    best_r = _start(k, r0)
+    step = _Step(summary, omega, best_r.shape[1])
     floor = 2.0 * (omega**2 + 4.0) * summary.total**2
     trace = OptTrace()
-    terms = step.objective(r)
-    cur = _point(r, step.gradient(r), terms, 0.0)
-    trace.objective_initial = (cur.f if r0 is not None
+    # the step's clamp is still 1 - CLAMP_EPSILON, the one the result is scored under
+    trace.objective_initial = (step.objective(best_r)[0] if r0 is not None
                                else sum(objective_terms(summary, 0.25 * np.eye(k), omega)))
-    # an iterate is never written to once accepted: the best needs no copy
-    best, best_r = cur, r
-    recent = deque([cur.f], maxlen=MEMORY)
-    alpha = FIRST_STEP / math.sqrt(cur.gg) if cur.gg > 0 else 0.0
-    evaluation = accepted = 0
-    while evaluation < config.iterations and cur.gg > 0.0:
-        if evaluation % TRACE_STRIDE == 0:
-            trace.append(evaluation, cur, floor, r, collect_roots)
-        trial = r - alpha * cur.rg
-        _normalize_rows(trial)
-        evaluation += 1
-        terms = step.objective(trial)
-        if not math.isfinite(terms[0]):
-            raise OptimizationError(f"objective became non-finite at evaluation {evaluation}",
-                                    trace)
-        if terms[0] > max(recent) - ARMIJO * alpha * cur.gg:
-            alpha *= 0.5
-            continue
-        new = _point(trial, step.gradient(trial), terms, alpha)
-        s, y = trial - r, new.rg - cur.rg
-        sy = abs(float(np.vdot(s, y)))
-        accepted += 1
-        if sy > 0.0:
-            alpha = (float(np.vdot(s, s)) / sy if accepted % 2
-                     else sy / float(np.vdot(y, y)))
-        r, cur = trial, new
-        recent.append(cur.f)
-        if cur.f < best.f:
-            best, best_r = cur, r
+    evaluation = 0
+    for fraction, epsilon in SCHEDULE:
+        end = round(fraction * config.iterations)
+        start = evaluation
+        step.limit = 1.0 - epsilon
+        # f changed with the clamp: the step, the memory and the best restart
+        # an iterate is never written to once accepted: the best needs no copy
+        r = best_r
+        terms = step.objective(r)
+        cur = best = _point(r, step.gradient(r), terms, 0.0)
+        recent = deque([cur.f], maxlen=MEMORY)
+        window = deque([cur.f - floor], maxlen=WINDOW + 1)
+        alpha = FIRST_STEP / math.sqrt(cur.gg) if cur.gg > 0 else 0.0
+        accepted = 0
+        trace.stop = "budget"
+        while evaluation < end:
+            if cur.gg == 0.0:
+                trace.stop = "zero-gradient"
+                break
+            if evaluation % TRACE_STRIDE == 0:
+                trace.append(evaluation, cur, floor, epsilon, r, collect_roots)
+            trial = r - alpha * cur.rg
+            _normalize_rows(trial)
+            evaluation += 1
+            terms = step.objective(trial)
+            if not math.isfinite(terms[0]):
+                raise OptimizationError(
+                    f"objective became non-finite at evaluation {evaluation}", trace)
+            if terms[0] <= max(recent) - ARMIJO * alpha * cur.gg:
+                new = _point(trial, step.gradient(trial), terms, alpha)
+                s, y = trial - r, new.rg - cur.rg
+                sy = abs(float(np.vdot(s, y)))
+                accepted += 1
+                if sy > 0.0:
+                    alpha = (float(np.vdot(s, s)) / sy if accepted % 2
+                             else sy / float(np.vdot(y, y)))
+                r, cur = trial, new
+                recent.append(cur.f)
+                if cur.f < best.f:
+                    best, best_r = cur, r
+            else:
+                alpha *= 0.5
+            window.append(best.f - floor)
+            if len(window) > WINDOW and window[0] - window[-1] <= STALL * window[-1]:
+                trace.stop = "stall"
+                break
+        trace.stages.append((epsilon, evaluation - start))
     trace.evaluations = evaluation
-    trace.append(evaluation, best, floor, best_r, collect_roots)
+    trace.append(evaluation, best, floor, epsilon, best_r, collect_roots)
 
     if not best.f <= trace.objective_initial * (1.0 + 1e-12) + 1e-12:
         raise OptimizationError(

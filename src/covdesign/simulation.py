@@ -11,6 +11,7 @@ and noise ignore the other designs.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -148,12 +149,14 @@ class SimReport:
         return best
 
     def to_dict(self) -> dict:
+        """The report as JSON values: an undefined (NaN) statistic is None."""
         return {
             "kind": self.kind,
             "designs": list(self.designs),
             "gammas": list(self.gammas),
             "estimators": list(self.estimators),
-            "cells": [vars(c) for c in self.cells],
+            "cells": [{key: None if isinstance(value, float) and math.isnan(value) else value
+                       for key, value in vars(c).items()} for c in self.cells],
             "minima": self.minima(),
             "meta": self.meta,
         }
@@ -254,11 +257,17 @@ class ClusterModel:
         return np.sqrt(np.maximum(var, 0.0))
 
 
+def _warn_undefined(name, gamma, estimator, valid, draws) -> None:
+    warnings.warn(f"design {name!r}, estimator {estimator!r}, gamma {gamma:g}: {valid} of "
+                  f"{draws} draws are valid, so its bias, sd and mse are undefined")
+
+
 def _aggregate_cell(name, gamma, estimator, values, degenerate, oracle) -> ReportCell:
     reps = values.size
     valid = values[~degenerate]
     m = valid.size
     if m < 2:
+        _warn_undefined(name, gamma, estimator, m, reps)
         return ReportCell(name, gamma, estimator, float("nan"), float("nan"),
                           float("nan"), float("nan"), float("nan"), float("nan"),
                           float("nan"), oracle, reps, m, 1.0 - m / reps)
@@ -371,6 +380,8 @@ def run_exact(graph: Graph, clustering: Clustering,
                 est, weights = values[ok, e_idx], probs[ok]
                 total = float(weights.sum())
                 if total <= 0.0:
+                    _warn_undefined(name, gamma, estimator, int(np.count_nonzero(weights)),
+                                    patterns.shape[0])
                     mean = var = mse = float("nan")
                 else:
                     mean = float(weights @ est) / total

@@ -7,6 +7,7 @@ import pytest
 import covdesign as cd
 from covdesign import cli
 from covdesign.cli import main
+from covdesign.optimizer import CLAMP_EPSILON, SCHEDULE
 
 
 @pytest.fixture
@@ -77,18 +78,43 @@ class TestOptimize:
         assert sidecar["objective_final"] <= sidecar["objective_initial"]
         trace_lines = (tmp / "root.csv.trace.csv").read_text().strip().splitlines()
         assert trace_lines[0] == ("iteration,objective,bias_term,variance_term,clamped,"
-                                  "grad_norm,step,g")
+                                  "grad_norm,step,g,epsilon")
         final = trace_lines[-1].split(",")
         assert float(final[1]) == pytest.approx(sidecar["objective_final"])
         assert float(final[5]) > 0.0 and float(final[6]) > 0.0
-        floor = 2.0 * (1.0 + 4.0) * cd.build_cluster_summary(*workspace[1:3]).total ** 2
+        summary = cd.build_cluster_summary(*workspace[1:3])
+        floor = 2.0 * (1.0 + 4.0) * summary.total ** 2
         assert float(final[7]) == pytest.approx(float(final[1]) - floor)
+        assert float(final[8]) == CLAMP_EPSILON
+        assert {float(line.split(",")[8]) for line in trace_lines[1:]} == {
+            eps for _, eps in SCHEDULE}
+        # the sidecar's f is the root file's, under the final clamp
+        assert cd.evaluate_root(root, summary, 1.0)[0] == sidecar["objective_final"]
         assert "seed" not in sidecar and "step_size" not in sidecar
         assert sidecar["rank"] == 4 and sidecar["evaluations"] == 200
         manifest = json.loads((tmp / "root.csv.manifest.json").read_text())
         assert "seed" not in manifest["resolved_config"]
         assert manifest["seeds"] == {}
         assert manifest["rank"] == 4 and manifest["evaluations"] == 200
+
+    @pytest.mark.parametrize("iters, stop", [(2000, "stall"), (50, "budget")])
+    def test_records_why_and_when_the_search_stopped(self, tmp_path, acceptance_fixture,
+                                                     capsys, iters, stop):
+        graph, clustering, _ = acceptance_fixture
+        cd.save_edge_list(graph, tmp_path / "g.el")
+        cd.write_clustering(clustering, tmp_path / "c.txt")
+        out = tmp_path / "root.csv"
+        assert run(["optimize", "--graph", tmp_path / "g.el", "--clusters", tmp_path / "c.txt",
+                    "--iters", iters, "--out", out]) == 0
+        sidecar = json.loads((tmp_path / "root.csv.json").read_text())
+        manifest = json.loads((tmp_path / "root.csv.manifest.json").read_text())
+        used = sidecar["evaluations"]
+        assert sidecar["stop"] == manifest["stop"] == stop
+        assert sidecar["stages"] == manifest["stages"]
+        assert [s["epsilon"] for s in sidecar["stages"]] == [eps for _, eps in SCHEDULE]
+        assert sum(s["evaluations"] for s in sidecar["stages"]) == used
+        assert used < 2000 if stop == "stall" else used == 50
+        assert f"{used} of {iters} evaluations, stop: {stop})" in capsys.readouterr().out
 
     def test_low_rank_warm_start_is_written_zero_padded(self, workspace):
         tmp, _, _, graph_path, clusters_path = workspace
@@ -509,6 +535,34 @@ class TestAnalyze:
 
 
 class TestReport:
+    def test_undefined_cells_are_null_in_strict_json(self, tmp_path, capsys):
+        # one cluster: dim never sees a treated and a control cluster at once
+        graph, _ = cd.generate_sbm([6, 6], 0.6, 0.3, seed=5)
+        cd.save_edge_list(graph, tmp_path / "g.el")
+        cd.write_clustering(cd.Clustering(np.zeros(12, dtype=np.int64), 1), tmp_path / "c.txt")
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(json.dumps({
+            "graph": "g.el", "clustering": "c.txt", "designs": [{"kind": "ber"}],
+            "model": {"kind": "linear", "alpha": 1}, "estimators": ["ht", "dim"],
+            "replications": 50, "out_dir": "simout"}))
+        with pytest.warns(UserWarning) as caught:
+            assert run(["simulate", "--config", cfg]) == 0
+        assert [str(w.message) for w in caught] == [
+            f"design 'ber', estimator 'dim', gamma {g}: 0 of 50 draws are valid, so its "
+            "bias, sd and mse are undefined" for g in ("0.5", "1", "2")]
+
+        def refuse(token):
+            raise ValueError(f"report.json holds {token}")
+
+        path = tmp_path / "simout" / "report.json"
+        bundle = json.loads(path.read_text(), parse_constant=refuse)
+        for cell in bundle["cells"]:
+            undefined = [cell[key] is None for key in ("bias", "sd", "mse", "mean_estimate")]
+            assert all(undefined) if cell["estimator"] == "dim" else not any(undefined)
+        capsys.readouterr()
+        assert run(["report", "--bundle", path, "--estimator", "dim"]) == 0
+        assert f"{'ber':<12}{'nan':>14}{'nan':>10}{'nan':>9}" in capsys.readouterr().out
+
     def test_renders_table_with_minimum_flag(self, workspace, capsys):
         tmp, _, _, graph_path, clusters_path = workspace
         run(["optimize", "--graph", graph_path, "--clusters", clusters_path,

@@ -16,7 +16,7 @@ from hypothesis.extra.numpy import arrays
 
 import covdesign as cd
 from conftest import random_unit_rows, unit_rows
-from covdesign.optimizer import STRIP
+from covdesign.optimizer import CLAMP_EPSILON, SCHEDULE, STALL, STRIP, WINDOW, _Step
 from unit_reference import is_valid_covariance
 
 RTOL = 1e-12
@@ -58,43 +58,69 @@ def ref_gradient(r, summary, omega, clamp_epsilon=1e-6):
 
 def ref_optimize(summary, iterations, omega=1.0, r0=None):
     """Riemannian BB descent from the identity (or from `r0`, row-normalized),
-    written out: accept a trial once f falls 1e-4 alpha |g|^2 below the
-    largest of the last 10 accepted values, else halve alpha; after an
-    acceptance alternate the BB steps <s,s>/|<s,y>| and |<s,y>|/<y,y>, and
-    keep alpha when <s,y> is 0.  Returns every accepted iterate as
-    (evaluation, root, f).
+    written out, in the stages of `SCHEDULE`.  Stage i evaluates f with the
+    Gram entries clamped to +-(1 - epsilon_i); it restarts from the previous
+    stage's best iterate with a fresh step, memory and best, and runs until
+    round(fraction_i * iterations) evaluations in all, until its best
+    design-dependent part g fell by at most STALL g over the last WINDOW
+    evaluations, or until a zero gradient.  Within a stage: accept a trial
+    once f falls 1e-4 alpha |g|^2 below the largest of the stage's last 10
+    accepted values, else halve alpha; after an acceptance alternate the BB
+    steps <s,s>/|<s,y>| and |<s,y>|/<y,y>, and keep alpha when <s,y> is 0.
+    Returns every stage start and accepted iterate as (evaluation, root, f,
+    epsilon), the last stage's best (root, f), why the run stopped, and the
+    evaluations it used.
 
     Near the arcsine clamp a BB step turns a difference in the last bit of
     the gradient into one about ten times larger every ten evaluations, so
-    the reference takes f and the gradient from `evaluate_root` (checked
-    above against the three-product formulas) and forms each inner product
-    and row norm with the same numpy primitive as `optimize`: what it pins
-    is the loop."""
+    the reference takes f and the gradient from the optimizer's `_Step`
+    (checked above against the three-product formulas) and forms each inner
+    product and row norm with the same numpy primitive as `optimize`: what it
+    pins is the loop."""
+    floor = 2.0 * (omega**2 + 4.0) * summary.total**2
 
-    def tangent(r):
-        f, *_, g = cd.evaluate_root(r, summary, omega)
+    def tangent(r, epsilon):
+        step = _Step(summary, omega, r.shape[1])
+        step.limit = 1.0 - epsilon
+        f = step.objective(r)[0]
+        g = step.gradient(r)
         return f, g - np.einsum("ij,ij->i", g, r)[:, None] * r
 
-    r = (np.eye(summary.k) if r0 is None
-         else r0 / np.sqrt(np.einsum("ij,ij->i", r0, r0))[:, None])
-    f, g = tangent(r)
-    alpha = 0.1 / np.sqrt(np.vdot(g, g))
-    accepted = [(0, r, f)]
-    for evaluation in range(1, iterations + 1):
-        trial = r - alpha * g
-        trial = trial / np.sqrt(np.einsum("ij,ij->i", trial, trial))[:, None]
-        f_trial, g_trial = tangent(trial)
-        recent = max(f for _, _, f in accepted[-10:])
-        if f_trial > recent - 1e-4 * alpha * np.vdot(g, g):
-            alpha /= 2.0
-            continue
-        s, y = trial - r, g_trial - g
-        sy = abs(np.vdot(s, y))
-        if sy > 0.0:
-            alpha = np.vdot(s, s) / sy if len(accepted) % 2 else sy / np.vdot(y, y)
-        r, g = trial, g_trial
-        accepted.append((evaluation, r, f_trial))
-    return accepted
+    best_r = (np.eye(summary.k) if r0 is None
+              else r0 / np.sqrt(np.einsum("ij,ij->i", r0, r0))[:, None])
+    iterates, evaluation = [], 0
+    for fraction, epsilon in SCHEDULE:
+        r = best_r
+        f, g = tangent(r, epsilon)
+        best_f, accepted, bests = f, [f], [f - floor]
+        iterates.append((evaluation, r, f, epsilon))
+        alpha = 0.1 / np.sqrt(np.vdot(g, g))
+        stop = "budget"
+        while evaluation < round(fraction * iterations):
+            if np.vdot(g, g) == 0.0:
+                stop = "zero-gradient"
+                break
+            trial = r - alpha * g
+            trial = trial / np.sqrt(np.einsum("ij,ij->i", trial, trial))[:, None]
+            evaluation += 1
+            f_trial, g_trial = tangent(trial, epsilon)
+            if f_trial <= max(accepted[-10:]) - 1e-4 * alpha * np.vdot(g, g):
+                s, y = trial - r, g_trial - g
+                sy = abs(np.vdot(s, y))
+                if sy > 0.0:
+                    alpha = np.vdot(s, s) / sy if len(accepted) % 2 else sy / np.vdot(y, y)
+                r, g = trial, g_trial
+                accepted.append(f_trial)
+                iterates.append((evaluation, r, f_trial, epsilon))
+                if f_trial < best_f:
+                    best_f, best_r = f_trial, r
+            else:
+                alpha /= 2.0
+            bests.append(best_f - floor)
+            if len(bests) > WINDOW and bests[-WINDOW - 1] - bests[-1] <= STALL * bests[-1]:
+                stop = "stall"
+                break
+    return iterates, (best_r, best_f), stop, evaluation
 
 
 def near_identical_rows(k, seed):
@@ -138,6 +164,18 @@ def test_evaluator_matches_three_product_reference(summary, omega):
     assert clamps[-1] > 0
 
 
+@pytest.mark.parametrize("epsilon", [eps for _, eps in SCHEDULE])
+def test_step_under_each_stage_clamp_matches_three_product_reference(summary, epsilon):
+    for r in roots_for(summary.k):
+        step = _Step(summary, 1.0, r.shape[1])
+        step.limit = 1.0 - epsilon
+        f, bias, variance = step.objective(r)
+        ref_f, ref_bias, ref_variance, _ = ref_objective(r, summary, 1.0, epsilon)
+        ref_grad = ref_gradient(r, summary, 1.0, epsilon)
+        assert close(f, ref_f) and close(bias, ref_bias) and close(variance, ref_variance)
+        assert np.linalg.norm(step.gradient(r) - ref_grad) <= RTOL * np.linalg.norm(ref_grad)
+
+
 def test_clamp_count_ignores_the_diagonal(sbm4):
     graph, clustering = sbm4
     summary = cd.build_cluster_summary(graph, clustering)
@@ -151,17 +189,22 @@ def test_clamp_count_ignores_the_diagonal(sbm4):
 def assert_trace_matches_reference_loop(summary, iterations, r0=None):
     root, trace = cd.optimize(summary, cd.OptimizerConfig(iterations=iterations), r0=r0,
                               collect_roots=True)
-    accepted = ref_optimize(summary, iterations, r0=r0)
-    assert trace.iterations == list(range(0, iterations, 10)) + [iterations]
+    iterates, (best_r, best_f), stop, evaluations = ref_optimize(summary, iterations, r0=r0)
+    assert (trace.stop, trace.evaluations) == (stop, evaluations)
+    assert sum(n for _, n in trace.stages) == evaluations
+    assert trace.iterations == list(range(0, evaluations, 10)) + [evaluations]
     assert sum(step > 0 for step in trace.step[:-1]) > 0
-    for evaluation, r, f in zip(trace.iterations[:-1], trace.roots, trace.objective):
-        # the iterate current at this evaluation: the last one accepted by then
-        _, ref_r, ref_f = [a for a in accepted if a[0] <= evaluation][-1]
+    for evaluation, r, f, epsilon in zip(trace.iterations[:-1], trace.roots, trace.objective,
+                                         trace.epsilon):
+        # the iterate current at this evaluation: the last one accepted by then,
+        # or the start of a stage that began there
+        _, ref_r, ref_f, ref_epsilon = [a for a in iterates if a[0] <= evaluation][-1]
         assert np.abs(r - ref_r).max() <= RTOL
         assert close(f, ref_f)
-    _, best_r, best_f = min(accepted, key=lambda a: a[2])
+        assert epsilon == ref_epsilon
     assert np.abs(root - best_r).max() <= RTOL
     assert close(trace.objective[-1], best_f)
+    assert trace.epsilon[-1] == CLAMP_EPSILON
     assert np.array_equal(trace.roots[-1], root)
     return trace
 
@@ -169,6 +212,11 @@ def assert_trace_matches_reference_loop(summary, iterations, r0=None):
 def test_trace_matches_reference_loop(summary):
     trace = assert_trace_matches_reference_loop(summary, 300)
     assert max(trace.clamped) > 0
+
+
+def test_trace_matches_reference_loop_through_a_stall(summary):
+    trace = assert_trace_matches_reference_loop(summary, 2000)
+    assert trace.stop == "stall"
 
 
 @pytest.mark.parametrize("p", [1, 3, 7])

@@ -6,7 +6,7 @@ import pytest
 
 import covdesign as cd
 from covdesign.designs import arcsin_covariance
-from covdesign.optimizer import _normalize_rows, rank_for
+from covdesign.optimizer import CLAMP_EPSILON, SCHEDULE, _normalize_rows, rank_for
 from conftest import random_unit_rows, unit_rows
 from unit_reference import is_valid_covariance
 
@@ -112,6 +112,16 @@ class TestOptimize:
         root, trace = cd.optimize(summary, cd.OptimizerConfig(iterations=50))
         assert np.array_equal(root, np.eye(4))
         assert trace.objective[0] == 0.0 and trace.objective[-1] == 0.0
+        assert trace.stop == "zero-gradient" and trace.evaluations == 0
+
+    def test_the_last_stage_clamps_at_clamp_epsilon(self, path_summary):
+        assert SCHEDULE[-1] == (1.0, CLAMP_EPSILON)
+        assert [eps for _, eps in SCHEDULE] == sorted((eps for _, eps in SCHEDULE),
+                                                      reverse=True)
+        root, trace = cd.optimize(path_summary, cd.OptimizerConfig(iterations=60))
+        assert [eps for eps, _ in trace.stages] == [eps for _, eps in SCHEDULE]
+        assert trace.epsilon[-1] == CLAMP_EPSILON
+        assert trace.objective[-1] == cd.evaluate_root(root, path_summary, 1.0)[0]
 
     def test_path_graph_improves_within_500_iterations(self, path_summary):
         _, trace = cd.optimize(path_summary, cd.OptimizerConfig(iterations=500))
@@ -246,7 +256,11 @@ class TestRank:
         r0[:, [1, 3]] = np.random.default_rng(2).standard_normal((5, 2))
         root, trace = cd.optimize(summary, cd.OptimizerConfig(iterations=40), r0=r0)
         assert root.shape == (5, 2)
-        assert trace.objective_initial == trace.objective[0]
+        # held to f at the warm start under the final clamp, not the first stage's
+        assert trace.objective_initial == cd.evaluate_root(unit_rows(r0[:, [1, 3]]),
+                                                           summary, 1.0)[0]
+        assert trace.epsilon[0] == SCHEDULE[0][1] != CLAMP_EPSILON
+        assert trace.objective_initial != trace.objective[0]
 
     @pytest.mark.parametrize("shape", [(5, 6), (4, 4), (5,)])
     def test_warm_start_shape_names_both(self, sbm5, shape):

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -291,11 +292,12 @@ class TestRunMc:
     def test_dim_always_degenerate_on_single_cluster(self, single_cluster):
         graph, clustering, _ = single_cluster
         model = cd.AnalysisModelParams.uniform(4)
-        report = cd.run_mc(cd.SimConfig(
-            graph=graph, clustering=clustering,
-            designs=(("ber", cd.BernoulliDesign(1)),), model=model,
-            gammas=(1.0,), estimators=("dim",), replications=50, base_seed=0,
-        ))
+        with pytest.warns(UserWarning, match="0 of 50 draws are valid"):
+            report = cd.run_mc(cd.SimConfig(
+                graph=graph, clustering=clustering,
+                designs=(("ber", cd.BernoulliDesign(1)),), model=model,
+                gammas=(1.0,), estimators=("dim",), replications=50, base_seed=0,
+            ))
         cell = report.cells[0]
         assert cell.degenerate_fraction == 1.0 and np.isnan(cell.mse)
 
@@ -536,6 +538,22 @@ class TestReportShape:
         as_dict = report.to_dict()
         assert as_dict["kind"] == "monte-carlo"
         assert len(as_dict["cells"]) == 6
+
+    def test_undefined_exact_cell_warns_and_is_null(self):
+        # one cluster: every pattern leaves dim degenerate, so no mass is valid
+        graph, _ = cd.generate_sbm([6, 6], 0.6, 0.3, seed=5)
+        clustering = cd.Clustering(np.zeros(12, dtype=np.int64), 1)
+        model = cd.AnalysisModelParams.uniform(12, gamma=1.0)
+        with pytest.warns(UserWarning, match=r"^design 'ber', estimator 'dim', gamma 1: 0 of 2 "
+                                             r"draws are valid, so its bias, sd and mse are "
+                                             r"undefined$"):
+            report = cd.run_exact(graph, clustering, (("ber", cd.BernoulliDesign(1)),), model,
+                                  estimators=("ht", "dim"))
+        ht, dim = report.to_dict()["cells"]
+        assert np.isnan(report.cell("ber", 1.0, "dim").bias)
+        assert dim["bias"] is dim["sd"] is dim["mse"] is dim["mean_estimate"] is None
+        assert None not in ht.values()
+        json.dumps(report.to_dict(), allow_nan=False)
 
     def test_cell_lookup_raises_on_missing(self, sbm_setup):
         graph, clustering, _ = sbm_setup
