@@ -49,11 +49,10 @@ def _fail(message: str) -> "SystemExit":
     return SystemExit(2)
 
 
-def _load(graph_path, clustering):
-    """Graph, clustering and summary; `clustering` is a file or a Louvain spec."""
+def _load(graph_path, clustering_path):
+    """Graph, clustering and summary."""
     graph = load_edge_list(graph_path)
-    clustering = (louvain(graph, **clustering) if isinstance(clustering, dict)
-                  else read_clustering(clustering, n=graph.n))
+    clustering = read_clustering(clustering_path, n=graph.n)
     return graph, clustering, build_cluster_summary(graph, clustering)
 
 
@@ -91,9 +90,10 @@ def _write_csv(path, header, rows) -> None:
 #
 # A type is float (JSON integers pass), `_FINITE` (a float that is not NaN or
 # infinite), int, str, None, `[t]` (a list of t), a tuple of alternatives, a
-# `_Spec` (a nested object's key types) or `_MODELS` (a model spec, whose keys
-# depend on its kind).  No bool passes as a number.  Nested specs get no
-# defaults: the library constructors own them.
+# `_Spec` (a nested object's key types) or a plain dict of `_Spec`s by kind
+# (`_DESIGNS`, `_MODELS`: a nested object whose keys are the ones its kind
+# reads).  No bool passes as a number.  Nested specs get no defaults: the
+# library constructors own them.
 
 class _Spec(dict):
     def __init__(self, what: str, **types):
@@ -103,12 +103,12 @@ class _Spec(dict):
 
 _REQUIRED = object()
 _FINITE = "finite"
-_DESIGN = _Spec("design", kind=str, name=str, block_size=int, root=str)
-_SIM_MODEL = _Spec("model", kind=str, alpha=float, beta=float, c=float, sigma=float,
-                   gamma=float)
+_DESIGNS = {kind: _Spec("design", kind=str, name=str, **reads) for kind, reads in (
+    ("ber", {}), ("cr", {}), ("ibr", {"block_size": int}), ("ocd", {"root": str}))}
+# the multiplicative model does not read `c`; the benchmark's configs still send it
+_SIM_MODEL = _Spec("model", kind=str, alpha=float, beta=float, c=float, sigma=float)
 _MODELS = {"linear": _SIM_MODEL, "multiplicative": _SIM_MODEL,
-           "analysis": _Spec("model", kind=str, alpha=float, beta=float, gamma=float)}
-_LOUVAIN = _Spec("clustering", resolution=float, seed=int)
+           "analysis": _Spec("model", kind=str, alpha=float, beta=float)}
 _OPT = OptimizerConfig
 
 # every key of each command's resolved config: (type, default)
@@ -123,8 +123,8 @@ _CONFIG = {
         "warm_start": ((str, None), None), "out": (str, _REQUIRED),
     },
     "simulate": {
-        "graph": (str, _REQUIRED), "clustering": ((str, _LOUVAIN), _REQUIRED),
-        "designs": ([_DESIGN], _REQUIRED),
+        "graph": (str, _REQUIRED), "clustering": (str, _REQUIRED),
+        "designs": ([_DESIGNS], _REQUIRED),
         "model": (_MODELS, _REQUIRED), "gammas": ([float], [0.5, 1.0, 2.0]),
         "replications": (int, simulation.SimConfig.replications),
         "seed": (int, simulation.SimConfig.base_seed),
@@ -133,7 +133,7 @@ _CONFIG = {
     },
     "analyze": {
         "graph": (str, _REQUIRED), "clustering": (str, _REQUIRED), "design": (str, _REQUIRED),
-        "block_size": (int, 2), "root": ((str, None), None),
+        "block_size": ((int, None), None), "root": ((str, None), None),
         "gamma": (_FINITE, 1.0), "beta": (_FINITE, 1.0), "omega": (_FINITE, None),
         "mc_reps": (int, 100_000), "seed": (int, 0),
         "out": ((str, None), None),
@@ -181,11 +181,12 @@ def _check(value, typ, name: str, source: str) -> None:
     """Refuse `value` unless it is a `typ`, naming it `name`."""
     if isinstance(typ, tuple):
         typ = next((t for t in typ if _fits(value, t)), typ)
-    elif typ is _MODELS and isinstance(value, dict):
-        if value.get("kind") not in _MODELS:
-            raise _fail(f"{source}: unknown model kind {value.get('kind')!r}; "
-                        f"valid: {', '.join(_MODELS)}")
-        typ = _MODELS[value["kind"]]
+    elif type(typ) is dict and isinstance(value, dict):
+        kind = value.get("kind")
+        if not isinstance(kind, str) or kind not in typ:
+            what = next(iter(typ.values())).what
+            raise _fail(f"{source}: unknown {what} kind {kind!r}; valid: {', '.join(typ)}")
+        typ = typ[kind]
     if not _fits(value, typ):
         raise _fail(f"{source}: {name} must be {_describe(typ)}, got {value!r}")
     if isinstance(typ, list):
@@ -336,29 +337,27 @@ def _run_optimize(cfg: dict) -> dict:
 
 # --------------------------------------------------------------- simulate
 
-def _build_designs(specs, summary):
-    designs = []
-    for spec in specs:
-        block_size = spec.get("block_size", 2)
-        root = _read_root(spec["root"]) if "root" in spec else None
-        design = make_design(spec.get("kind", ""), summary.k, summary=summary,
-                             block_size=block_size, root=root)
-        default = f"ibr-{block_size}" if design.kind == "ibr" else design.kind
-        designs.append((spec.get("name", default), design))
-    return tuple(designs)
+def _build_design(spec: dict, summary):
+    """``(name, design)`` of a design spec checked against `_DESIGNS`, which
+    holds only the keys its kind reads."""
+    block_size = spec.get("block_size", 2)
+    root = _read_root(spec["root"]) if "root" in spec else None
+    design = make_design(spec["kind"], summary.k, summary=summary,
+                         block_size=block_size, root=root)
+    return spec.get("name", f"ibr-{block_size}" if design.kind == "ibr" else design.kind), design
 
 
 def _run_simulate(cfg: dict) -> dict:
     timings = {}
     t0 = time.perf_counter()
     graph, clustering, summary = _load(cfg["graph"], cfg["clustering"])
-    designs = _build_designs(cfg["designs"], summary)
-    inputs = [p for p in (cfg["graph"], cfg["clustering"]) if isinstance(p, str)]
+    designs = tuple(_build_design(spec, summary) for spec in cfg["designs"])
+    inputs = [cfg["graph"], cfg["clustering"]]
     inputs += [spec["root"] for spec in cfg["designs"] if "root" in spec]
     params = {k: v for k, v in cfg["model"].items() if k != "kind"}
     model_kind = cfg["model"]["kind"]
     model = (AnalysisModelParams.uniform(graph.n, **params) if model_kind == "analysis"
-             else SimModelParams.for_graph(graph, model_kind, **params))
+             else SimModelParams(model_kind, **params))
     timings["load"] = time.perf_counter() - t0
 
     sim_config = simulation.SimConfig(
@@ -412,10 +411,11 @@ def _report_table(report: simulation.SimReport, estimator: str):
 # ---------------------------------------------------------------- analyze
 
 def _run_analyze(cfg: dict) -> dict:
+    spec = {"kind": cfg["design"],
+            **{key: cfg[key] for key in ("block_size", "root") if cfg[key] is not None}}
+    _check(spec, _DESIGNS, "design", "command line")
     graph, clustering, summary = _load(cfg["graph"], cfg["clustering"])
-    root = _read_root(cfg["root"]) if cfg["root"] else None
-    design = make_design(cfg["design"], summary.k, summary=summary,
-                         block_size=cfg["block_size"], root=root)
+    _, design = _build_design(spec, summary)
     gamma = cfg["gamma"]
     model = AnalysisModelParams.uniform(graph.n, alpha=0.0, beta=cfg["beta"], gamma=gamma)
     h = h_vector(model, graph, clustering)
@@ -512,7 +512,8 @@ _HELP = {
     "simulate": "Monte Carlo design comparison from a config file",
     "analyze": "closed-form and oracle diagnostics for one design",
 }
-_ARG_TYPES = {float: float, _FINITE: float, int: int, str: str, (str, None): str}
+_ARG_TYPES = {float: float, _FINITE: float, int: int, str: str, (str, None): str,
+              (int, None): int}
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -38,16 +38,6 @@ __all__ = [
 
 DESIGN_KINDS = ("ber", "cr", "ibr", "ocd")
 
-_ALIASES = {
-    "ber": "ber",
-    "bernoulli": "ber",
-    "cr": "cr",
-    "complete": "cr",
-    "ibr": "ibr",
-    "ocd": "ocd",
-    "optimized": "ocd",
-}
-
 
 class DesignEnumerationError(ValueError):
     """Raised when a design cannot expose exact outcome probabilities."""
@@ -356,17 +346,16 @@ def build_ibr_blocks(summary: ClusterSummary, block_size: int) -> tuple[tuple[in
 
 def make_design(kind: str, k: int, summary: ClusterSummary | None = None,
                 block_size: int = 2, root: np.ndarray | None = None) -> Design:
-    """Factory used by the config layer; accepts the kind aliases."""
-    canonical = _ALIASES.get(str(kind).lower())
-    if canonical is None:
+    """Factory used by the config layer; `kind` is one of `DESIGN_KINDS`."""
+    if kind not in DESIGN_KINDS:
         raise ValueError(
             f"unknown design kind {kind!r}; valid kinds: {', '.join(DESIGN_KINDS)}"
         )
-    if canonical == "ber":
+    if kind == "ber":
         return BernoulliDesign(k)
-    if canonical == "cr":
+    if kind == "cr":
         return CompleteDesign(k)
-    if canonical == "ibr":
+    if kind == "ibr":
         if summary is None:
             raise ValueError("ibr design needs a cluster summary for size-sorted blocks")
         return BlockDesign(k, build_ibr_blocks(summary, block_size))

@@ -65,40 +65,26 @@ class SimModelParams:
     multiplicative:
         Y_i = (alpha + sigma eps_i) (d_i/dbar) (1 + beta z_i + gamma nbr_i/d_i)
 
-    where nbr_i is the treated-neighbor count.  For isolated nodes the
-    normalized interference term is defined as 0.
+    where nbr_i is the treated-neighbor count and dbar the mean degree of the
+    graph the model runs on.  For isolated nodes the normalized interference
+    term is defined as 0.
     """
 
     kind: str
-    alpha: float
-    beta: float
-    c: float
-    sigma: float
-    gamma: float
-    mean_degree: float
+    alpha: float = 1.0
+    beta: float = 1.0
+    c: float = 0.5
+    sigma: float = 0.1
+    gamma: float = 1.0
 
     def __post_init__(self):
         if self.kind not in ("linear", "multiplicative"):
             raise ValueError(f"unknown model kind {self.kind!r}")
-        for name in ("alpha", "beta", "c", "sigma", "gamma", "mean_degree"):
+        for name in ("alpha", "beta", "c", "sigma", "gamma"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.sigma < 0:
             raise ValueError("sigma must be nonnegative")
-
-    @classmethod
-    def for_graph(
-        cls,
-        graph: Graph,
-        kind: str,
-        alpha: float = 1.0,
-        beta: float = 1.0,
-        c: float = 0.5,
-        sigma: float = 0.1,
-        gamma: float = 1.0,
-    ):
-        return cls(kind, float(alpha), float(beta), float(c), float(sigma),
-                   float(gamma), graph.mean_degree)
 
 
 def with_gamma(params, gamma: float):

@@ -217,7 +217,8 @@ class ClusterModel:
             self.direct = np.bincount(assign, model.beta, minlength=k)
             self.spill = contact_matrix(graph, clustering)
             return
-        rel = deg / model.mean_degree if model.mean_degree > 0 else np.zeros_like(deg)
+        dbar = graph.mean_degree
+        rel = deg / dbar if dbar > 0 else np.zeros_like(deg)
         if self.kind == "linear":
             inv_deg = np.divide(1.0, deg, out=np.zeros_like(deg), where=deg > 0)
             self.baseline = np.bincount(assign, model.alpha + model.c * rel, minlength=k)
@@ -229,7 +230,7 @@ class ClusterModel:
             exact32 = np.bincount(assign, deg * deg, minlength=k).max() < EXACT_FLOAT32
             self.dtype = np.float32 if exact32 else np.float64
             indicator, counts = _neighbour_counts(graph, clustering, self.dtype)
-            self.scale = 1.0 / model.mean_degree if model.mean_degree > 0 else 0.0
+            self.scale = 1.0 / dbar if dbar > 0 else 0.0
             self.beta, self.counts, self.indicator = model.beta, counts, indicator
             self.direct = model.beta * self.baseline
             self.spill = model.alpha * self.scale * contact_matrix(graph, clustering)

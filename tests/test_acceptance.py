@@ -247,8 +247,8 @@ def test_gate_8_desk_scale_design_comparison(acceptance_fixture, optimized_root)
     start = time.perf_counter()
     failures = []
     for kind in ("linear", "multiplicative"):
-        model = cd.SimModelParams.for_graph(graph, kind, alpha=1.0, beta=1.0,
-                                            c=0.5, sigma=0.1, gamma=2.0)
+        model = cd.SimModelParams(kind, alpha=1.0, beta=1.0,
+                                  c=0.5, sigma=0.1, gamma=2.0)
         report = cd.run_mc(cd.SimConfig(
             graph=graph, clustering=clustering, designs=designs, model=model,
             gammas=(2.0,), estimators=("ht",), replications=10_000, base_seed=99,
@@ -359,8 +359,8 @@ def test_gate_10_optimizer_finds_planted_contact_pairs():
     failures = [f"{name}: planted pair covariance {cov.min():.3f} <= 0"
                 for name, cov in planted.items() if cov.min() <= 0.0]
     for kind in ("linear", "multiplicative"):
-        model = cd.SimModelParams.for_graph(graph, kind, alpha=1.0, beta=1.0,
-                                            c=0.5, sigma=0.1, gamma=2.0)
+        model = cd.SimModelParams(kind, alpha=1.0, beta=1.0,
+                                  c=0.5, sigma=0.1, gamma=2.0)
         report = cd.run_mc(cd.SimConfig(
             graph=graph, clustering=clustering, designs=designs, model=model,
             gammas=(2.0,), estimators=("ht",), replications=10_000, base_seed=99,

@@ -359,7 +359,11 @@ class TestSimulate:
         ("design", {"kind": "ibr", "blocksize": 4}, "blocksize"),
         ("model", {"kind": "analysis", "sigma": 0.1}, "sigma"),
         ("model", {"kind": "linear", "noise": 0.1}, "noise"),
-        ("clustering", {"resolution": 1.0, "seeds": 3}, "seeds"),
+        ("model", {"kind": "linear", "gamma": 5.0}, "gamma"),
+        ("model", {"kind": "analysis", "gamma": 5.0}, "gamma"),
+        ("design", {"kind": "cr", "root": "eye.csv"}, "root"),
+        ("design", {"kind": "ber", "block_size": 7}, "block_size"),
+        ("design", {"kind": "ocd", "root": "root.csv", "block_size": 2}, "block_size"),
     ])
     def test_unknown_nested_key_is_refused_by_name(self, prepared, capsys, where, spec, key):
         tmp, graph_path, clusters_path = prepared
@@ -406,16 +410,53 @@ class TestSimulate:
         assert "sigma must be finite" in capsys.readouterr().err
         assert not (tmp / "simout" / "report.json").exists()
 
-    def test_inline_louvain_clustering_spec(self, prepared):
+    def test_inline_clustering_spec_is_refused(self, prepared, capsys):
+        # partitions come from `cluster`: its file is what an ocd root is built
+        # from, and its manifest records the Louvain seed
         tmp, graph_path, clusters_path = prepared
-        cfg = write_sim_config(tmp, graph_path, clusters_path, replications=30,
-                               out_dir="louv")
-        raw = json.loads(cfg.read_text())
-        raw["clustering"] = {"resolution": 1.0, "seed": 3}
-        raw["designs"] = [{"kind": "ber"}, {"kind": "cr"}]
-        cfg.write_text(json.dumps(raw))
+        cfg = write_sim_config(tmp, graph_path, clusters_path,
+                               clustering={"resolution": 1.0, "seed": 3})
+        assert run(["simulate", "--config", cfg]) == 2
+        assert capsys.readouterr().err == (f"error: config {cfg}: clustering must be a "
+                                           "string, got {'resolution': 1.0, 'seed': 3}\n")
+        assert not (tmp / "simout").exists()
+
+    def test_manifest_with_model_gamma_is_refused_by_name(self, prepared, capsys):
+        tmp, graph_path, clusters_path = prepared
+        cfg = write_sim_config(tmp, graph_path, clusters_path, replications=30)
         assert run(["simulate", "--config", cfg]) == 0
-        assert (tmp / "louv" / "report.json").exists()
+        path = tmp / "simout" / "simulate.manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["resolved_config"]["model"]["gamma"] = 2.0
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert run(["simulate", "--from-manifest", path]) == 2
+        assert capsys.readouterr().err == f"error: manifest {path}: unknown model key 'gamma'\n"
+
+
+# model keys that a run reads nothing of, each with the reason it is still accepted
+UNREAD_MODEL_KEYS = {
+    ("multiplicative", "c"): "the benchmark's multiplicative config sends it",
+}
+
+
+@pytest.mark.parametrize("kind, key", [(kind, key) for kind, spec in cli._MODELS.items()
+                                       for key in spec if key != "kind"])
+def test_every_model_key_moves_the_report(workspace, kind, key):
+    """A model key that `simulate` accepts changes the report's cells when it
+    changes; the keys of `UNREAD_MODEL_KEYS` are the listed exceptions."""
+    tmp, _, _, graph_path, clusters_path = workspace
+    base = {"alpha": 1.0, "beta": 1.0, "c": 0.5, "sigma": 0.1}
+    cells = []
+    for bump in (0.0, 1.0):
+        model = {"kind": kind, **{k: v + bump * (k == key) for k, v in base.items()
+                                  if k in cli._MODELS[kind]}}
+        cfg = write_sim_config(tmp, graph_path, clusters_path, designs=[{"kind": "ber"}],
+                               model=model, gammas=[1.0], replications=30,
+                               estimators=["ht"])
+        assert run(["simulate", "--config", cfg]) == 0
+        cells.append(json.loads((tmp / "simout" / "report.json").read_text())["cells"])
+    assert (cells[0] == cells[1]) == ((kind, key) in UNREAD_MODEL_KEYS)
 
 
 class TestAnalyze:
@@ -441,6 +482,15 @@ class TestAnalyze:
         assert run(["analyze", "--graph", graph_path, "--clusters", clusters_path,
                     "--design", "ber", "--out", out]) == 0
         assert json.loads(out.read_text())["design"] == "ber"
+
+    def test_ibr_block_size_defaults_to_two(self, workspace, capsys):
+        tmp, _, _, graph_path, clusters_path = workspace
+        outputs = []
+        for extra in ([], ["--block-size", "2"], ["--block-size", "4"]):
+            assert run(["analyze", "--graph", graph_path, "--clusters", clusters_path,
+                        "--design", "ibr", *extra]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] != outputs[2]
 
     @pytest.mark.parametrize("flag, value", [("--gamma", "nan"), ("--beta", "inf"),
                                              ("--omega", "-inf")])
@@ -667,7 +717,7 @@ BOUNDARY = {
     "seed-bool": (_sim(lambda c: {**c, "seed": True}),
                   "{src}seed must be an integer, got True"),
     "clustering-list": (_sim(lambda c: {**c, "clustering": [1, 2]}),
-                        "{src}clustering must be a string or an object, got [1, 2]"),
+                        "{src}clustering must be a string, got [1, 2]"),
     "block-size-string": (_sim(lambda c: {**c, "designs": [{"kind": "ibr",
                                                             "block_size": "two"}]}),
                           "{src}designs[0].block_size must be an integer, got 'two'"),
@@ -733,6 +783,26 @@ BOUNDARY = {
     "absent-warm-start": (_flags("optimize", "--graph", "GRAPH", "--clusters", "CLUSTERS",
                                  "--warm-start", "W.CSV", "--out", "OUT"),
                           "file not found: {tmp}/w.csv"),
+    "design-alias": (_sim(lambda c: {**c, "designs": [{"kind": "bernoulli"}]}),
+                     "{src}unknown design kind 'bernoulli'; valid: ber, cr, ibr, ocd"),
+    "design-kind-list": (_sim(lambda c: {**c, "designs": [{"kind": ["ber"]}]}),
+                         "{src}unknown design kind ['ber']; valid: ber, cr, ibr, ocd"),
+    "model-kind-list": (_sim(lambda c: {**c, "model": {"kind": ["linear"]}}),
+                        "{src}unknown model kind ['linear']; valid: linear, multiplicative, "
+                        "analysis"),
+    "flag-analyze-design-case": (_flags("analyze", "--graph", "GRAPH", "--clusters",
+                                        "CLUSTERS", "--design", "Ber", "--out", "OUT"),
+                                 "command line: unknown design kind 'Ber'; valid: ber, cr, "
+                                 "ibr, ocd"),
+    # ber reads no root, so the missing file is never opened
+    "flag-analyze-unread-root": (_flags("analyze", "--graph", "GRAPH", "--clusters",
+                                        "CLUSTERS", "--design", "ber", "--root", "MISSING.CSV",
+                                        "--out", "OUT"),
+                                 "command line: unknown design key 'root'"),
+    "flag-analyze-unread-block-size": (_flags("analyze", "--graph", "GRAPH", "--clusters",
+                                              "CLUSTERS", "--design", "ocd", "--root",
+                                              "ROOT.CSV", "--block-size", "2", "--out", "OUT"),
+                                       "command line: unknown design key 'block_size'"),
     "absent-root": (_sim(lambda c: {**c, "designs": [{"kind": "ocd", "root": "r.csv"}]}),
                     "file not found: {tmp}/r.csv"),
     "absent-config": (_flags("simulate", "--config", "SIM.JSON"),

@@ -385,11 +385,16 @@ class TestMarginalsAcrossDesigns:
 
 
 class TestMakeDesign:
-    def test_aliases(self, path_summary):
-        assert cd.make_design("bernoulli", 2).kind == "ber"
-        assert cd.make_design("complete", 2).kind == "cr"
+    @pytest.mark.parametrize("kind", ["bernoulli", "BER", "complete", "optimized"])
+    def test_aliases_are_refused(self, kind):
+        with pytest.raises(ValueError, match=f"^unknown design kind '{kind}'"):
+            cd.make_design(kind, 2)
+
+    def test_exact_kinds(self, path_summary):
+        assert cd.make_design("ber", 2).kind == "ber"
+        assert cd.make_design("cr", 2).kind == "cr"
         assert cd.make_design("ibr", 2, summary=path_summary).kind == "ibr"
-        assert cd.make_design("optimized", 2, root=np.eye(2)).kind == "ocd"
+        assert cd.make_design("ocd", 2, root=np.eye(2)).kind == "ocd"
 
     def test_unknown_kind_lists_valid_kinds(self):
         with pytest.raises(ValueError, match="ber, cr, ibr, ocd"):

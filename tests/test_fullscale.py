@@ -38,8 +38,8 @@ def test_full_scale_mse_ordering_at_strong_interference():
         ("ocd", cd.SignGaussianDesign(root)),
     )
     for kind in ("linear", "multiplicative"):
-        model = cd.SimModelParams.for_graph(graph, kind, alpha=1.0, beta=1.0,
-                                            c=0.5, sigma=0.1, gamma=2.0)
+        model = cd.SimModelParams(kind, alpha=1.0, beta=1.0,
+                                  c=0.5, sigma=0.1, gamma=2.0)
         report = cd.run_mc(cd.SimConfig(
             graph=graph, clustering=clustering, designs=designs, model=model,
             gammas=(2.0,), estimators=("ht",), replications=REPS, base_seed=1,

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import json
 import os
 import re
@@ -11,8 +12,8 @@ import covdesign
 # names that went with the unit-level outcome path, the optimizer's views of
 # evaluate_root, the second paths to Cov[t] and f, the unit-level estimator
 # wrappers, the test-only covariance check, the single-matrix orthant entry
-# points, the base levels outside ClusterModel and the balanced blocks'
-# treated-count table, with the module that held each
+# points, the base levels outside ClusterModel, the balanced blocks'
+# treated-count table and the design kind aliases, with the module that held each
 REMOVED = {
     "outcomes": ("eval_sim", "eval_analysis"),
     "graph": ("expand_treatment",),
@@ -22,7 +23,7 @@ REMOVED = {
     "estimators": ("EstimateRecord", "ht", "ht_adjusted", "dim"),
     "orthant": ("sign_pair_moment", "orthant_quadrivariate", "sign_quad_moment", "_as_batch"),
     "simulation": ("baseline_levels",),
-    "designs": ("_balanced_subset_probs",),
+    "designs": ("_balanced_subset_probs", "_ALIASES"),
 }
 
 LAZY = ("networkx", "scipy.integrate", "scipy.sparse", "scipy.sparse.csgraph", "multiprocessing")
@@ -123,7 +124,7 @@ graph, clustering = cd.generate_sbm([20] * 60, 0.3, 0.01, seed=4)
 assert graph.n * clustering.k > cd.simulation.DENSE_CELLS
 loaded = []
 for kind in ("linear", "multiplicative"):
-    model = cd.SimModelParams.for_graph(graph, kind, c=0.5, sigma=0.1)
+    model = cd.SimModelParams(kind, c=0.5, sigma=0.1)
     cd.run_mc(cd.SimConfig(graph=graph, clustering=clustering,
                            designs=(("ber", cd.make_design("ber", clustering.k)),),
                            model=model, gammas=(1.0,), replications=8))
@@ -154,7 +155,8 @@ def test_scipy_is_imported_only_for_the_sparse_neighbour_counts():
 def test_public_surface():
     """Every exported name resolves, and the removed names are gone from the
     package, from their modules, for `neighbor_sums` and `adjacency` from
-    `Graph`, and for `members` from `Clustering`."""
+    `Graph`, for `members` from `Clustering`, and for `for_graph` and the
+    stored `mean_degree` from `SimModelParams`."""
     assert [name for name in covdesign.__all__ if not hasattr(covdesign, name)] == []
     for module, names in REMOVED.items():
         for name in names:
@@ -164,6 +166,8 @@ def test_public_surface():
     for name in ("neighbor_sums", "adjacency", "_adjacency"):
         assert not hasattr(covdesign.Graph, name)
     assert not hasattr(covdesign.Clustering, "members")
+    assert not hasattr(covdesign.SimModelParams, "for_graph")
+    assert "mean_degree" not in {f.name for f in dataclasses.fields(covdesign.SimModelParams)}
 
 
 def test_readme_entry_points_resolve():

@@ -98,38 +98,38 @@ class TestEvalSim:
     """The simulation models' unit outcomes, through singleton clusters."""
 
     def test_linear_control_no_noise(self, path_graph):
-        params = cd.SimModelParams.for_graph(path_graph, "linear", sigma=0.0)
+        params = cd.SimModelParams("linear", sigma=0.0)
         y = singleton_outcomes(params, path_graph, np.zeros(4), np.zeros(4))
         assert np.allclose(y, 1.0 + 0.5 * path_graph.degrees / 1.5)
 
     def test_multiplicative_fully_treated(self, path_graph):
-        params = cd.SimModelParams.for_graph(path_graph, "multiplicative", sigma=0.0,
-                                             beta=1.0, gamma=0.5)
+        params = cd.SimModelParams("multiplicative", sigma=0.0,
+                                   beta=1.0, gamma=0.5)
         y = singleton_outcomes(params, path_graph, np.ones(4), np.zeros(4))
         assert np.allclose(y, (path_graph.degrees / 1.5) * (1 + 1 + 0.5))
 
     def test_linear_path_hand_values(self, path_graph):
-        params = cd.SimModelParams.for_graph(path_graph, "linear", alpha=1, beta=1,
-                                             c=0.5, sigma=0.0, gamma=1.0)
+        params = cd.SimModelParams("linear", alpha=1, beta=1,
+                                   c=0.5, sigma=0.0, gamma=1.0)
         y = singleton_outcomes(params, path_graph, np.array([1.0, 0, 0, 0]), np.zeros(4))
         assert y[0] == pytest.approx(1 + 1 + 0.5 / 1.5, abs=1e-12)
         assert y[1] == pytest.approx(1 + 0.5 * 2 / 1.5 + 0.5, abs=1e-12)
 
     def test_isolated_node_contributes_zero_in_multiplicative(self):
         graph = cd.Graph(3, [(0, 1)])
-        params = cd.SimModelParams.for_graph(graph, "multiplicative", sigma=0.0)
+        params = cd.SimModelParams("multiplicative", sigma=0.0)
         for z in ([0, 0, 0], [1, 1, 1], [1, 0, 1]):
             y = singleton_outcomes(params, graph, np.array(z, dtype=float), np.zeros(3))
             assert y[2] == 0.0
 
     def test_isolated_node_interference_term_is_zero_in_linear(self):
         graph = cd.Graph(3, [(0, 1)])
-        params = cd.SimModelParams.for_graph(graph, "linear", sigma=0.0, gamma=5.0)
+        params = cd.SimModelParams("linear", sigma=0.0, gamma=5.0)
         y = singleton_outcomes(params, graph, np.array([1.0, 1.0, 1.0]), np.zeros(3))
         assert y[2] == params.alpha + params.beta  # no degree, no interference
 
     def test_noise_enters_as_given(self, path_graph):
-        params = cd.SimModelParams.for_graph(path_graph, "linear", sigma=0.3)
+        params = cd.SimModelParams("linear", sigma=0.3)
         noise = np.array([1.0, -1.0, 2.0, 0.0])
         base = singleton_outcomes(params, path_graph, np.zeros(4), np.zeros(4))
         assert np.allclose(singleton_outcomes(params, path_graph, np.zeros(4), noise) - base,
@@ -137,32 +137,31 @@ class TestEvalSim:
 
     def test_rejects_unknown_kind(self, path_graph):
         with pytest.raises(ValueError, match="kind"):
-            cd.SimModelParams.for_graph(path_graph, "cubic")
+            cd.SimModelParams("cubic")
 
-    @pytest.mark.parametrize("field", ["alpha", "beta", "c", "sigma", "gamma",
-                                       "mean_degree"])
+    @pytest.mark.parametrize("field", ["alpha", "beta", "c", "sigma", "gamma"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_rejects_non_finite_parameters(self, path_graph, field, bad):
-        params = cd.SimModelParams.for_graph(path_graph, "linear")
+        params = cd.SimModelParams("linear")
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             dataclasses.replace(params, **{field: bad})
 
 
 class TestGateSim:
     def test_linear_value(self, path_graph):
-        params = cd.SimModelParams.for_graph(path_graph, "linear", beta=1.0, gamma=0.5)
+        params = cd.SimModelParams("linear", beta=1.0, gamma=0.5)
         assert cd.gate_sim(params) == 1.5
 
     def test_multiplicative_value(self, path_graph):
-        params = cd.SimModelParams.for_graph(path_graph, "multiplicative",
-                                             alpha=1.0, beta=1.0, gamma=2.0)
+        params = cd.SimModelParams("multiplicative",
+                                   alpha=1.0, beta=1.0, gamma=2.0)
         assert cd.gate_sim(params) == 3.0
 
     def test_null_effects(self, path_graph):
-        params = cd.SimModelParams.for_graph(path_graph, "linear", beta=0.0, gamma=0.0)
+        params = cd.SimModelParams("linear", beta=0.0, gamma=0.0)
         assert cd.gate_sim(params) == 0.0
 
     def test_with_gamma_replaces_only_gamma(self, path_graph):
-        params = cd.SimModelParams.for_graph(path_graph, "linear", gamma=1.0)
+        params = cd.SimModelParams("linear", gamma=1.0)
         bumped = cd.with_gamma(params, 2.0)
         assert bumped.gamma == 2.0 and bumped.beta == params.beta

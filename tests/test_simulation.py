@@ -55,8 +55,8 @@ def _models(graph, sigma):
     analysis = cd.AnalysisModelParams(rng.standard_normal(graph.n),
                                       rng.standard_normal(graph.n), 1.3)
     return [analysis] + [
-        cd.SimModelParams.for_graph(graph, kind, alpha=1.2, beta=0.7, c=0.5,
-                                    sigma=sigma, gamma=1.3)
+        cd.SimModelParams(kind, alpha=1.2, beta=0.7, c=0.5,
+                          sigma=sigma, gamma=1.3)
         for kind in ("linear", "multiplicative")
     ]
 
@@ -218,7 +218,7 @@ class TestRunMc:
         import covdesign.simulation as simulation
 
         graph, clustering, _ = sbm_setup
-        model = cd.SimModelParams.for_graph(graph, "linear")
+        model = cd.SimModelParams("linear")
         designs = (("ber", cd.BernoulliDesign(4)),)
         monkeypatch.setattr(simulation, "physical_memory", lambda: 2**30)
         # 2**30 bytes hold 119,304,647 cells of 9 B; nothing is allocated here
@@ -231,7 +231,7 @@ class TestRunMc:
 
     def test_no_interference_means_no_bias(self, sbm_setup):
         graph, clustering, _ = sbm_setup
-        model = cd.SimModelParams.for_graph(graph, "linear", sigma=0.1, gamma=1.0)
+        model = cd.SimModelParams("linear", sigma=0.1, gamma=1.0)
         report = cd.run_mc(small_config(
             graph, clustering, (("ber", cd.BernoulliDesign(4)),), model,
             gammas=(0.0,), replications=4000,
@@ -252,7 +252,7 @@ class TestRunMc:
 
     def test_same_seed_is_bitwise_identical(self, sbm_setup):
         graph, clustering, _ = sbm_setup
-        model = cd.SimModelParams.for_graph(graph, "multiplicative", gamma=2.0)
+        model = cd.SimModelParams("multiplicative", gamma=2.0)
         designs = (("ber", cd.BernoulliDesign(4)), ("cr", cd.CompleteDesign(4)))
         config = small_config(graph, clustering, designs, model,
                               estimators=("ht", "dim"), gammas=(0.5, 2.0))
@@ -260,7 +260,7 @@ class TestRunMc:
 
     def test_identical_design_listed_twice_gives_identical_rows(self, sbm_setup):
         graph, clustering, _ = sbm_setup
-        model = cd.SimModelParams.for_graph(graph, "linear", gamma=1.0)
+        model = cd.SimModelParams("linear", gamma=1.0)
         designs = (("first", cd.CompleteDesign(4)), ("second", cd.CompleteDesign(4)))
         report = cd.run_mc(small_config(graph, clustering, designs, model))
         a, b = report.cells
@@ -268,7 +268,7 @@ class TestRunMc:
 
     def test_mse_identity_per_cell(self, sbm_setup):
         graph, clustering, _ = sbm_setup
-        model = cd.SimModelParams.for_graph(graph, "linear", gamma=2.0)
+        model = cd.SimModelParams("linear", gamma=2.0)
         designs = (("ber", cd.BernoulliDesign(4)), ("cr", cd.CompleteDesign(4)))
         report = cd.run_mc(small_config(graph, clustering, designs, model,
                                         estimators=("ht", "dim"), replications=700))
@@ -305,7 +305,7 @@ class TestRunMc:
         # two designs with the same draws but different stream keys draw
         # their noise from different streams, so their rows differ
         graph, clustering, _ = sbm_setup
-        model = cd.SimModelParams.for_graph(graph, "linear", sigma=1.0, gamma=0.0)
+        model = cd.SimModelParams("linear", sigma=1.0, gamma=0.0)
         designs = (("a", _FixedDesign(b"a")), ("b", _FixedDesign(b"b")))
         report = cd.run_mc(small_config(graph, clustering, designs, model,
                                         replications=300))
@@ -315,7 +315,7 @@ class TestRunMc:
         # each block of each (design, gamma) cell draws from its own generator,
         # spawn key (1, design key, gamma index, block): treatments first, then noise
         graph, clustering, _ = sbm_setup
-        model = cd.SimModelParams.for_graph(graph, "linear", sigma=1.0)
+        model = cd.SimModelParams("linear", sigma=1.0)
         design = cd.BernoulliDesign(4)
         gammas, reps = (0.5, 2.0), cd.simulation.BLOCK + 5
         report = cd.run_mc(small_config(graph, clustering, (("ber", design),), model,
@@ -333,13 +333,13 @@ class TestRunMc:
 
     def test_k_mismatch_rejected(self, sbm_setup):
         graph, clustering, _ = sbm_setup
-        model = cd.SimModelParams.for_graph(graph, "linear")
+        model = cd.SimModelParams("linear")
         with pytest.raises(ValueError, match="K="):
             small_config(graph, clustering, (("ber", cd.BernoulliDesign(3)),), model)
 
     def test_negative_seed_rejected(self, sbm_setup):
         graph, clustering, _ = sbm_setup
-        model = cd.SimModelParams.for_graph(graph, "linear")
+        model = cd.SimModelParams("linear")
         with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
             small_config(graph, clustering, (("ber", cd.BernoulliDesign(4)),), model,
                          base_seed=-1)
@@ -347,14 +347,14 @@ class TestRunMc:
     @pytest.mark.parametrize("bad", [float("nan"), float("-inf")])
     def test_non_finite_gamma_rejected(self, sbm_setup, bad):
         graph, clustering, _ = sbm_setup
-        model = cd.SimModelParams.for_graph(graph, "linear")
+        model = cd.SimModelParams("linear")
         with pytest.raises(ValueError, match="gammas must be finite"):
             small_config(graph, clustering, (("ber", cd.BernoulliDesign(4)),), model,
                          gammas=(1.0, bad))
 
     def test_duplicate_design_name_rejected(self, sbm_setup):
         graph, clustering, _ = sbm_setup
-        model = cd.SimModelParams.for_graph(graph, "linear")
+        model = cd.SimModelParams("linear")
         designs = (("ber", cd.BernoulliDesign(4)), ("cr", cd.CompleteDesign(4)),
                    ("ber", cd.CompleteDesign(4)))
         with pytest.raises(ValueError, match="^duplicate design name 'ber'$"):
@@ -362,14 +362,14 @@ class TestRunMc:
 
     def test_duplicate_gamma_rejected(self, sbm_setup):
         graph, clustering, _ = sbm_setup
-        model = cd.SimModelParams.for_graph(graph, "linear")
+        model = cd.SimModelParams("linear")
         with pytest.raises(ValueError, match=r"^duplicate gamma 1\.0$"):
             small_config(graph, clustering, (("ber", cd.BernoulliDesign(4)),), model,
                          gammas=(1, 0.5, 1.0))
 
     def test_unknown_estimator_rejected(self, sbm_setup):
         graph, clustering, _ = sbm_setup
-        model = cd.SimModelParams.for_graph(graph, "linear")
+        model = cd.SimModelParams("linear")
         with pytest.raises(ValueError, match="estimator"):
             small_config(graph, clustering, (("ber", cd.BernoulliDesign(4)),),
                          model, estimators=("hajek",))
@@ -378,7 +378,7 @@ class TestRunMc:
     def test_fewer_than_two_replications_rejected(self, sbm_setup, reps):
         # one draw has no standard deviation: its cells would be NaN
         graph, clustering, _ = sbm_setup
-        model = cd.SimModelParams.for_graph(graph, "linear")
+        model = cd.SimModelParams("linear")
         with pytest.raises(ValueError, match=rf"^replications must be at least 2 \(a standard "
                                              rf"deviation needs two draws\), got {reps}$"):
             small_config(graph, clustering, (("ber", cd.BernoulliDesign(4)),), model,
@@ -393,7 +393,7 @@ class TestRunMc:
         designs = (("ber", cd.BernoulliDesign(4)),)
         with pytest.raises(ValueError, match=f"^{message}$"):
             small_config(graph, clustering, designs,
-                         cd.SimModelParams.for_graph(graph, "linear"), estimators=estimators)
+                         cd.SimModelParams("linear"), estimators=estimators)
         with pytest.raises(ValueError, match=f"^{message}$"):
             cd.run_exact(graph, clustering, designs, cd.AnalysisModelParams.uniform(graph.n),
                          estimators=estimators)
@@ -461,7 +461,7 @@ class TestRunExact:
         assert report.cells[0].degenerate_fraction == pytest.approx(0.5)
 
     def test_rejects_noisy_model(self, path_graph, path_clustering):
-        model = cd.SimModelParams.for_graph(path_graph, "linear")
+        model = cd.SimModelParams("linear")
         with pytest.raises(ValueError, match="analysis model"):
             cd.run_exact(path_graph, path_clustering,
                          (("ber", cd.BernoulliDesign(2)),), model)
@@ -522,7 +522,7 @@ class TestEngineInputs:
 class TestReportShape:
     def test_compare_designs_minima_and_table(self, sbm_setup):
         graph, clustering, summary = sbm_setup
-        model = cd.SimModelParams.for_graph(graph, "linear", gamma=1.0)
+        model = cd.SimModelParams("linear", gamma=1.0)
         designs = (
             ("ber", cd.BernoulliDesign(4)),
             ("cr", cd.CompleteDesign(4)),
@@ -557,7 +557,7 @@ class TestReportShape:
 
     def test_cell_lookup_raises_on_missing(self, sbm_setup):
         graph, clustering, _ = sbm_setup
-        model = cd.SimModelParams.for_graph(graph, "linear")
+        model = cd.SimModelParams("linear")
         report = cd.run_mc(small_config(
             graph, clustering, (("ber", cd.BernoulliDesign(4)),), model,
             replications=50,
@@ -577,12 +577,12 @@ class TestBaselineLevels:
         assert np.array_equal(unit_baseline(model, path_graph), np.arange(4.0))
 
     def test_linear_model_baseline(self, path_graph):
-        model = cd.SimModelParams.for_graph(path_graph, "linear", alpha=1.0, c=0.5)
+        model = cd.SimModelParams("linear", alpha=1.0, c=0.5)
         expected = 1.0 + 0.5 * path_graph.degrees / path_graph.mean_degree
         assert np.allclose(unit_baseline(model, path_graph), expected)
 
     def test_multiplicative_model_baseline(self, path_graph):
-        model = cd.SimModelParams.for_graph(path_graph, "multiplicative", alpha=2.0)
+        model = cd.SimModelParams("multiplicative", alpha=2.0)
         expected = 2.0 * path_graph.degrees / path_graph.mean_degree
         assert np.allclose(unit_baseline(model, path_graph), expected)
 
@@ -600,8 +600,8 @@ def noiseless_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     alpha, beta, c = rng.uniform(-2.0, 2.0, 3)
     models = [cd.AnalysisModelParams(rng.standard_normal(n), rng.standard_normal(n), 0.0)]
-    models += [cd.SimModelParams.for_graph(graph, kind, alpha=alpha, beta=beta, c=c,
-                                           sigma=0.0, gamma=0.0)
+    models += [cd.SimModelParams(kind, alpha=alpha, beta=beta, c=c,
+                                 sigma=0.0, gamma=0.0)
                for kind in ("linear", "multiplicative")]
     t = rng.integers(0, 2, (draw(st.integers(1, 8)), clustering.k)).astype(float)
     return graph, clustering, models, rng.uniform(-3.0, 3.0), t
@@ -621,10 +621,29 @@ def test_cluster_sums_are_unit_outcome_sums(case):
                                rtol=1e-10, atol=1e-10)
 
 
+
+@pytest.mark.parametrize("kind", ["linear", "multiplicative"])
+def test_one_model_reads_the_mean_degree_of_each_graph(kind, path_graph, path_clustering,
+                                                       sbm4):
+    """A `SimModelParams` holds no graph property: run on two graphs with
+    different mean degrees, its cluster sums match the unit reference on each."""
+    model = cd.SimModelParams(kind, alpha=1.2, beta=0.7, c=0.5, sigma=0.0, gamma=1.3)
+    cases = [(path_graph, path_clustering), sbm4]
+    assert path_graph.mean_degree != sbm4[0].mean_degree
+    rng = np.random.default_rng(3)
+    for graph, clustering in cases:
+        assign, k = clustering.assignment, clustering.k
+        t = rng.integers(0, 2, (8, k)).astype(float)
+        sums = ClusterModel(model, graph, clustering).sums(t, model.gamma)
+        for row in range(t.shape[0]):
+            y = eval_sim(model, graph, t[row][assign], np.zeros(graph.n))
+            assert np.allclose(sums[row], np.bincount(assign, y, minlength=k),
+                               rtol=1e-12, atol=1e-12)
+
 def _noisy_models(graph):
     models = [cd.AnalysisModelParams.uniform(graph.n, alpha=0.4, beta=1.1, gamma=0.9)]
-    return models + [cd.SimModelParams.for_graph(graph, kind, alpha=1.2, beta=0.7, c=0.5,
-                                                 sigma=0.8, gamma=1.3)
+    return models + [cd.SimModelParams(kind, alpha=1.2, beta=0.7, c=0.5,
+                                       sigma=0.8, gamma=1.3)
                      for kind in ("linear", "multiplicative")]
 
 
@@ -654,8 +673,8 @@ def test_float32_noise_scale_is_bitwise_the_float64_one(dense, seed, monkeypatch
     rng = np.random.default_rng(seed)
     sizes = rng.integers(5, 40, rng.integers(4, 12))
     graph, clustering = cd.generate_sbm(sizes, 0.6, 0.05, seed=seed)
-    model = cd.SimModelParams.for_graph(graph, "multiplicative", alpha=1.2, beta=0.7,
-                                        sigma=0.8, gamma=1.3)
+    model = cd.SimModelParams("multiplicative", alpha=1.2, beta=0.7,
+                              sigma=0.8, gamma=1.3)
     t = rng.integers(0, 2, (64, clustering.k)).astype(float)
     noise = rng.standard_normal(t.shape)
     monkeypatch.setattr(cd.simulation, "DENSE_CELLS", 1 << 62 if dense else 0)
@@ -676,7 +695,7 @@ def test_a_cluster_with_squared_degrees_beyond_2_to_24_keeps_float64(hub, dtype)
     a hub of degree 4,095 with its leaves stays below the bound."""
     graph = cd.Graph(hub + 1, [(0, leaf) for leaf in range(1, hub + 1)])
     clustering = cd.Clustering(np.arange(hub + 1) % 2, 2)
-    model = cd.SimModelParams.for_graph(graph, "multiplicative", sigma=0.8, gamma=1.3)
+    model = cd.SimModelParams("multiplicative", sigma=0.8, gamma=1.3)
     law = ClusterModel(model, graph, clustering)
     assert law.dtype == dtype
     t = np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])

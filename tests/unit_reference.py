@@ -28,7 +28,7 @@ def eval_sim(params, graph, z, noise):
     deg = graph.degrees.astype(np.float64)
     nbr = adjacency(graph) @ z
     frac = np.divide(nbr, deg, out=np.zeros_like(nbr), where=deg > 0)
-    dbar = params.mean_degree
+    dbar = graph.mean_degree
     rel_degree = deg / dbar if dbar > 0 else np.zeros_like(deg)
     if params.kind == "linear":
         return (params.alpha + params.beta * z + params.c * rel_degree
