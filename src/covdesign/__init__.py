@@ -24,13 +24,7 @@ from .clustering import (
     read_clustering,
     write_clustering,
 )
-from .outcomes import (
-    AnalysisModelParams,
-    SimModelParams,
-    gate_analysis,
-    gate_sim,
-    with_gamma,
-)
+from .outcomes import AnalysisModelParams, SimModelParams, with_gamma
 from .estimators import cluster_estimates
 from .analysis import (
     ExactVariance,
@@ -71,7 +65,7 @@ __all__ = [
     "Graph", "GraphFormatError", "generate_sbm", "load_edge_list", "save_edge_list",
     "Clustering", "ClusterSummary", "build_cluster_summary", "contact_matrix", "louvain",
     "read_clustering", "write_clustering",
-    "AnalysisModelParams", "SimModelParams", "gate_analysis", "gate_sim", "with_gamma",
+    "AnalysisModelParams", "SimModelParams", "with_gamma",
     "cluster_estimates",
     "ExactVariance", "bias_closed_form", "h_vector", "objective_terms",
     "omega_from_model", "variance_bound", "variance_exact",

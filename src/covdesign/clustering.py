@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import _INTEGER, Graph
+from .graph import _INTEGER, _MAX_DIGITS, Graph
 from .outcomes import check_units
 
 __all__ = [
@@ -246,22 +246,28 @@ def read_clustering(path, n: int | None = None) -> Clustering:
     """
     path = str(path)
     seen: dict[int, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.strip()
-            if not text or text.startswith("#"):
-                continue
-            tokens = text.split()
-            if len(tokens) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'unit_id cluster_id'")
-            if not all(_INTEGER.fullmatch(t) for t in tokens):
-                raise ValueError(f"{path}:{lineno}: non-integer id in {text!r}")
-            unit, cid = int(tokens[0]), int(tokens[1])
-            if unit < 0:
-                raise ValueError(f"{path}:{lineno}: negative unit id in {text!r}")
-            if unit in seen:
-                raise ValueError(f"{path}:{lineno}: duplicate assignment for unit {unit}")
-            seen[unit] = cid
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                text = raw.strip()
+                if not text or text.startswith("#"):
+                    continue
+                tokens = text.split()
+                if len(tokens) != 2:
+                    raise ValueError(f"{path}:{lineno}: expected 'unit_id cluster_id'")
+                if not all(_INTEGER.fullmatch(t) for t in tokens):
+                    raise ValueError(f"{path}:{lineno}: non-integer id in {text!r}")
+                # every id of up to _MAX_DIGITS digits fits the int64 assignment
+                if any(len(t.lstrip("-")) > _MAX_DIGITS for t in tokens):
+                    raise ValueError(f"{path}:{lineno}: id too large in {text!r}")
+                unit, cid = int(tokens[0]), int(tokens[1])
+                if unit < 0:
+                    raise ValueError(f"{path}:{lineno}: negative unit id in {text!r}")
+                if unit in seen:
+                    raise ValueError(f"{path}:{lineno}: duplicate assignment for unit {unit}")
+                seen[unit] = cid
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8: {exc}") from None
     if not seen:
         raise ValueError(f"{path}: empty clustering file")
     size = n if n is not None else max(seen) + 1

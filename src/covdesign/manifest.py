@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-VERSION = "0.10.0"
+VERSION = "0.11.0"
 
 __all__ = ["VERSION", "file_digest", "build_manifest", "write_manifest", "load_manifest",
            "read_json", "numerics"]
@@ -67,9 +67,12 @@ def write_manifest(manifest: dict, path) -> None:
 
 
 def read_json(path):
-    """Parse a JSON file; invalid JSON raises a ValueError naming the file."""
+    """Parse a JSON file; bytes that are not UTF-8 or invalid JSON raise a
+    ValueError naming the file."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: invalid JSON: {exc}") from None
 

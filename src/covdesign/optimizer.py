@@ -102,14 +102,13 @@ class OptTrace:
     step: list[float] = field(default_factory=list)
     design_term: list[float] = field(default_factory=list)
     epsilon: list[float] = field(default_factory=list)
-    roots: list[np.ndarray] = field(default_factory=list)
     objective_initial: float = math.nan
     evaluations: int = 0
     stages: list[tuple[float, int]] = field(default_factory=list)
     stop: str = ""
 
     def append(self, iteration: int, point: "_Point", floor: float, epsilon: float,
-               root: np.ndarray, keep_root: bool) -> None:
+               root: np.ndarray) -> None:
         self.iterations.append(iteration)
         self.objective.append(point.f)
         self.bias_term.append(point.bias)
@@ -119,8 +118,6 @@ class OptTrace:
         self.step.append(point.step)
         self.design_term.append(point.f - floor)
         self.epsilon.append(epsilon)
-        if keep_root:
-            self.roots.append(root.copy())
 
     def rows(self):
         return zip(self.iterations, self.objective, self.bias_term, self.variance_term,
@@ -299,8 +296,7 @@ def _start(k: int, r0: np.ndarray | None) -> np.ndarray:
 
 
 def optimize(summary: ClusterSummary, config: OptimizerConfig = OptimizerConfig(),
-             r0: np.ndarray | None = None,
-             collect_roots: bool = False) -> tuple[np.ndarray, OptTrace]:
+             r0: np.ndarray | None = None) -> tuple[np.ndarray, OptTrace]:
     """Minimize the design objective over unit-row K x p roots.
 
     Starts from `_start`.  `config.iterations` is the budget of trial
@@ -317,9 +313,7 @@ def optimize(summary: ClusterSummary, config: OptimizerConfig = OptimizerConfig(
     step |<s,s>/<s,y>| or |<s,y>/<y,y>|, alternately.  Returns the last
     stage's best accepted iterate, which must improve on - or match -
     `trace.objective_initial`; a violation raises with the trace attached.
-    Deterministic for a fixed configuration.  With `collect_roots` the trace
-    keeps a copy of the root at every row so constraint satisfaction can be
-    audited afterwards.
+    Deterministic for a fixed configuration.
     """
     k, omega = summary.k, config.omega
     best_r = _start(k, r0)
@@ -349,7 +343,7 @@ def optimize(summary: ClusterSummary, config: OptimizerConfig = OptimizerConfig(
                 trace.stop = "zero-gradient"
                 break
             if evaluation % TRACE_STRIDE == 0:
-                trace.append(evaluation, cur, floor, epsilon, r, collect_roots)
+                trace.append(evaluation, cur, floor, epsilon, r)
             trial = r - alpha * cur.rg
             _normalize_rows(trial)
             evaluation += 1
@@ -377,7 +371,7 @@ def optimize(summary: ClusterSummary, config: OptimizerConfig = OptimizerConfig(
                 break
         trace.stages.append((epsilon, evaluation - start))
     trace.evaluations = evaluation
-    trace.append(evaluation, best, floor, epsilon, best_r, collect_roots)
+    trace.append(evaluation, best, floor, epsilon, best_r)
 
     if not best.f <= trace.objective_initial * (1.0 + 1e-12) + 1e-12:
         raise OptimizationError(

@@ -1,4 +1,8 @@
-"""Potential-outcome models and their oracle average treatment effects."""
+"""Potential-outcome model parameters.
+
+A model's oracle effect (the GATE) and its outcomes are taken from its
+per-cluster law, `simulation.ClusterModel`, alone.
+"""
 
 from __future__ import annotations
 
@@ -12,8 +16,6 @@ from .graph import Graph
 __all__ = [
     "AnalysisModelParams",
     "SimModelParams",
-    "gate_analysis",
-    "gate_sim",
     "with_gamma",
 ]
 
@@ -60,6 +62,9 @@ def check_units(graph: Graph, model=None, clustering=None) -> None:
 class SimModelParams:
     """Scalar-parameter simulation models with degree-normalized interference.
 
+    The interference coefficient gamma is not a parameter: the engines take
+    it from their gamma grid.
+
     linear:
         Y_i = alpha + beta z_i + c d_i/dbar + sigma eps_i + gamma nbr_i/d_i
     multiplicative:
@@ -75,31 +80,17 @@ class SimModelParams:
     beta: float = 1.0
     c: float = 0.5
     sigma: float = 0.1
-    gamma: float = 1.0
 
     def __post_init__(self):
         if self.kind not in ("linear", "multiplicative"):
             raise ValueError(f"unknown model kind {self.kind!r}")
-        for name in ("alpha", "beta", "c", "sigma", "gamma"):
+        for name in ("alpha", "beta", "c", "sigma"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.sigma < 0:
             raise ValueError("sigma must be nonnegative")
 
 
-def with_gamma(params, gamma: float):
-    """Copy of a model parameter set with the interference coefficient replaced."""
+def with_gamma(params: AnalysisModelParams, gamma: float) -> AnalysisModelParams:
+    """Copy of an analysis model with the interference coefficient replaced."""
     return replace(params, gamma=float(gamma))
-
-
-def gate_analysis(params: AnalysisModelParams, graph: Graph) -> float:
-    """Global average treatment effect under the analysis model: mean(beta_i + gamma d_i)."""
-    check_units(graph, params)
-    return float(np.mean(params.beta + params.gamma * graph.degrees))
-
-
-def gate_sim(params: SimModelParams) -> float:
-    """Oracle effect for the simulation models: beta+gamma, or alpha*(beta+gamma)."""
-    if params.kind == "linear":
-        return params.beta + params.gamma
-    return params.alpha * (params.beta + params.gamma)

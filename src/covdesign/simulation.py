@@ -21,14 +21,7 @@ from .clustering import Clustering, contact_matrix
 from .designs import Design, pattern_blocks
 from .estimators import ESTIMATOR_KINDS, cluster_estimates
 from .graph import Graph
-from .outcomes import (
-    AnalysisModelParams,
-    SimModelParams,
-    check_units,
-    gate_analysis,
-    gate_sim,
-    with_gamma,
-)
+from .outcomes import AnalysisModelParams, SimModelParams, check_units
 
 __all__ = [
     "SimConfig",
@@ -137,15 +130,16 @@ class SimReport:
                 return c
         raise KeyError((design, gamma, estimator))
 
-    def minima(self) -> dict[str, str]:
-        """Design with the smallest MSE per (estimator, gamma) cell group."""
-        best: dict[str, str] = {}
+    def minima(self) -> dict[str, str | None]:
+        """Design with the smallest MSE per (estimator, gamma) cell group;
+        None where every MSE of the group is undefined."""
+        best: dict[str, str | None] = {}
         for estimator in self.estimators:
             for gamma in self.gammas:
-                cells = [c for c in self.cells
-                         if c.estimator == estimator and c.gamma == gamma]
-                winner = min(cells, key=lambda c: (np.isnan(c.mse), c.mse))
-                best[f"{estimator}|gamma={gamma:g}"] = winner.design
+                cells = [c for c in self.cells if c.estimator == estimator
+                         and c.gamma == gamma and not np.isnan(c.mse)]
+                winner = min(cells, key=lambda c: c.mse, default=None)
+                best[f"{estimator}|gamma={gamma:g}"] = None if winner is None else winner.design
         return best
 
     def to_dict(self) -> dict:
@@ -237,6 +231,11 @@ class ClusterModel:
             self.rel_sq = np.bincount(assign, (deg * self.scale) ** 2, minlength=k)
             self.cross = self.scale**2 * contact_matrix(graph, clustering, deg).T
 
+    def oracle(self, gamma: float) -> float:
+        """The GATE: the noise-free mean unit effect of global treatment
+        against global control, (Y(1) - Y(0)).sum() / n."""
+        return float((self.direct.sum() + gamma * self.spill.sum()) / self.sizes.sum())
+
     def sums(self, t: np.ndarray, gamma: float, noise: np.ndarray | None = None):
         """Outcome sums (B x K); `noise` holds one standard normal per cluster
         and draw, and a noise-free model ignores it."""
@@ -298,7 +297,7 @@ def run_mc(config: SimConfig) -> SimReport:
     """Monte Carlo table of bias / SD / MSE for every design, gamma and
     estimator in the configuration.
 
-    Bias is measured against the model's oracle effect.  Each design draws
+    Bias is measured against the model's oracle effect, `ClusterModel.oracle`.  Each design draws
     its own treatments and noise per replication from its block streams, so
     the table is deterministic for a fixed base seed.
     """
@@ -321,9 +320,7 @@ def run_mc(config: SimConfig) -> SimReport:
 
     cells = []
     for g_idx, gamma in enumerate(config.gammas):
-        model = with_gamma(config.model, gamma)
-        oracle = (gate_sim(model) if isinstance(model, SimModelParams)
-                  else gate_analysis(model, config.graph))
+        oracle = law.oracle(gamma)
         for d_idx, (name, _) in enumerate(config.designs):
             for e_idx, estimator in enumerate(config.estimators):
                 cells.append(_aggregate_cell(
@@ -366,7 +363,7 @@ def run_exact(graph: Graph, clustering: Clustering,
     dists = [(name, design.exact_distribution()) for name, design in designs]
     cells = []
     for gamma in gammas:
-        oracle = gate_analysis(with_gamma(model, gamma), graph)
+        oracle = law.oracle(gamma)
         for name, (patterns, probs) in dists:
             # row blocks keep the B x K outcome temporaries small; every
             # estimate depends on its own pattern only

@@ -1,7 +1,10 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
 import covdesign as cd
+from covdesign import optimizer
 from covdesign.optimizer import _normalize_rows
 
 # the desk-scale benchmark instance used by the validation suite:
@@ -65,9 +68,24 @@ def acceptance_fixture():
 @pytest.fixture(scope="session")
 def optimized_root(acceptance_fixture):
     _, _, summary = acceptance_fixture
-    root, trace = cd.optimize(summary, cd.OptimizerConfig(iterations=2000),
-                              collect_roots=True)
+    root, trace = cd.optimize(summary, cd.OptimizerConfig(iterations=2000))
     return root, trace
+
+
+@contextmanager
+def captured_roots():
+    """A list that receives a copy of the root of every row `optimize`
+    appends to its trace, in order, while the context is open."""
+    roots = []
+    append = optimizer.OptTrace.append
+
+    def keep(trace, iteration, point, floor, epsilon, root):
+        roots.append(root.copy())
+        append(trace, iteration, point, floor, epsilon, root)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optimizer.OptTrace, "append", keep)
+        yield roots
 
 
 def unit_rows(r) -> np.ndarray:

@@ -15,7 +15,7 @@ import pytest
 
 import covdesign as cd
 from covdesign.cli import main as cli_main
-from conftest import paired_root, random_unit_rows
+from conftest import captured_roots, paired_root, random_unit_rows
 
 
 def _announce(name, ok, detail):
@@ -177,10 +177,11 @@ def test_gate_6_optimizer_behavior_on_benchmark_fixture(acceptance_fixture):
     _, _, summary = acceptance_fixture
     config = cd.OptimizerConfig(iterations=2000)
     start = time.perf_counter()
-    root, trace = cd.optimize(summary, config, collect_roots=True)
+    with captured_roots() as roots:
+        root, trace = cd.optimize(summary, config)
     elapsed = time.perf_counter() - start
 
-    for r in trace.roots:
+    for r in roots:
         assert np.abs(np.linalg.norm(r, axis=1) - 1.0).max() <= 1e-12
         cov = cd.SignGaussianDesign(r).covariance()
         assert np.abs(np.diag(cov) - 0.25).max() == 0.0
@@ -195,7 +196,7 @@ def test_gate_6_optimizer_behavior_on_benchmark_fixture(acceptance_fixture):
               f"total reduction {reduction:.1%} (target 50%); "
               f"design-independent floor is {floor / f0:.1%} of start; "
               f"reducible part cut {reducible:.1%}; "
-              f"{len(trace.roots)} iterates constraint-clean; {elapsed:.1f}s")
+              f"{len(roots)} iterates constraint-clean; {elapsed:.1f}s")
     assert elapsed < 30.0
     assert f_final < f0
     assert reduction >= 0.5, (
@@ -248,7 +249,7 @@ def test_gate_8_desk_scale_design_comparison(acceptance_fixture, optimized_root)
     failures = []
     for kind in ("linear", "multiplicative"):
         model = cd.SimModelParams(kind, alpha=1.0, beta=1.0,
-                                  c=0.5, sigma=0.1, gamma=2.0)
+                                  c=0.5, sigma=0.1)
         report = cd.run_mc(cd.SimConfig(
             graph=graph, clustering=clustering, designs=designs, model=model,
             gammas=(2.0,), estimators=("ht",), replications=10_000, base_seed=99,
@@ -360,7 +361,7 @@ def test_gate_10_optimizer_finds_planted_contact_pairs():
                 for name, cov in planted.items() if cov.min() <= 0.0]
     for kind in ("linear", "multiplicative"):
         model = cd.SimModelParams(kind, alpha=1.0, beta=1.0,
-                                  c=0.5, sigma=0.1, gamma=2.0)
+                                  c=0.5, sigma=0.1)
         report = cd.run_mc(cd.SimConfig(
             graph=graph, clustering=clustering, designs=designs, model=model,
             gammas=(2.0,), estimators=("ht",), replications=10_000, base_seed=99,

@@ -613,6 +613,27 @@ class TestReport:
         assert run(["report", "--bundle", path, "--estimator", "dim"]) == 0
         assert f"{'ber':<12}{'nan':>14}{'nan':>10}{'nan':>9}" in capsys.readouterr().out
 
+    def test_group_of_undefined_mses_is_null_and_unstarred(self, tmp_path, capsys):
+        # one cluster: dim is degenerate under every draw of ber and of cr
+        graph, _ = cd.generate_sbm([6, 6], 0.6, 0.3, seed=5)
+        cd.save_edge_list(graph, tmp_path / "g.el")
+        cd.write_clustering(cd.Clustering(np.zeros(12, dtype=np.int64), 1), tmp_path / "c.txt")
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(json.dumps({
+            "graph": "g.el", "clustering": "c.txt", "designs": [{"kind": "ber"}, {"kind": "cr"}],
+            "model": {"kind": "linear"}, "gammas": [1.0], "estimators": ["ht", "dim"],
+            "replications": 50, "out_dir": "simout"}))
+        with pytest.warns(UserWarning):
+            assert run(["simulate", "--config", cfg]) == 0
+        path = tmp_path / "simout" / "report.json"
+        minima = json.loads(path.read_text())["minima"]
+        assert minima["dim|gamma=1"] is None and minima["ht|gamma=1"] in ("ber", "cr")
+        capsys.readouterr()
+        assert run(["report", "--bundle", path, "--estimator", "dim"]) == 0
+        rows = capsys.readouterr().out.splitlines()[2:4]
+        assert [row.split()[0] for row in rows] == ["ber", "cr"]
+        assert not any("*" in row for row in rows)
+
     def test_renders_table_with_minimum_flag(self, workspace, capsys):
         tmp, _, _, graph_path, clusters_path = workspace
         run(["optimize", "--graph", graph_path, "--clusters", clusters_path,
@@ -683,6 +704,16 @@ def _bundle(bundle):
         path = tmp / "report.json"
         path.write_text(json.dumps(bundle))
         return ["report", "--bundle", path], f"bundle {path} ", tmp / "out.txt"
+    return make
+
+
+def _clusters(content: bytes):
+    """An optimize run on a clustering file holding `content`."""
+    def make(tmp, graph_path, clusters_path):
+        path = tmp / "c.txt"
+        path.write_bytes(content)
+        return (["optimize", "--graph", graph_path, "--clusters", path, "--out", tmp / "out.txt"],
+                "", tmp / "out.txt")
     return make
 
 
@@ -775,6 +806,12 @@ BOUNDARY = {
                             "resolution must be positive and finite, got nan"),
     "flag-missing": (_flags("optimize", "--graph", "GRAPH", "--out", "OUT"),
                      "--clusters is required (or pass --from-manifest)"),
+    # 18 digits always fit int64, 20 do not
+    "clustering-id-too-long": (_clusters(b"0 0\n1 999999999999999999\n2 99999999999999999999\n"),
+                               "{tmp}/c.txt:3: id too large in '2 99999999999999999999'"),
+    "clustering-not-utf8": (_clusters(b"0 0\n1 0\n2 \xff\n"),
+                            "{tmp}/c.txt: not UTF-8: 'utf-8' codec can't decode byte 0xff in "
+                            "position 10: invalid start byte"),
     "absent-graph": (_flags("cluster", "--graph", "G.EL", "--seed", "1", "--out", "OUT"),
                      "file not found: {tmp}/g.el"),
     "absent-clustering": (_flags("optimize", "--graph", "GRAPH", "--clusters", "C.TXT",
@@ -834,6 +871,18 @@ def test_invalid_json_names_its_file(tmp_path, capsys, command, flag):
     assert run([command, flag, bad]) == 2
     assert capsys.readouterr().err.startswith(
         f"error: {bad}: invalid JSON: Expecting property name")
+
+
+@pytest.mark.parametrize("command, flag", [("cluster", "--from-manifest"),
+                                           ("simulate", "--config"),
+                                           ("report", "--bundle")])
+def test_json_that_is_not_utf8_names_its_file(tmp_path, capsys, command, flag):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"graph": \xff}')
+    assert run([command, flag, bad]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad}: not UTF-8: 'utf-8' codec can't decode byte 0xff in position 10: "
+        "invalid start byte\n")
 
 
 def test_manifest_resolved_config_has_exactly_the_table_keys(workspace):

@@ -39,7 +39,7 @@ def test_full_scale_mse_ordering_at_strong_interference():
     )
     for kind in ("linear", "multiplicative"):
         model = cd.SimModelParams(kind, alpha=1.0, beta=1.0,
-                                  c=0.5, sigma=0.1, gamma=2.0)
+                                  c=0.5, sigma=0.1)
         report = cd.run_mc(cd.SimConfig(
             graph=graph, clustering=clustering, designs=designs, model=model,
             gammas=(2.0,), estimators=("ht",), replications=REPS, base_seed=1,

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import covdesign as cd
-from conftest import random_unit_rows, unit_rows
+from conftest import captured_roots, random_unit_rows, unit_rows
 from covdesign.optimizer import CLAMP_EPSILON, SCHEDULE, STALL, STRIP, WINDOW, _Step
 from unit_reference import is_valid_covariance
 
@@ -187,14 +187,14 @@ def test_clamp_count_ignores_the_diagonal(sbm4):
 
 
 def assert_trace_matches_reference_loop(summary, iterations, r0=None):
-    root, trace = cd.optimize(summary, cd.OptimizerConfig(iterations=iterations), r0=r0,
-                              collect_roots=True)
+    with captured_roots() as roots:
+        root, trace = cd.optimize(summary, cd.OptimizerConfig(iterations=iterations), r0=r0)
     iterates, (best_r, best_f), stop, evaluations = ref_optimize(summary, iterations, r0=r0)
     assert (trace.stop, trace.evaluations) == (stop, evaluations)
     assert sum(n for _, n in trace.stages) == evaluations
     assert trace.iterations == list(range(0, evaluations, 10)) + [evaluations]
     assert sum(step > 0 for step in trace.step[:-1]) > 0
-    for evaluation, r, f, epsilon in zip(trace.iterations[:-1], trace.roots, trace.objective,
+    for evaluation, r, f, epsilon in zip(trace.iterations[:-1], roots, trace.objective,
                                          trace.epsilon):
         # the iterate current at this evaluation: the last one accepted by then,
         # or the start of a stage that began there
@@ -205,7 +205,7 @@ def assert_trace_matches_reference_loop(summary, iterations, r0=None):
     assert np.abs(root - best_r).max() <= RTOL
     assert close(trace.objective[-1], best_f)
     assert trace.epsilon[-1] == CLAMP_EPSILON
-    assert np.array_equal(trace.roots[-1], root)
+    assert np.array_equal(roots[-1], root)
     return trace
 
 
@@ -299,9 +299,10 @@ def test_multi_strip_trace_matches_reference_loop():
 def test_traced_clamp_count_is_that_of_the_traced_root(k):
     graph, clustering = cd.generate_sbm([3] * k, 0.8, 0.02, seed=k)
     summary = cd.build_cluster_summary(graph, clustering)
-    _, trace = cd.optimize(summary, cd.OptimizerConfig(iterations=200), collect_roots=True)
-    assert len(trace.roots) == len(trace.clamped)
-    assert trace.clamped == [ref_clamped_gram(r, 1e-6)[1] for r in trace.roots]
+    with captured_roots() as roots:
+        _, trace = cd.optimize(summary, cd.OptimizerConfig(iterations=200))
+    assert len(roots) == len(trace.clamped)
+    assert trace.clamped == [ref_clamped_gram(r, 1e-6)[1] for r in roots]
 
 
 def test_arcsin_covariance_pins_only_a_strips_own_diagonal():

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import inspect
 import json
 import os
 import re
@@ -13,9 +14,10 @@ import covdesign
 # evaluate_root, the second paths to Cov[t] and f, the unit-level estimator
 # wrappers, the test-only covariance check, the single-matrix orthant entry
 # points, the base levels outside ClusterModel, the balanced blocks'
-# treated-count table and the design kind aliases, with the module that held each
+# treated-count table, the design kind aliases and the unit-level oracles,
+# with the module that held each
 REMOVED = {
-    "outcomes": ("eval_sim", "eval_analysis"),
+    "outcomes": ("eval_sim", "eval_analysis", "gate_sim", "gate_analysis"),
     "graph": ("expand_treatment",),
     "optimizer": ("objective_from_root", "gradient_from_root", "project_rows",
                   "covariance_from_root"),
@@ -155,8 +157,9 @@ def test_scipy_is_imported_only_for_the_sparse_neighbour_counts():
 def test_public_surface():
     """Every exported name resolves, and the removed names are gone from the
     package, from their modules, for `neighbor_sums` and `adjacency` from
-    `Graph`, for `members` from `Clustering`, and for `for_graph` and the
-    stored `mean_degree` from `SimModelParams`."""
+    `Graph`, for `members` from `Clustering`, for `for_graph`, the stored
+    `mean_degree` and the unread `gamma` from `SimModelParams`, and for the
+    test-only root collection from `optimize` and `OptTrace`."""
     assert [name for name in covdesign.__all__ if not hasattr(covdesign, name)] == []
     for module, names in REMOVED.items():
         for name in names:
@@ -167,7 +170,10 @@ def test_public_surface():
         assert not hasattr(covdesign.Graph, name)
     assert not hasattr(covdesign.Clustering, "members")
     assert not hasattr(covdesign.SimModelParams, "for_graph")
-    assert "mean_degree" not in {f.name for f in dataclasses.fields(covdesign.SimModelParams)}
+    fields = {f.name for f in dataclasses.fields(covdesign.SimModelParams)}
+    assert "mean_degree" not in fields and "gamma" not in fields
+    assert "roots" not in {f.name for f in dataclasses.fields(covdesign.OptTrace)}
+    assert "collect_roots" not in inspect.signature(covdesign.optimize).parameters
 
 
 def test_readme_entry_points_resolve():

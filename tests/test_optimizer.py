@@ -7,7 +7,7 @@ import pytest
 import covdesign as cd
 from covdesign.designs import arcsin_covariance
 from covdesign.optimizer import CLAMP_EPSILON, SCHEDULE, _normalize_rows, rank_for
-from conftest import random_unit_rows, unit_rows
+from conftest import captured_roots, random_unit_rows, unit_rows
 from unit_reference import is_valid_covariance
 
 
@@ -156,9 +156,9 @@ class TestOptimize:
     def test_constraints_hold_at_every_traced_iterate(self, sbm5):
         graph, clustering = sbm5
         summary = cd.build_cluster_summary(graph, clustering)
-        _, trace = cd.optimize(summary, cd.OptimizerConfig(iterations=300),
-                               collect_roots=True)
-        for r in trace.roots:
+        with captured_roots() as roots:
+            cd.optimize(summary, cd.OptimizerConfig(iterations=300))
+        for r in roots:
             assert np.abs(np.linalg.norm(r, axis=1) - 1.0).max() <= 1e-12
             cov = cd.SignGaussianDesign(r).covariance()
             assert np.abs(np.diag(cov) - 0.25).max() == 0.0
@@ -204,9 +204,9 @@ class TestOptimize:
     def test_collected_roots_are_distinct_snapshots(self, sbm4):
         graph, clustering = sbm4
         summary = cd.build_cluster_summary(graph, clustering)
-        root, trace = cd.optimize(summary, cd.OptimizerConfig(iterations=40),
-                                  collect_roots=True)
-        roots = trace.roots + [root]
+        with captured_roots() as roots:
+            root, _ = cd.optimize(summary, cd.OptimizerConfig(iterations=40))
+        roots = roots + [root]
         assert len(roots) == 6
         for i, a in enumerate(roots):
             assert not any(np.shares_memory(a, b) for b in roots[i + 1:])
@@ -223,10 +223,10 @@ class TestOptimize:
             cd.optimize(bad, cd.OptimizerConfig(iterations=1))
 
     def test_trace_final_entry_matches_returned_root(self, path_summary):
-        root, trace = cd.optimize(path_summary, cd.OptimizerConfig(iterations=123),
-                                  collect_roots=True)
+        with captured_roots() as roots:
+            root, trace = cd.optimize(path_summary, cd.OptimizerConfig(iterations=123))
         assert trace.iterations[-1] == 123
-        assert np.array_equal(trace.roots[-1], root)
+        assert np.array_equal(roots[-1], root)
         f, _, _, _ = cd.evaluate_root(root, path_summary, 1.0)[:4]
         assert trace.objective[-1] == f
 
@@ -240,10 +240,10 @@ class TestRank:
     def test_above_32_clusters_starts_from_a_fixed_gaussian_root(self):
         graph, clustering = cd.generate_sbm([3] * 40, 0.8, 0.05, seed=4)
         summary = cd.build_cluster_summary(graph, clustering)
-        root, trace = cd.optimize(summary, cd.OptimizerConfig(iterations=30),
-                                  collect_roots=True)
-        assert root.shape == (40, 32) and trace.roots[0].shape == (40, 32)
-        assert not np.allclose(trace.roots[0] @ trace.roots[0].T, np.eye(40))
+        with captured_roots() as roots:
+            root, trace = cd.optimize(summary, cd.OptimizerConfig(iterations=30))
+        assert root.shape == (40, 32) and roots[0].shape == (40, 32)
+        assert not np.allclose(roots[0] @ roots[0].T, np.eye(40))
         assert np.array_equal(root, cd.optimize(summary, cd.OptimizerConfig(iterations=30))[0])
         # the result is held to f at the independent design, not at the start
         independent = sum(cd.objective_terms(summary, 0.25 * np.eye(40), 1.0))

@@ -9,7 +9,10 @@ import covdesign as cd
 from covdesign.estimators import ESTIMATOR_KINDS
 from covdesign.simulation import ClusterModel
 from conftest import random_unit_rows
-from unit_reference import eval_analysis, eval_sim, unit_outcomes
+from unit_reference import eval_analysis, eval_sim, unit_gate, unit_outcomes
+
+# the interference level of the unit-loop checks
+GAMMA = 1.3
 
 
 def unit_estimates(kinds, z, y, baseline):
@@ -53,12 +56,9 @@ def test_engine_fast_path_matches_estimator_functions():
 def _models(graph, sigma):
     rng = np.random.default_rng(5)
     analysis = cd.AnalysisModelParams(rng.standard_normal(graph.n),
-                                      rng.standard_normal(graph.n), 1.3)
-    return [analysis] + [
-        cd.SimModelParams(kind, alpha=1.2, beta=0.7, c=0.5,
-                          sigma=sigma, gamma=1.3)
-        for kind in ("linear", "multiplicative")
-    ]
+                                      rng.standard_normal(graph.n), GAMMA)
+    return [analysis] + [cd.SimModelParams(kind, alpha=1.2, beta=0.7, c=0.5, sigma=sigma)
+                         for kind in ("linear", "multiplicative")]
 
 
 def _isolated_unit_graph():
@@ -74,12 +74,12 @@ def test_cluster_sums_match_unit_loop_without_noise(fixture, sbm4):
     t = np.vstack([rng.integers(0, 2, (30, k)), np.ones(k), np.zeros(k)]).astype(float)
     for model in _models(graph, sigma=0.0):
         law = ClusterModel(model, graph, clustering)
-        values, degenerate = cd.cluster_estimates(t, law.sums(t, model.gamma), law.sizes,
+        values, degenerate = cd.cluster_estimates(t, law.sums(t, GAMMA), law.sizes,
                                                   law.baseline)
-        baseline = unit_outcomes(model, graph, np.zeros(graph.n), np.zeros(graph.n))
+        baseline = unit_outcomes(model, graph, np.zeros(graph.n), np.zeros(graph.n), GAMMA)
         for row in range(t.shape[0]):
             z = t[row][clustering.assignment]
-            y = unit_outcomes(model, graph, z, np.zeros(graph.n))
+            y = unit_outcomes(model, graph, z, np.zeros(graph.n), GAMMA)
             for e, (value, degen) in enumerate(
                     unit_estimates(ESTIMATOR_KINDS, z, y, baseline)):
                 assert degenerate[row, e] == degen
@@ -96,24 +96,24 @@ def test_cluster_noise_scale_matches_summed_unit_noise(fixture, sbm4):
     t = np.random.default_rng(7).integers(0, 2, (20, k)).astype(float)
     for model in _models(graph, sigma=0.8)[1:]:
         law = ClusterModel(model, graph, clustering)
-        scale = law.sums(t, 1.3, np.ones(t.shape)) - law.sums(t, 1.3, np.zeros(t.shape))
+        scale = law.sums(t, GAMMA, np.ones(t.shape)) - law.sums(t, GAMMA, np.zeros(t.shape))
         for row in range(t.shape[0]):
             z = t[row][clustering.assignment]
-            slope = (eval_sim(model, graph, z, np.ones(graph.n))
-                     - eval_sim(model, graph, z, np.zeros(graph.n)))
+            slope = (eval_sim(model, graph, z, np.ones(graph.n), GAMMA)
+                     - eval_sim(model, graph, z, np.zeros(graph.n), GAMMA))
             expected = np.sqrt(np.bincount(clustering.assignment, slope**2, minlength=k))
             assert np.allclose(scale[row], expected, rtol=1e-12, atol=1e-12)
 
 
-def unit_mc(graph, clustering, design, model, reps, seed):
+def unit_mc(graph, clustering, design, model, gamma, reps, seed):
     """Reference Monte Carlo: unit-level outcomes and estimators, one draw
     at a time.  Returns per estimator (mean, sd, se_mean, se_sd)."""
     rng = np.random.default_rng(seed)
-    baseline = unit_outcomes(model, graph, np.zeros(graph.n), np.zeros(graph.n))
+    baseline = unit_outcomes(model, graph, np.zeros(graph.n), np.zeros(graph.n), gamma)
     rows = []
     for t in design.sample_many(rng, reps):
         z = t[clustering.assignment]
-        y = unit_outcomes(model, graph, z, rng.standard_normal(graph.n))
+        y = unit_outcomes(model, graph, z, rng.standard_normal(graph.n), gamma)
         rows.append(unit_estimates(ESTIMATOR_KINDS, z, y, baseline))
     out = {}
     for e, kind in enumerate(ESTIMATOR_KINDS):
@@ -134,8 +134,7 @@ def test_noisy_engine_matches_unit_loop_within_standard_error(sbm4):
             base_seed=9))
         for name, design in designs:
             for gamma in (0.5, 2.0):
-                ref = unit_mc(graph, clustering, design, cd.with_gamma(model, gamma),
-                              2000, seed=10)
+                ref = unit_mc(graph, clustering, design, model, gamma, 2000, seed=10)
                 for kind, (mean, sd, se_mean, se_sd) in ref.items():
                     cell = report.cell(name, gamma, kind)
                     assert abs(cell.mean_estimate - mean) <= 4 * np.hypot(cell.se_bias,
@@ -148,7 +147,7 @@ def unit_exact(graph, clustering, design, model, gamma):
     (bias, sd, mse, degenerate mass)."""
     patterns, probs = design.exact_distribution()
     model = cd.with_gamma(model, gamma)
-    oracle = cd.gate_analysis(model, graph)
+    oracle = unit_gate(model, graph)
     out = {}
     rows = [unit_estimates(ESTIMATOR_KINDS, z, eval_analysis(model, graph, z), model.alpha)
             for z in patterns[:, clustering.assignment]]
@@ -231,7 +230,7 @@ class TestRunMc:
 
     def test_no_interference_means_no_bias(self, sbm_setup):
         graph, clustering, _ = sbm_setup
-        model = cd.SimModelParams("linear", sigma=0.1, gamma=1.0)
+        model = cd.SimModelParams("linear", sigma=0.1)
         report = cd.run_mc(small_config(
             graph, clustering, (("ber", cd.BernoulliDesign(4)),), model,
             gammas=(0.0,), replications=4000,
@@ -252,7 +251,7 @@ class TestRunMc:
 
     def test_same_seed_is_bitwise_identical(self, sbm_setup):
         graph, clustering, _ = sbm_setup
-        model = cd.SimModelParams("multiplicative", gamma=2.0)
+        model = cd.SimModelParams("multiplicative")
         designs = (("ber", cd.BernoulliDesign(4)), ("cr", cd.CompleteDesign(4)))
         config = small_config(graph, clustering, designs, model,
                               estimators=("ht", "dim"), gammas=(0.5, 2.0))
@@ -260,7 +259,7 @@ class TestRunMc:
 
     def test_identical_design_listed_twice_gives_identical_rows(self, sbm_setup):
         graph, clustering, _ = sbm_setup
-        model = cd.SimModelParams("linear", gamma=1.0)
+        model = cd.SimModelParams("linear")
         designs = (("first", cd.CompleteDesign(4)), ("second", cd.CompleteDesign(4)))
         report = cd.run_mc(small_config(graph, clustering, designs, model))
         a, b = report.cells
@@ -268,7 +267,7 @@ class TestRunMc:
 
     def test_mse_identity_per_cell(self, sbm_setup):
         graph, clustering, _ = sbm_setup
-        model = cd.SimModelParams("linear", gamma=2.0)
+        model = cd.SimModelParams("linear")
         designs = (("ber", cd.BernoulliDesign(4)), ("cr", cd.CompleteDesign(4)))
         report = cd.run_mc(small_config(graph, clustering, designs, model,
                                         estimators=("ht", "dim"), replications=700))
@@ -305,7 +304,7 @@ class TestRunMc:
         # two designs with the same draws but different stream keys draw
         # their noise from different streams, so their rows differ
         graph, clustering, _ = sbm_setup
-        model = cd.SimModelParams("linear", sigma=1.0, gamma=0.0)
+        model = cd.SimModelParams("linear", sigma=1.0)
         designs = (("a", _FixedDesign(b"a")), ("b", _FixedDesign(b"b")))
         report = cd.run_mc(small_config(graph, clustering, designs, model,
                                         replications=300))
@@ -397,6 +396,37 @@ class TestRunMc:
         with pytest.raises(ValueError, match=f"^{message}$"):
             cd.run_exact(graph, clustering, designs, cd.AnalysisModelParams.uniform(graph.n),
                          estimators=estimators)
+
+
+    @pytest.mark.parametrize("kind", ["linear", "multiplicative"])
+    def test_every_model_field_moves_the_cells(self, sbm_setup, kind):
+        """A `SimModelParams` field that no cell reads would be a setting
+        that does nothing; multiplicative `c` is the one known such field."""
+        graph, clustering, _ = sbm_setup
+        model = cd.SimModelParams(kind)
+        base = cd.run_mc(small_config(graph, clustering, (("ber", cd.BernoulliDesign(4)),),
+                                      model, replications=50)).cells
+        for field in dataclasses.fields(model):
+            if field.name == "kind" or (kind, field.name) == ("multiplicative", "c"):
+                continue
+            bumped = dataclasses.replace(model, **{field.name: getattr(model, field.name) + 0.5})
+            cells = cd.run_mc(small_config(graph, clustering,
+                                           (("ber", cd.BernoulliDesign(4)),), bumped,
+                                           replications=50)).cells
+            assert cells != base, field.name
+
+    def test_linear_oracle_counts_only_units_with_a_neighbour(self):
+        """Two triangles and two isolated units, one cluster each: an isolated
+        unit gets no interference, so the GATE is beta + gamma 6/8, and ber's
+        ht, unbiased when every neighbour shares its unit's cluster, matches it."""
+        graph = cd.Graph(8, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+        clustering = cd.Clustering([0, 0, 0, 1, 1, 1, 2, 3], 4)
+        model = cd.SimModelParams("linear", beta=1.0, sigma=0.0)
+        report = cd.run_mc(small_config(graph, clustering, (("ber", cd.BernoulliDesign(4)),),
+                                        model, replications=20_000))
+        cell = report.cells[0]
+        assert cell.oracle == pytest.approx(1.0 + 1.0 * 6 / 8, rel=1e-15)
+        assert abs(cell.bias) <= 3 * cell.se_bias
 
 
 class TestRunExact:
@@ -522,7 +552,7 @@ class TestEngineInputs:
 class TestReportShape:
     def test_compare_designs_minima_and_table(self, sbm_setup):
         graph, clustering, summary = sbm_setup
-        model = cd.SimModelParams("linear", gamma=1.0)
+        model = cd.SimModelParams("linear")
         designs = (
             ("ber", cd.BernoulliDesign(4)),
             ("cr", cd.CompleteDesign(4)),
@@ -554,6 +584,19 @@ class TestReportShape:
         assert dim["bias"] is dim["sd"] is dim["mse"] is dim["mean_estimate"] is None
         assert None not in ht.values()
         json.dumps(report.to_dict(), allow_nan=False)
+
+    def test_group_of_undefined_mses_has_no_minimum(self):
+        # one cluster: dim is degenerate under every draw of ber and of cr
+        graph, _ = cd.generate_sbm([6, 6], 0.6, 0.3, seed=5)
+        clustering = cd.Clustering(np.zeros(12, dtype=np.int64), 1)
+        designs = (("ber", cd.BernoulliDesign(1)), ("cr", cd.CompleteDesign(1)))
+        with pytest.warns(UserWarning, match="0 of 50 draws are valid"):
+            report = cd.run_mc(small_config(graph, clustering, designs,
+                                            cd.SimModelParams("linear"),
+                                            estimators=("ht", "dim"), replications=50))
+        assert report.minima()["dim|gamma=1"] is None
+        assert report.minima()["ht|gamma=1"] in ("ber", "cr")
+        assert report.to_dict()["minima"]["dim|gamma=1"] is None
 
     def test_cell_lookup_raises_on_missing(self, sbm_setup):
         graph, clustering, _ = sbm_setup
@@ -600,8 +643,7 @@ def noiseless_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     alpha, beta, c = rng.uniform(-2.0, 2.0, 3)
     models = [cd.AnalysisModelParams(rng.standard_normal(n), rng.standard_normal(n), 0.0)]
-    models += [cd.SimModelParams(kind, alpha=alpha, beta=beta, c=c,
-                                 sigma=0.0, gamma=0.0)
+    models += [cd.SimModelParams(kind, alpha=alpha, beta=beta, c=c, sigma=0.0)
                for kind in ("linear", "multiplicative")]
     t = rng.integers(0, 2, (draw(st.integers(1, 8)), clustering.k)).astype(float)
     return graph, clustering, models, rng.uniform(-3.0, 3.0), t
@@ -614,9 +656,8 @@ def test_cluster_sums_are_unit_outcome_sums(case):
     assign, k = clustering.assignment, clustering.k
     for model in models:
         sums = ClusterModel(model, graph, clustering).sums(t, gamma)
-        unit_model = cd.with_gamma(model, gamma)
         for row in range(t.shape[0]):
-            y = unit_outcomes(unit_model, graph, t[row][assign], np.zeros(graph.n))
+            y = unit_outcomes(model, graph, t[row][assign], np.zeros(graph.n), gamma)
             assert np.allclose(sums[row], np.bincount(assign, y, minlength=k),
                                rtol=1e-10, atol=1e-10)
 
@@ -627,23 +668,22 @@ def test_one_model_reads_the_mean_degree_of_each_graph(kind, path_graph, path_cl
                                                        sbm4):
     """A `SimModelParams` holds no graph property: run on two graphs with
     different mean degrees, its cluster sums match the unit reference on each."""
-    model = cd.SimModelParams(kind, alpha=1.2, beta=0.7, c=0.5, sigma=0.0, gamma=1.3)
+    model = cd.SimModelParams(kind, alpha=1.2, beta=0.7, c=0.5, sigma=0.0)
     cases = [(path_graph, path_clustering), sbm4]
     assert path_graph.mean_degree != sbm4[0].mean_degree
     rng = np.random.default_rng(3)
     for graph, clustering in cases:
         assign, k = clustering.assignment, clustering.k
         t = rng.integers(0, 2, (8, k)).astype(float)
-        sums = ClusterModel(model, graph, clustering).sums(t, model.gamma)
+        sums = ClusterModel(model, graph, clustering).sums(t, GAMMA)
         for row in range(t.shape[0]):
-            y = eval_sim(model, graph, t[row][assign], np.zeros(graph.n))
+            y = eval_sim(model, graph, t[row][assign], np.zeros(graph.n), GAMMA)
             assert np.allclose(sums[row], np.bincount(assign, y, minlength=k),
                                rtol=1e-12, atol=1e-12)
 
 def _noisy_models(graph):
     models = [cd.AnalysisModelParams.uniform(graph.n, alpha=0.4, beta=1.1, gamma=0.9)]
-    return models + [cd.SimModelParams(kind, alpha=1.2, beta=0.7, c=0.5,
-                                       sigma=0.8, gamma=1.3)
+    return models + [cd.SimModelParams(kind, alpha=1.2, beta=0.7, c=0.5, sigma=0.8)
                      for kind in ("linear", "multiplicative")]
 
 
@@ -673,8 +713,7 @@ def test_float32_noise_scale_is_bitwise_the_float64_one(dense, seed, monkeypatch
     rng = np.random.default_rng(seed)
     sizes = rng.integers(5, 40, rng.integers(4, 12))
     graph, clustering = cd.generate_sbm(sizes, 0.6, 0.05, seed=seed)
-    model = cd.SimModelParams("multiplicative", alpha=1.2, beta=0.7,
-                              sigma=0.8, gamma=1.3)
+    model = cd.SimModelParams("multiplicative", alpha=1.2, beta=0.7, sigma=0.8)
     t = rng.integers(0, 2, (64, clustering.k)).astype(float)
     noise = rng.standard_normal(t.shape)
     monkeypatch.setattr(cd.simulation, "DENSE_CELLS", 1 << 62 if dense else 0)
@@ -695,14 +734,14 @@ def test_a_cluster_with_squared_degrees_beyond_2_to_24_keeps_float64(hub, dtype)
     a hub of degree 4,095 with its leaves stays below the bound."""
     graph = cd.Graph(hub + 1, [(0, leaf) for leaf in range(1, hub + 1)])
     clustering = cd.Clustering(np.arange(hub + 1) % 2, 2)
-    model = cd.SimModelParams("multiplicative", sigma=0.8, gamma=1.3)
+    model = cd.SimModelParams("multiplicative", sigma=0.8)
     law = ClusterModel(model, graph, clustering)
     assert law.dtype == dtype
     t = np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
     z = t[:, clustering.assignment]
     spread = law.sums(t, 1.3, np.ones(t.shape)) - law.sums(t, 1.3, np.zeros(t.shape))
     for row in range(t.shape[0]):
-        slope = (eval_sim(model, graph, z[row], np.ones(graph.n))
-                 - eval_sim(model, graph, z[row], np.zeros(graph.n)))
+        slope = (eval_sim(model, graph, z[row], np.ones(graph.n), 1.3)
+                 - eval_sim(model, graph, z[row], np.zeros(graph.n), 1.3))
         assert np.allclose(spread[row], np.sqrt(np.bincount(clustering.assignment, slope**2)),
                            rtol=1e-12, atol=0.0)

@@ -4,7 +4,8 @@ the tests' check of a balanced design's covariance.
 `simulation.ClusterModel` evaluates a model only through its per-cluster
 outcome sums.  The functions below evaluate the same models on the units,
 from the adjacency matrix (`louvain_reference.adjacency`), as
-`AnalysisModelParams` and `SimModelParams` write them; the tests require
+`AnalysisModelParams` and `SimModelParams` write them, with the
+interference level `gamma` given as the engines give it; the tests require
 the two to agree.
 """
 
@@ -20,7 +21,12 @@ def eval_analysis(params, graph, z):
     return params.alpha + params.beta * z + params.gamma * (adjacency(graph) @ z)
 
 
-def eval_sim(params, graph, z, noise):
+def unit_gate(params, graph):
+    """The analysis model's GATE unit by unit: mean(beta_i + gamma d_i)."""
+    return float(np.mean(params.beta + params.gamma * graph.degrees))
+
+
+def eval_sim(params, graph, z, noise, gamma):
     """A simulation model for a unit treatment `z`; `noise` holds one
     standard normal per unit, drawn by the caller for one replication."""
     z = np.asarray(z, dtype=np.float64)
@@ -32,15 +38,15 @@ def eval_sim(params, graph, z, noise):
     rel_degree = deg / dbar if dbar > 0 else np.zeros_like(deg)
     if params.kind == "linear":
         return (params.alpha + params.beta * z + params.c * rel_degree
-                + params.sigma * noise + params.gamma * frac)
+                + params.sigma * noise + gamma * frac)
     return ((params.alpha + params.sigma * noise) * rel_degree
-            * (1.0 + params.beta * z + params.gamma * frac))
+            * (1.0 + params.beta * z + gamma * frac))
 
 
-def unit_outcomes(model, graph, z, noise):
+def unit_outcomes(model, graph, z, noise, gamma):
     if isinstance(model, cd.AnalysisModelParams):
-        return eval_analysis(model, graph, z)
-    return eval_sim(model, graph, z, noise)
+        return eval_analysis(cd.with_gamma(model, gamma), graph, z)
+    return eval_sim(model, graph, z, noise, gamma)
 
 
 def is_valid_covariance(cov, atol=1e-9):
