@@ -34,8 +34,8 @@ from .analysis import (
 from .clustering import build_cluster_summary, louvain, read_clustering, write_clustering
 from .designs import DesignEnumerationError, make_design
 from .graph import load_edge_list
-from .manifest import build_manifest, load_manifest, numerics, read_json, write_manifest
-from .optimizer import OptimizerConfig, optimize
+from .manifest import build_manifest, json_text, load_manifest, numerics, read_json, write_json
+from .optimizer import OptimizerConfig, OptTrace, optimize
 from .outcomes import AnalysisModelParams, SimModelParams
 from . import simulation  # called through the module, so wrappers on run_mc see the calls
 
@@ -78,27 +78,24 @@ def _write_root(path, root: np.ndarray, k: int) -> None:
 
 
 def _write_csv(path, header, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(
-            _FLOAT_FMT % v if isinstance(v, float) else str(v) for v in row
-        ))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    cells = ([_FLOAT_FMT % v if isinstance(v, float) else str(v) for v in row] for row in rows)
+    lines = [",".join(line) + "\n" for line in (header, *cells)]
+    Path(path).write_text("".join(lines), encoding="utf-8")
 
 
 # ----------------------------------------------------------------- config
 #
 # A type is float (JSON integers pass), `_FINITE` (a float that is not NaN or
-# infinite), int, str, None, `[t]` (a list of t), a tuple of alternatives, a
-# `_Spec` (a nested object's key types) or a plain dict of `_Spec`s by kind
-# (`_DESIGNS`, `_MODELS`: a nested object whose keys are the ones its kind
-# reads).  No bool passes as a number.  Nested specs get no defaults: the
-# library constructors own them.
+# infinite), int, str, None, dict (any object), `[t]` (a list of t), a tuple
+# of alternatives, a `_Spec` (a nested object's key types and the keys it
+# requires) or a plain dict of `_Spec`s by kind (`_DESIGNS`, `_MODELS`: a
+# nested object whose keys are the ones its kind reads).  No bool passes as a
+# number.  Nested specs get no defaults: the library constructors own them.
 
 class _Spec(dict):
-    def __init__(self, what: str, **types):
+    def __init__(self, what: str, required=(), **types):
         super().__init__(types)
-        self.what = what
+        self.what, self.required = what, required
 
 
 _REQUIRED = object()
@@ -110,6 +107,14 @@ _SIM_MODEL = _Spec("model", kind=str, alpha=float, beta=float, c=float, sigma=fl
 _MODELS = {"linear": _SIM_MODEL, "multiplicative": _SIM_MODEL,
            "analysis": _Spec("model", kind=str, alpha=float, beta=float)}
 _OPT = OptimizerConfig
+# a report bundle (`SimReport.to_dict`); a cell's floats are null where undefined
+_STATS = ("bias", "sd", "mse")
+_CELL = _Spec("cell", required=("design", "gamma", "estimator", *_STATS), design=str,
+              gamma=float, estimator=str, replications=int, valid=int,
+              **dict.fromkeys((*_STATS, "se_bias", "se_sd", "se_mse", "mean_estimate",
+                               "oracle", "degenerate_fraction"), (float, None)))
+_BUNDLE = dict(kind=str, designs=[str], gammas=[float], estimators=[str], cells=[_CELL],
+               minima=dict, meta=dict)
 
 # every key of each command's resolved config: (type, default)
 _CONFIG = {
@@ -146,7 +151,7 @@ _SIMULATE_FLAGS = ("replications", "seed", "out_dir")
 # flag names that are not the key with "-" for "_"
 _FLAGS = {"clustering": "clusters", "iterations": "iters", "replications": "reps"}
 _TYPE_NAMES = {float: "a number", _FINITE: "a finite number", int: "an integer",
-               str: "a string", None: "null"}
+               str: "a string", None: "null", dict: "an object"}
 
 
 def _describe(typ) -> str:
@@ -194,6 +199,9 @@ def _check(value, typ, name: str, source: str) -> None:
             _check(item, typ[0], f"{name}[{i}]", source)
     elif isinstance(typ, _Spec):
         _refuse_unknown(value, typ, typ.what, source)
+        for key in typ.required:
+            if key not in value:
+                raise _fail(f"{source}: {name} is missing key {key!r}")
         for key, item in value.items():
             _check(item, typ[key], f"{name}.{key}", source)
 
@@ -247,9 +255,7 @@ def _resolve(command: str, ns) -> dict:
     if not ns.config:
         raise _fail("simulate needs --config or --from-manifest")
     cfg = _checked(read_json(ns.config), command, f"config {ns.config}")
-    _absolute_paths(cfg, Path(ns.config).resolve().parent)
-    cfg.update(_absolute_paths(flags))
-    return cfg
+    return {**_absolute_paths(cfg, Path(ns.config).resolve().parent), **_absolute_paths(flags)}
 
 
 # ---------------------------------------------------------------- cluster
@@ -273,7 +279,7 @@ def _run_cluster(cfg: dict) -> dict:
         outputs.append(nodemap)
     manifest = build_manifest("cluster", cfg, [cfg["graph"]], outputs,
                               {"louvain": cfg["seed"]}, timings)
-    write_manifest(manifest, str(out) + ".manifest.json")
+    write_json(manifest, str(out) + ".manifest.json")
     print(f"wrote {out} (K={clustering.k})")
     return manifest
 
@@ -301,10 +307,7 @@ def _run_optimize(cfg: dict) -> dict:
     # zero-padded to K x K: the same Gram, and the same design once read back
     _write_root(out, root, summary.k)
     trace_path = out.with_suffix(out.suffix + ".trace.csv")
-    _write_csv(trace_path,
-               ["iteration", "objective", "bias_term", "variance_term", "clamped",
-                "grad_norm", "step", "g", "epsilon"],
-               trace.rows())
+    _write_csv(trace_path, OptTrace.COLUMNS, trace.rows())
     results = {"rank": root.shape[1], "evaluations": trace.evaluations, "stop": trace.stop,
                "stages": [{"epsilon": epsilon, "evaluations": n} for epsilon, n in trace.stages]}
     sidecar = {
@@ -321,12 +324,11 @@ def _run_optimize(cfg: dict) -> dict:
             json.dumps(cfg, sort_keys=True).encode("utf-8")).hexdigest()[:16],
     }
     sidecar_path = out.with_suffix(out.suffix + ".json")
-    sidecar_path.write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n",
-                            encoding="utf-8")
+    write_json(sidecar, sidecar_path)
     manifest = build_manifest("optimize", cfg, inputs,
                               [out, sidecar_path, trace_path],
                               {}, timings, **results, numerics=numerics())
-    write_manifest(manifest, str(out) + ".manifest.json")
+    write_json(manifest, str(out) + ".manifest.json")
     start, final = trace.objective_initial, trace.objective[-1]
     reduction = 1.0 - final / start if start else 0.0
     print(f"wrote {out} (f: {start:.6g} -> {final:.6g}, reduction {100 * reduction:.2f}%, "
@@ -352,8 +354,7 @@ def _run_simulate(cfg: dict) -> dict:
     t0 = time.perf_counter()
     graph, clustering, summary = _load(cfg["graph"], cfg["clustering"])
     designs = tuple(_build_design(spec, summary) for spec in cfg["designs"])
-    inputs = [cfg["graph"], cfg["clustering"]]
-    inputs += [spec["root"] for spec in cfg["designs"] if "root" in spec]
+    inputs = [cfg["graph"], cfg["clustering"], *(s["root"] for s in cfg["designs"] if "root" in s)]
     params = {k: v for k, v in cfg["model"].items() if k != "kind"}
     model_kind = cfg["model"]["kind"]
     model = (AnalysisModelParams.uniform(graph.n, **params) if model_kind == "analysis"
@@ -369,43 +370,42 @@ def _run_simulate(cfg: dict) -> dict:
     report = simulation.run_mc(sim_config)
     timings["simulate"] = time.perf_counter() - t0
 
-    out_dir = Path(cfg["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = []
-    for estimator in report.estimators:
-        path = out_dir / f"report_{model_kind}_{estimator}.csv"
-        _write_csv(path, *(_report_table(report, estimator)))
-        outputs.append(path)
     bundle = report.to_dict()
-    bundle["meta"]["model"] = cfg["model"]
     # the output location stays out of the echo so outputs are byte-identical
     # wherever they are written (it lives in the manifest)
     bundle["meta"]["config"] = {k: v for k, v in cfg.items() if k != "out_dir"}
+    out_dir = Path(cfg["out_dir"])
+    out_dir.mkdir(parents=True, exist_ok=True)
     bundle_path = out_dir / "report.json"
-    # an undefined statistic is null (SimReport.to_dict); NaN is not JSON
-    text = json.dumps(bundle, indent=2, sort_keys=True, allow_nan=False)
-    bundle_path.write_text(text + "\n", encoding="utf-8")
+    outputs = []
+    for estimator in report.estimators:
+        path = out_dir / f"report_{model_kind}_{estimator}.csv"
+        _write_csv(path, *_table(bundle, estimator, f"bundle {bundle_path}"))
+        outputs.append(path)
+    write_json(bundle, bundle_path)
     outputs.append(bundle_path)
     manifest = build_manifest("simulate", cfg, inputs, outputs,
                               {"base_seed": cfg["seed"]}, timings)
-    write_manifest(manifest, out_dir / "simulate.manifest.json")
+    write_json(manifest, out_dir / "simulate.manifest.json")
     print(f"wrote {bundle_path} ({len(report.cells)} cells)")
     return manifest
 
 
-def _report_table(report: simulation.SimReport, estimator: str):
-    header = ["method"]
-    for gamma in report.gammas:
-        tag = f"{gamma:g}"
-        header += [f"bias_{tag}", f"sd_{tag}", f"mse_{tag}"]
+def _table(bundle: dict, estimator: str, source: str):
+    """Header and rows of `estimator`'s bias, sd and mse per design and gamma in
+    a report bundle, with NaN for null; refuses a missing cell by name."""
+    cells = {(c["design"], c["gamma"], c["estimator"]): c for c in bundle["cells"]}
     rows = []
-    for design in report.designs:
-        row: list = [design]
-        for gamma in report.gammas:
-            cell = report.cell(design, gamma, estimator)
-            row += [cell.bias, cell.sd, cell.mse]
+    for design in bundle["designs"]:
+        row = [design]
+        for gamma in bundle["gammas"]:
+            cell = cells.get((design, gamma, estimator))
+            if cell is None:
+                raise _fail(f"{source} has no cell for design {design!r}, "
+                            f"gamma {gamma:g} and estimator {estimator!r}")
+            row += [math.nan if cell[stat] is None else cell[stat] for stat in _STATS]
         rows.append(row)
-    return header, rows
+    return ["method", *(f"{s}_{g:g}" for g in bundle["gammas"] for s in _STATS)], rows
 
 
 # ---------------------------------------------------------------- analyze
@@ -459,47 +459,39 @@ def _run_analyze(cfg: dict) -> dict:
         "objective": {"f": bias_term + variance_term,
                       "bias_term": bias_term, "variance_term": variance_term},
     }
-    text = json.dumps(result, indent=2, sort_keys=True)
     if cfg["out"]:
-        Path(cfg["out"]).write_text(text + "\n", encoding="utf-8")
+        write_json(result, cfg["out"])
         print(f"wrote {cfg['out']}")
     else:
-        print(text)
+        print(json_text(result), end="")
     return result
 
 
 # ----------------------------------------------------------------- report
 
 def _run_report(ns) -> None:
-    bundle = read_json(ns.bundle)
+    bundle, source = read_json(ns.bundle), f"bundle {ns.bundle}"
     for key in ("designs", "gammas", "estimators", "cells"):
         if not isinstance(bundle, dict) or key not in bundle:
-            raise _fail(f"bundle {ns.bundle} is missing key {key!r}")
+            raise _fail(f"{source} is missing key {key!r}")
+    _refuse_unknown(bundle, _BUNDLE, "bundle", source)
+    for key, value in bundle.items():
+        _check(value, _BUNDLE[key], key, source)
     if ns.estimator is not None and ns.estimator not in bundle["estimators"]:
-        raise _fail(f"bundle {ns.bundle} has no estimator {ns.estimator!r}; "
+        raise _fail(f"{source} has no estimator {ns.estimator!r}; "
                     f"it holds: {', '.join(bundle['estimators'])}")
-    cells = {(c["design"], c["gamma"], c["estimator"]): c for c in bundle["cells"]}
     minima = bundle.get("minima", {})
-    estimators = bundle["estimators"] if ns.estimator is None else [ns.estimator]
     lines = []
-    for estimator in estimators:
+    for estimator in bundle["estimators"] if ns.estimator is None else [ns.estimator]:
         lines.append(f"estimator: {estimator}")
-        head = f"{'method':<12}" + "".join(
-            f"{'bias(g=%g)' % g:>14}{'sd':>10}{'mse':>10}" for g in bundle["gammas"]
-        )
-        lines.append(head)
-        for design in bundle["designs"]:
-            row = f"{design:<12}"
-            for gamma in bundle["gammas"]:
-                c = cells.get((design, gamma, estimator))
-                if c is None:
-                    raise _fail(f"bundle {ns.bundle} has no cell for design {design!r}, "
-                                f"gamma {gamma:g} and estimator {estimator!r}")
-                flag = "*" if minima.get(f"{estimator}|gamma={gamma:g}") == design else " "
-                bias, sd, mse = (math.nan if c[key] is None else c[key]
-                                 for key in ("bias", "sd", "mse"))
-                row += f"{bias:>14.4f}{sd:>10.4f}{mse:>9.4f}{flag}"
-            lines.append(row)
+        lines.append(f"{'method':<12}" + "".join(
+            f"{'bias(g=%g)' % g:>14}{'sd':>10}{'mse':>10}" for g in bundle["gammas"]))
+        for design, *stats in _table(bundle, estimator, source)[1]:
+            flags = ("*" if minima.get(f"{estimator}|gamma={g:g}") == design else " "
+                     for g in bundle["gammas"])
+            lines.append(f"{design:<12}" + "".join(
+                f"{bias:>14.4f}{sd:>10.4f}{mse:>9.4f}{flag}"
+                for bias, sd, mse, flag in zip(stats[::3], stats[1::3], stats[2::3], flags)))
         lines.append("(* = minimum MSE in its column group)")
     print("\n".join(lines))
 

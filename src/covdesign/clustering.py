@@ -271,12 +271,12 @@ def read_clustering(path, n: int | None = None) -> Clustering:
     if not seen:
         raise ValueError(f"{path}: empty clustering file")
     size = n if n is not None else max(seen) + 1
-    missing = [u for u in range(size) if u not in seen]
-    if missing:
-        raise ValueError(f"{path}: no cluster assignment for unit {missing[0]}")
-    extra = [u for u in seen if u >= size]
-    if extra:
-        raise ValueError(f"{path}: unit {extra[0]} outside 0..{size - 1}")
+    missing = next((u for u in range(size) if u not in seen), None)
+    if missing is not None:
+        raise ValueError(f"{path}: no cluster assignment for unit {missing}")
+    extra = next((u for u in seen if u >= size), None)
+    if extra is not None:
+        raise ValueError(f"{path}: unit {extra} outside 0..{size - 1}")
     raw_ids = np.array([seen[u] for u in range(size)], dtype=np.int64)
     unique, assignment = np.unique(raw_ids, return_inverse=True)
     if unique.size != unique.max() + 1 or unique.min() != 0:

@@ -14,10 +14,10 @@ from pathlib import Path
 
 import numpy as np
 
-VERSION = "0.11.0"
+VERSION = "0.12.0"
 
-__all__ = ["VERSION", "file_digest", "build_manifest", "write_manifest", "load_manifest",
-           "read_json", "numerics"]
+__all__ = ["VERSION", "file_digest", "build_manifest", "json_text", "write_json",
+           "load_manifest", "read_json", "numerics"]
 
 # the environment variables that set the BLAS thread count
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -61,9 +61,13 @@ def build_manifest(command: str, resolved_config: dict, inputs, outputs,
     }
 
 
-def write_manifest(manifest: dict, path) -> None:
-    Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
+def json_text(value) -> str:
+    """Strict JSON text (no NaN or infinity): indented, keys sorted, newline-ended."""
+    return json.dumps(value, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def write_json(value, path) -> None:
+    Path(path).write_text(json_text(value), encoding="utf-8")
 
 
 def read_json(path):

@@ -79,7 +79,7 @@ class OptimizerConfig:
 @dataclass
 class OptTrace:
     """Objective trajectory: the current iterate every `TRACE_STRIDE`
-    evaluations, then the returned (best accepted) iterate.
+    evaluations, then the returned iterate.
 
     `iterations` holds the evaluation count of each row, `step` the step
     size that accepted the row's iterate (0 at the start), `clamped` the
@@ -119,15 +119,17 @@ class OptTrace:
         self.design_term.append(point.f - floor)
         self.epsilon.append(epsilon)
 
+    # the trace file's columns, in the order of `rows`
+    COLUMNS = ("iteration", "objective", "bias_term", "variance_term", "clamped", "grad_norm",
+               "step", "g", "epsilon")
+
     def rows(self):
         return zip(self.iterations, self.objective, self.bias_term, self.variance_term,
                    self.clamped, self.grad_norm, self.step, self.design_term, self.epsilon)
 
 
-class OptimizationError(RuntimeError):
-    def __init__(self, message: str, trace: OptTrace):
-        super().__init__(message)
-        self.trace = trace
+class OptimizationError(ValueError):
+    """Raised when f turns non-finite or the result is worse than `objective_initial`."""
 
 
 def _clamp_count(r: np.ndarray) -> int:
@@ -311,22 +313,24 @@ def optimize(summary: ClusterSummary, config: OptimizerConfig = OptimizerConfig(
     and alpha halves otherwise; only an accepted trial has its gradient
     formed.  An accepted step sets the next alpha to the Barzilai-Borwein
     step |<s,s>/<s,y>| or |<s,y>/<y,y>|, alternately.  Returns the last
-    stage's best accepted iterate, which must improve on - or match -
-    `trace.objective_initial`; a violation raises with the trace attached.
-    Deterministic for a fixed configuration.
+    stage's best accepted iterate, or the start where that is no better under
+    the final clamp; a result above `trace.objective_initial` raises
+    OptimizationError.  Deterministic for a fixed configuration.
     """
     k, omega = summary.k, config.omega
-    best_r = _start(k, r0)
+    start_r = best_r = _start(k, r0)
     step = _Step(summary, omega, best_r.shape[1])
     floor = 2.0 * (omega**2 + 4.0) * summary.total**2
     trace = OptTrace()
-    # the step's clamp is still 1 - CLAMP_EPSILON, the one the result is scored under
-    trace.objective_initial = (step.objective(best_r)[0] if r0 is not None
+    # the start scored under 1 - CLAMP_EPSILON, the clamp the result is scored under
+    terms = step.objective(start_r)
+    start = _point(start_r, step.gradient(start_r), terms, 0.0)
+    trace.objective_initial = (start.f if r0 is not None
                                else sum(objective_terms(summary, 0.25 * np.eye(k), omega)))
     evaluation = 0
     for fraction, epsilon in SCHEDULE:
         end = round(fraction * config.iterations)
-        start = evaluation
+        first = evaluation
         step.limit = 1.0 - epsilon
         # f changed with the clamp: the step, the memory and the best restart
         # an iterate is never written to once accepted: the best needs no copy
@@ -349,8 +353,7 @@ def optimize(summary: ClusterSummary, config: OptimizerConfig = OptimizerConfig(
             evaluation += 1
             terms = step.objective(trial)
             if not math.isfinite(terms[0]):
-                raise OptimizationError(
-                    f"objective became non-finite at evaluation {evaluation}", trace)
+                raise OptimizationError(f"objective became non-finite at evaluation {evaluation}")
             if terms[0] <= max(recent) - ARMIJO * alpha * cur.gg:
                 new = _point(trial, step.gradient(trial), terms, alpha)
                 s, y = trial - r, new.rg - cur.rg
@@ -369,12 +372,12 @@ def optimize(summary: ClusterSummary, config: OptimizerConfig = OptimizerConfig(
             if len(window) > WINDOW and window[0] - window[-1] <= STALL * window[-1]:
                 trace.stop = "stall"
                 break
-        trace.stages.append((epsilon, evaluation - start))
+        trace.stages.append((epsilon, evaluation - first))
     trace.evaluations = evaluation
+    best, best_r = min((start, start_r), (best, best_r), key=lambda pair: pair[0].f)
     trace.append(evaluation, best, floor, epsilon, best_r)
 
     if not best.f <= trace.objective_initial * (1.0 + 1e-12) + 1e-12:
         raise OptimizationError(
-            f"final objective {best.f} did not improve on start {trace.objective_initial}",
-            trace)
+            f"final objective {best.f} did not improve on start {trace.objective_initial}")
     return best_r, trace

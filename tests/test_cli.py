@@ -1,5 +1,7 @@
 import argparse
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -235,6 +237,38 @@ class TestOptimize:
         assert err.startswith(f"error: {bad}: could not convert string")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("iters", [10, 30])
+    def test_warm_start_from_a_converged_root_keeps_its_objective(self, tmp_path, iters):
+        # the short clamp stages end on roots that score worse under the final
+        # clamp than this converged start, so the start is returned
+        graph, clustering = cd.generate_sbm([12] * 10, 0.5, 0.05, seed=3)
+        cd.save_edge_list(graph, tmp_path / "g.el")
+        cd.write_clustering(clustering, tmp_path / "c.txt")
+        base = ["optimize", "--graph", tmp_path / "g.el", "--clusters", tmp_path / "c.txt"]
+        assert run([*base, "--iters", 2000, "--out", tmp_path / "root.csv"]) == 0
+        assert run([*base, "--iters", iters, "--warm-start", tmp_path / "root.csv",
+                    "--out", tmp_path / "warm.csv"]) == 0
+        converged = json.loads((tmp_path / "root.csv.json").read_text())
+        sidecar = json.loads((tmp_path / "warm.csv.json").read_text())
+        assert sidecar["objective_final"] == sidecar["objective_initial"]
+        assert sidecar["objective_initial"] == pytest.approx(converged["objective_final"],
+                                                             rel=1e-12)
+        root = np.loadtxt(tmp_path / "warm.csv", delimiter=",")
+        summary = cd.build_cluster_summary(graph, clustering)
+        assert cd.evaluate_root(root, summary, 1.0)[0] == sidecar["objective_final"]
+
+    def test_cold_start_that_cannot_reach_the_independent_design_is_refused(self, tmp_path,
+                                                                            capsys):
+        # rank 32 < K = 40: one evaluation from the Gaussian start stays above f(I/4)
+        graph, clustering = cd.generate_sbm([8] * 40, 0.6, 0.02, seed=5)
+        cd.save_edge_list(graph, tmp_path / "g.el")
+        cd.write_clustering(clustering, tmp_path / "c.txt")
+        assert run(["optimize", "--graph", tmp_path / "g.el", "--clusters", tmp_path / "c.txt",
+                    "--iters", 1, "--out", tmp_path / "r.csv"]) == 2
+        assert re.fullmatch(r"error: final objective \S+ did not improve on start \S+\n",
+                            capsys.readouterr().err)
+        assert not list(tmp_path.glob("r.csv*"))
+
     def test_rerun_from_manifest_is_byte_identical(self, workspace):
         tmp, _, _, graph_path, clusters_path = workspace
         out = tmp / "root.csv"
@@ -294,6 +328,14 @@ class TestSimulate:
             f"{e}|gamma={g:g}" for e in ("ht", "dim") for g in (0.5, 1.0, 2.0)
         }
         assert "workers" not in bundle["meta"]["config"]
+
+    def test_bundle_keeps_the_model_only_in_the_config_echo(self, prepared):
+        tmp, graph_path, clusters_path = prepared
+        cfg = write_sim_config(tmp, graph_path, clusters_path, replications=30)
+        assert run(["simulate", "--config", cfg]) == 0
+        meta = json.loads((tmp / "simout" / "report.json").read_text())["meta"]
+        assert "model" not in meta
+        assert meta["config"]["model"] == json.loads(cfg.read_text())["model"]
 
     def test_reps_override_echoed(self, prepared):
         tmp, graph_path, clusters_path = prepared
@@ -707,6 +749,15 @@ def _bundle(bundle):
     return make
 
 
+# one well-formed cell of a bundle that has one design, gamma and estimator
+CELL = {"design": "ber", "gamma": 0.5, "estimator": "ht", "bias": 0.1, "sd": 0.2, "mse": 0.05}
+
+
+def _one_cell_bundle(**changes):
+    return _bundle({"designs": ["ber"], "gammas": [0.5], "estimators": ["ht"],
+                    "cells": [CELL], **changes})
+
+
 def _clusters(content: bytes):
     """An optimize run on a clustering file holding `content`."""
     def make(tmp, graph_path, clusters_path):
@@ -773,6 +824,16 @@ BOUNDARY = {
     "bundle-missing-cell": (_bundle({"designs": ["ber"], "gammas": [0.5],
                                      "estimators": ["ht"], "cells": []}),
                             "{src}has no cell for design 'ber', gamma 0.5 and estimator 'ht'"),
+    "bundle-cell-number": (_one_cell_bundle(cells=[1]),
+                           "bundle {tmp}/report.json: cells[0] must be an object, got 1"),
+    "bundle-cell-without-gamma": (_one_cell_bundle(cells=[{k: v for k, v in CELL.items()
+                                                           if k != "gamma"}]),
+                                  "bundle {tmp}/report.json: cells[0] is missing key 'gamma'"),
+    "bundle-minima-list": (_one_cell_bundle(minima=[1]),
+                           "bundle {tmp}/report.json: minima must be an object, got [1]"),
+    "bundle-estimators-string": (_one_cell_bundle(estimators="ht"),
+                                 "bundle {tmp}/report.json: estimators must be a list of "
+                                 "strings, got 'ht'"),
     "manifest-without-out": (_cluster_manifest(lambda c: c.pop("out")),
                              "{src}cluster config is missing required key 'out'"),
     "manifest-graph-format": (_cluster_manifest(lambda c: c.update(graph_format="auto")),
@@ -883,6 +944,13 @@ def test_json_that_is_not_utf8_names_its_file(tmp_path, capsys, command, flag):
     assert capsys.readouterr().err == (
         f"error: {bad}: not UTF-8: 'utf-8' codec can't decode byte 0xff in position 10: "
         "invalid start byte\n")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_json_text_refuses_nan_and_infinity(value):
+    assert cd.manifest.json_text({"b": 1, "a": [0.5]}) == '{\n  "a": [\n    0.5\n  ],\n  "b": 1\n}\n'
+    with pytest.raises(ValueError):
+        cd.manifest.json_text({"f": value})
 
 
 def test_manifest_resolved_config_has_exactly_the_table_keys(workspace):

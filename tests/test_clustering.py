@@ -1,5 +1,6 @@
 import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -216,6 +217,20 @@ class TestClusteringIO:
         path.write_text("0 0\n1 0\n3 1\n")
         with pytest.raises(ValueError, match="unit 2"):
             cd.read_clustering(path, n=4)
+
+    def test_missing_unit_is_found_without_listing_every_unit(self, tmp_path):
+        # without n the file's largest id sets the size: the refusal stops at
+        # unit 1 instead of building a list of the 3,999,999 missing units
+        path = tmp_path / "c.txt"
+        path.write_text("0 0\n4000000 1\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r": no cluster assignment for unit 1$"):
+                cd.read_clustering(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 << 20
 
     def test_duplicate_unit_rejected(self, tmp_path):
         path = tmp_path / "c.txt"

@@ -9,13 +9,14 @@ import sys
 from pathlib import Path
 
 import covdesign
+import covdesign.cli  # noqa: F401  (REMOVED names a cli helper)
 
 # names that went with the unit-level outcome path, the optimizer's views of
 # evaluate_root, the second paths to Cov[t] and f, the unit-level estimator
 # wrappers, the test-only covariance check, the single-matrix orthant entry
 # points, the base levels outside ClusterModel, the balanced blocks'
-# treated-count table, the design kind aliases and the unit-level oracles,
-# with the module that held each
+# treated-count table, the design kind aliases, the unit-level oracles, the
+# second JSON writer and the second report table, with the module that held each
 REMOVED = {
     "outcomes": ("eval_sim", "eval_analysis", "gate_sim", "gate_analysis"),
     "graph": ("expand_treatment",),
@@ -26,6 +27,8 @@ REMOVED = {
     "orthant": ("sign_pair_moment", "orthant_quadrivariate", "sign_quad_moment", "_as_batch"),
     "simulation": ("baseline_levels",),
     "designs": ("_balanced_subset_probs", "_ALIASES"),
+    "manifest": ("write_manifest",),
+    "cli": ("_report_table",),
 }
 
 LAZY = ("networkx", "scipy.integrate", "scipy.sparse", "scipy.sparse.csgraph", "multiprocessing")
@@ -158,8 +161,10 @@ def test_public_surface():
     """Every exported name resolves, and the removed names are gone from the
     package, from their modules, for `neighbor_sums` and `adjacency` from
     `Graph`, for `members` from `Clustering`, for `for_graph`, the stored
-    `mean_degree` and the unread `gamma` from `SimModelParams`, and for the
-    test-only root collection from `optimize` and `OptTrace`."""
+    `mean_degree` and the unread `gamma` from `SimModelParams`, for the
+    test-only root collection from `optimize` and `OptTrace`, and for the
+    unread `trace` from `OptimizationError`, a ValueError like every other
+    refusal."""
     assert [name for name in covdesign.__all__ if not hasattr(covdesign, name)] == []
     for module, names in REMOVED.items():
         for name in names:
@@ -174,6 +179,8 @@ def test_public_surface():
     assert "mean_degree" not in fields and "gamma" not in fields
     assert "roots" not in {f.name for f in dataclasses.fields(covdesign.OptTrace)}
     assert "collect_roots" not in inspect.signature(covdesign.optimize).parameters
+    assert issubclass(covdesign.OptimizationError, ValueError)
+    assert not hasattr(covdesign.OptimizationError("refused"), "trace")
 
 
 def test_readme_entry_points_resolve():
