@@ -17,8 +17,10 @@ from .graph import (
 )
 from .clustering import (
     Clustering,
+    ClusterLaw,
     ClusterSummary,
     build_cluster_summary,
+    cluster_law,
     contact_matrix,
     louvain,
     read_clustering,
@@ -63,7 +65,8 @@ from .simulation import (
 __all__ = [
     "__version__",
     "Graph", "GraphFormatError", "generate_sbm", "load_edge_list", "save_edge_list",
-    "Clustering", "ClusterSummary", "build_cluster_summary", "contact_matrix", "louvain",
+    "Clustering", "ClusterLaw", "ClusterSummary", "build_cluster_summary", "cluster_law",
+    "contact_matrix", "louvain",
     "read_clustering", "write_clustering",
     "AnalysisModelParams", "SimModelParams", "with_gamma",
     "cluster_estimates",

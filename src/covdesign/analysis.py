@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import ClusterSummary, Clustering
+from .clustering import ClusterLaw, ClusterSummary, Clustering
 from .designs import Design, pattern_blocks
 from .graph import Graph
 from .outcomes import AnalysisModelParams, check_units
@@ -63,10 +63,12 @@ def _variance_core(summary: ClusterSummary, cov: np.ndarray, omega: float) -> fl
     return float(np.vdot(d @ cov, d) + 0.25 * d.sum() ** 2)
 
 
-def h_vector(params: AnalysisModelParams, graph: Graph, clustering: Clustering) -> np.ndarray:
+def h_vector(params: AnalysisModelParams, graph: Graph | ClusterLaw,
+             clustering: Clustering) -> np.ndarray:
     """Per-cluster sums of (beta_i - gamma * d_i), the linear coefficient of
-    the centered estimator in the cluster treatment vector."""
-    check_units(graph, params, clustering)
+    the centered estimator in the cluster treatment vector; the degrees d
+    are read from the graph or from its `ClusterLaw`."""
+    check_units(graph.n, params, clustering)
     per_unit = params.beta - params.gamma * graph.degrees.astype(np.float64)
     return np.bincount(clustering.assignment, per_unit, minlength=clustering.k)
 

@@ -31,10 +31,18 @@ from .analysis import (
     variance_bound,
     variance_exact,
 )
-from .clustering import build_cluster_summary, louvain, read_clustering, write_clustering
+from .clustering import (
+    cluster_law,
+    louvain,
+    read_clustering,
+    read_law,
+    write_clustering,
+    write_law,
+)
 from .designs import DesignEnumerationError, make_design
 from .graph import load_edge_list
 from .manifest import build_manifest, json_text, load_manifest, numerics, read_json, write_json
+from . import manifest  # digests through the module, so wrappers on file_digest see them
 from .optimizer import OptimizerConfig, OptTrace, optimize
 from .outcomes import AnalysisModelParams, SimModelParams
 from . import simulation  # called through the module, so wrappers on run_mc see the calls
@@ -49,11 +57,31 @@ def _fail(message: str) -> "SystemExit":
     return SystemExit(2)
 
 
-def _load(graph_path, clustering_path):
-    """Graph, clustering and summary."""
-    graph = load_edge_list(graph_path)
-    clustering = read_clustering(clustering_path, n=graph.n)
-    return graph, clustering, build_cluster_summary(graph, clustering)
+def _law_path(clustering_path) -> str:
+    return str(clustering_path) + ".law.npz"
+
+
+def _load(cfg: dict, paths, timings: dict):
+    """``(digests, law, source)``: the digests of `paths` (the config's graph
+    and clustering first), and the cluster law, read from the partition's
+    law file when it matches both digests and else built from the parsed
+    files, never written.  `source` says which, and why."""
+    t0 = time.perf_counter()
+    digests = manifest.input_digests(paths)
+    timings["digest"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    path = _law_path(cfg["clustering"])
+    law, reason = read_law(path, digests[cfg["graph"]], digests[cfg["clustering"]])
+    if law is not None:
+        timings["law"] = time.perf_counter() - t0
+        return digests, law, {"source": "read", "reason": None}
+    if reason != "missing":
+        warnings.warn(f"{path}: {reason} cluster law not used; built from the graph and "
+                      "partition instead", stacklevel=2)
+    graph = load_edge_list(cfg["graph"])
+    law = cluster_law(graph, read_clustering(cfg["clustering"], n=graph.n))
+    timings["parse"] = time.perf_counter() - t0
+    return digests, law, {"source": "built", "reason": reason}
 
 
 def _read_root(path) -> np.ndarray:
@@ -244,11 +272,11 @@ def _resolve(command: str, ns) -> dict:
     flags, or of the other commands' flags.  Paths come out absolute: a
     config file's count from its directory, flags' from the working directory."""
     if getattr(ns, "from_manifest", None):
-        manifest = load_manifest(ns.from_manifest)
-        if manifest["command"] != command:
+        record = load_manifest(ns.from_manifest)
+        if record["command"] != command:
             raise _fail(f"manifest {ns.from_manifest} was written by "
-                        f"{manifest['command']!r}, not {command!r}")
-        return _checked(manifest["resolved_config"], command, f"manifest {ns.from_manifest}")
+                        f"{record['command']!r}, not {command!r}")
+        return _checked(record["resolved_config"], command, f"manifest {ns.from_manifest}")
     flags = {k: v for k, v in vars(ns).items() if k in _CONFIG[command] and v is not None}
     if command != "simulate":
         return _absolute_paths(_checked(flags, command, "command line"))
@@ -263,8 +291,11 @@ def _resolve(command: str, ns) -> dict:
 def _run_cluster(cfg: dict) -> dict:
     timings = {}
     t0 = time.perf_counter()
+    digests = manifest.input_digests([cfg["graph"]])
+    timings["digest"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
     graph = load_edge_list(cfg["graph"])
-    timings["load"] = time.perf_counter() - t0
+    timings["parse"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     clustering = louvain(graph, resolution=cfg["resolution"], seed=cfg["seed"])
     timings["cluster"] = time.perf_counter() - t0
@@ -277,25 +308,29 @@ def _run_cluster(cfg: dict) -> dict:
         nodemap.write_text("".join(f"{i} {lab}\n" for i, lab in enumerate(graph.labels)),
                            encoding="utf-8")
         outputs.append(nodemap)
-    manifest = build_manifest("cluster", cfg, [cfg["graph"]], outputs,
-                              {"louvain": cfg["seed"]}, timings)
-    write_json(manifest, str(out) + ".manifest.json")
+    t0 = time.perf_counter()
+    law_path = _law_path(out)
+    write_law(cluster_law(graph, clustering), law_path, digests[cfg["graph"]],
+              manifest.file_digest(out))
+    outputs.append(law_path)
+    timings["law"] = time.perf_counter() - t0
+    record = build_manifest("cluster", cfg, digests, outputs, {"louvain": cfg["seed"]},
+                            timings)
+    write_json(record, str(out) + ".manifest.json")
     print(f"wrote {out} (K={clustering.k})")
-    return manifest
+    return record
 
 
 # --------------------------------------------------------------- optimize
 
 def _run_optimize(cfg: dict) -> dict:
     timings = {}
+    inputs = [cfg["graph"], cfg["clustering"], *filter(None, [cfg["warm_start"]])]
+    digests, law, source = _load(cfg, inputs, timings)
+    summary = law.summary
     t0 = time.perf_counter()
-    _, _, summary = _load(cfg["graph"], cfg["clustering"])
-    inputs = [cfg["graph"], cfg["clustering"]]
-    r0 = None
-    if cfg["warm_start"]:
-        r0 = _read_root(cfg["warm_start"])
-        inputs.append(cfg["warm_start"])
-    timings["load"] = time.perf_counter() - t0
+    r0 = _read_root(cfg["warm_start"]) if cfg["warm_start"] else None
+    timings["read"] = time.perf_counter() - t0
 
     config = OptimizerConfig(iterations=cfg["iterations"], omega=cfg["omega"])
     t0 = time.perf_counter()
@@ -325,16 +360,15 @@ def _run_optimize(cfg: dict) -> dict:
     }
     sidecar_path = out.with_suffix(out.suffix + ".json")
     write_json(sidecar, sidecar_path)
-    manifest = build_manifest("optimize", cfg, inputs,
-                              [out, sidecar_path, trace_path],
-                              {}, timings, **results, numerics=numerics())
-    write_json(manifest, str(out) + ".manifest.json")
+    record = build_manifest("optimize", cfg, digests, [out, sidecar_path, trace_path], {},
+                            timings, **results, law=source, numerics=numerics())
+    write_json(record, str(out) + ".manifest.json")
     start, final = trace.objective_initial, trace.objective[-1]
     reduction = 1.0 - final / start if start else 0.0
     print(f"wrote {out} (f: {start:.6g} -> {final:.6g}, reduction {100 * reduction:.2f}%, "
           f"rank {root.shape[1]}, {trace.evaluations} of {cfg['iterations']} evaluations, "
           f"stop: {trace.stop})")
-    return manifest
+    return record
 
 
 # --------------------------------------------------------------- simulate
@@ -351,18 +385,18 @@ def _build_design(spec: dict, summary):
 
 def _run_simulate(cfg: dict) -> dict:
     timings = {}
-    t0 = time.perf_counter()
-    graph, clustering, summary = _load(cfg["graph"], cfg["clustering"])
-    designs = tuple(_build_design(spec, summary) for spec in cfg["designs"])
     inputs = [cfg["graph"], cfg["clustering"], *(s["root"] for s in cfg["designs"] if "root" in s)]
+    digests, law, source = _load(cfg, inputs, timings)
+    t0 = time.perf_counter()
+    designs = tuple(_build_design(spec, law.summary) for spec in cfg["designs"])
     params = {k: v for k, v in cfg["model"].items() if k != "kind"}
     model_kind = cfg["model"]["kind"]
-    model = (AnalysisModelParams.uniform(graph.n, **params) if model_kind == "analysis"
+    model = (AnalysisModelParams.uniform(law.n, **params) if model_kind == "analysis"
              else SimModelParams(model_kind, **params))
-    timings["load"] = time.perf_counter() - t0
+    timings["read"] = time.perf_counter() - t0
 
     sim_config = simulation.SimConfig(
-        graph=graph, clustering=clustering, designs=designs, model=model,
+        law=law, designs=designs, model=model,
         gammas=tuple(float(g) for g in cfg["gammas"]), estimators=tuple(cfg["estimators"]),
         replications=cfg["replications"], base_seed=cfg["seed"],
     )
@@ -384,11 +418,11 @@ def _run_simulate(cfg: dict) -> dict:
         outputs.append(path)
     write_json(bundle, bundle_path)
     outputs.append(bundle_path)
-    manifest = build_manifest("simulate", cfg, inputs, outputs,
-                              {"base_seed": cfg["seed"]}, timings)
-    write_json(manifest, out_dir / "simulate.manifest.json")
+    record = build_manifest("simulate", cfg, digests, outputs, {"base_seed": cfg["seed"]},
+                            timings, law=source)
+    write_json(record, out_dir / "simulate.manifest.json")
     print(f"wrote {bundle_path} ({len(report.cells)} cells)")
-    return manifest
+    return record
 
 
 def _table(bundle: dict, estimator: str, source: str):
@@ -414,11 +448,12 @@ def _run_analyze(cfg: dict) -> dict:
     spec = {"kind": cfg["design"],
             **{key: cfg[key] for key in ("block_size", "root") if cfg[key] is not None}}
     _check(spec, _DESIGNS, "design", "command line")
-    graph, clustering, summary = _load(cfg["graph"], cfg["clustering"])
+    _, law, _ = _load(cfg, [cfg["graph"], cfg["clustering"]], {})
+    summary = law.summary
     _, design = _build_design(spec, summary)
     gamma = cfg["gamma"]
-    model = AnalysisModelParams.uniform(graph.n, alpha=0.0, beta=cfg["beta"], gamma=gamma)
-    h = h_vector(model, graph, clustering)
+    model = AnalysisModelParams.uniform(law.n, alpha=0.0, beta=cfg["beta"], gamma=gamma)
+    h = h_vector(model, law, law.clustering)
     cov = design.covariance()
     # gamma = 0 implies no omega: omega_from_model refuses it unless --omega is given
     omega_star = (math.inf if gamma == 0.0 and cfg["omega"] is not None
@@ -433,7 +468,7 @@ def _run_analyze(cfg: dict) -> dict:
     bias = bias_closed_form(summary, cov, gamma)
     # built first so that the seed and --mc-reps are checked on both branches
     mc_config = simulation.SimConfig(
-        graph=graph, clustering=clustering, designs=(("design", design),),
+        law=law, designs=(("design", design),),
         model=model, gammas=(gamma,), estimators=("ht_adjusted",),
         replications=cfg["mc_reps"], base_seed=cfg["seed"],
     )
@@ -448,7 +483,7 @@ def _run_analyze(cfg: dict) -> dict:
     result = {
         "design": cfg["design"],
         "k": summary.k,
-        "n": graph.n,
+        "n": law.n,
         "gamma": gamma,
         "beta": cfg["beta"],
         "bias": bias,

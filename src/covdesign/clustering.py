@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import warnings
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,10 @@ __all__ = [
     "louvain",
     "contact_matrix",
     "build_cluster_summary",
+    "ClusterLaw",
+    "cluster_law",
+    "read_law",
+    "write_law",
     "read_clustering",
     "write_clustering",
 ]
@@ -86,7 +91,7 @@ def contact_matrix(graph: Graph, clustering: Clustering, weights=None) -> np.nda
     """The K x K sum over both orientations i -> j of every edge: cell (a, b)
     adds ``weights[i]`` for i in cluster a and j in cluster b, or counts
     the orientations when `weights` is None."""
-    check_units(graph, clustering=clustering)
+    check_units(graph.n, clustering=clustering)
     k = clustering.k
     u, v = graph.edges[:, 0], graph.edges[:, 1]
     key = clustering.assignment[u] * k
@@ -104,17 +109,99 @@ def contact_matrix(graph: Graph, clustering: Clustering, weights=None) -> np.nda
 
 def build_cluster_summary(graph: Graph, clustering: Clustering) -> ClusterSummary:
     """Count directed cross/within-cluster edge endpoints for a partition."""
-    contact = contact_matrix(graph, clustering)
+    return _summary(contact_matrix(graph, clustering), clustering.sizes, graph.n)
+
+
+def _summary(contact: np.ndarray, sizes: np.ndarray, n: int) -> ClusterSummary:
     contact.setflags(write=False)
     degrees = contact.sum(axis=1)
     degrees.setflags(write=False)
-    return ClusterSummary(
-        contact=contact,
-        cluster_degrees=degrees,
-        sizes=clustering.sizes,
-        n=graph.n,
-        total=float(contact.sum()),
-    )
+    return ClusterSummary(contact=contact, cluster_degrees=degrees, sizes=sizes, n=n,
+                          total=float(contact.sum()))
+
+
+@dataclass(frozen=True)
+class ClusterLaw:
+    """All that the designs, the closed forms and the outcome models read of
+    a clustered graph: the partition, its summary, the unit degrees d, the
+    contact matrices weighted by 1/d and by d (`contact_matrix`; 0 for an
+    isolated unit), and the n x K neighbour counts N (N_ib: neighbours of
+    unit i in cluster b) as the CSR triplet ``(indptr, indices, counts)``.
+    """
+
+    clustering: Clustering
+    summary: ClusterSummary
+    degrees: np.ndarray
+    inverse_contact: np.ndarray
+    degree_contact: np.ndarray
+    neighbours: tuple[np.ndarray, np.ndarray, np.ndarray]
+
+    @property
+    def n(self) -> int:
+        return self.summary.n
+
+    @property
+    def k(self) -> int:
+        return self.clustering.k
+
+    @property
+    def mean_degree(self) -> float:
+        return self.summary.total / self.n  # the total counts every edge twice
+
+
+def cluster_law(graph: Graph, clustering: Clustering) -> ClusterLaw:
+    """The `ClusterLaw` of a graph and a partition of its units."""
+    summary = build_cluster_summary(graph, clustering)
+    deg = graph.degrees.astype(np.float64)
+    inverse = np.divide(1.0, deg, out=np.zeros_like(deg), where=deg > 0)
+    assign, k = clustering.assignment, clustering.k
+    u, v = graph.edges[:, 0], graph.edges[:, 1]
+    cells, counts = np.unique(np.concatenate([u * k + assign[v], v * k + assign[u]]),
+                              return_counts=True)
+    neighbours = (np.searchsorted(cells, np.arange(graph.n + 1) * k),
+                  (cells % k).astype(np.int32), counts.astype(np.int32))
+    return ClusterLaw(clustering, summary, graph.degrees,
+                      contact_matrix(graph, clustering, inverse),
+                      contact_matrix(graph, clustering, deg), neighbours)
+
+
+# the tag of the law file's layout; a file with another tag is rebuilt, not read
+LAW_FORMAT = "covdesign cluster law 1"
+
+
+def write_law(law: ClusterLaw, path, graph_digest: str, partition_digest: str) -> None:
+    """Store `law` with the sha256 digests of the graph and partition files
+    it was built from."""
+    indptr, indices, counts = law.neighbours
+    with open(path, "wb") as fh:
+        np.savez(fh, format=LAW_FORMAT, graph_sha256=graph_digest,
+                 partition_sha256=partition_digest, assignment=law.clustering.assignment,
+                 contact=law.summary.contact.astype(np.int64), degrees=law.degrees,
+                 inverse_contact=law.inverse_contact, degree_contact=law.degree_contact,
+                 indptr=indptr, indices=indices, counts=counts)
+
+
+def read_law(path, graph_digest: str, partition_digest: str):
+    """``(law, None)`` for the law stored at `path`, or ``(None, reason)``
+    when it cannot be used: "missing", "unreadable", or "stale" when it
+    carries another format tag or was built from files with other digests."""
+    try:
+        with open(path, "rb") as fh:  # np.load leaves the file open when it is not a zip
+            stored = np.load(fh, allow_pickle=False)
+            for key, value in (("format", LAW_FORMAT), ("graph_sha256", graph_digest),
+                               ("partition_sha256", partition_digest)):
+                if str(stored[key]) != value:
+                    return None, "stale"
+            contact = stored["contact"].astype(np.float64)
+            clustering = Clustering(stored["assignment"], contact.shape[0])
+            return ClusterLaw(
+                clustering, _summary(contact, clustering.sizes, clustering.n),
+                stored["degrees"], stored["inverse_contact"], stored["degree_contact"],
+                (stored["indptr"], stored["indices"], stored["counts"])), None
+    except FileNotFoundError:
+        return None, "missing"
+    except (OSError, EOFError, IndexError, KeyError, ValueError, zipfile.BadZipFile):
+        return None, "unreadable"
 
 
 def _local_moves(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,

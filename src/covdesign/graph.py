@@ -113,6 +113,10 @@ _INTEGER = re.compile(r"-?[0-9]+")
 _LINE_END = re.compile(rb"\r\n|\r|\n")
 _LEADING_SPACE = re.compile(b"[" + re.escape(_SPACE.encode()) + b"]*")
 _MAX_DIGITS = 18  # every id of up to 18 characters fits in int64
+_DIGITS = b"0123456789"
+_DIGITS_AND_SPACE = _DIGITS + b" \t\r\n"
+# 10^1 .. 10^18: a value's decimal length is one more than the powers at or below it
+_POWERS = 10 ** np.arange(1, _MAX_DIGITS + 1, dtype=np.int64)
 # bytes per scan block: the scan's temporaries, up to about 23 B per input
 # byte, stay near 1.5 MB however large the file
 SCAN_BLOCK = 1 << 16
@@ -204,6 +208,32 @@ def _scan_pairs(data: bytes, start: int, comment: str, exact: bool) -> np.ndarra
     return np.concatenate(parts) if parts else np.empty((0, 2), dtype=np.int64)
 
 
+def _read_pairs(path: str, data: bytes, start: int, skiprows: int) -> np.ndarray | None:
+    """The ``u v`` pairs of ``data[start:]``, the file's lines after the
+    first `skiprows`, read by numpy's C reader; None unless those bytes are
+    ASCII digits, spaces, tabs, CRs and LFs only, every line that is not
+    blank holds exactly two ids, and every id has at most 18 digits and no
+    leading zero.  Every other input, valid or not, goes to `_scan_pairs`.
+    """
+    body = data[start:] if start else data
+    if body.translate(None, _DIGITS_AND_SPACE):
+        return None
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        try:
+            pairs = np.loadtxt(path, dtype=np.int64, ndmin=2, comments=None,
+                               skiprows=skiprows)
+        except (ValueError, OverflowError):
+            return None
+    if pairs.shape[1] != 2 or pairs.max() >= _POWERS[-1]:
+        return None
+    # equal counts prove that no id was written with a leading zero
+    lengths = np.searchsorted(_POWERS, pairs, side="right").sum() + pairs.size
+    if len(body) - len(body.translate(None, _DIGITS)) != lengths:
+        return None
+    return pairs
+
+
 def _raise_first_bad_line(data: bytes, lineno: int, size: int | None) -> NoReturn:
     """Re-scan a rejected plain list (`size` None) or MatrixMarket body line
     by line, and raise the error of its first bad line."""
@@ -268,8 +298,10 @@ def _id_space(ids: np.ndarray) -> tuple[int, np.ndarray, np.ndarray | None]:
     return unique.size, ids, unique[by_appearance]
 
 
-def _parse_plain_edge_list(data: bytes) -> tuple[int, np.ndarray, np.ndarray | None]:
-    pairs = _scan_pairs(data, 0, "#", exact=True)
+def _parse_plain_edge_list(path: str, data: bytes) -> tuple[int, np.ndarray, np.ndarray | None]:
+    pairs = _read_pairs(path, data, 0, 0)
+    if pairs is None:
+        pairs = _scan_pairs(data, 0, "#", exact=True)
     if pairs is None:
         _raise_first_bad_line(data, 1, None)
     if pairs.size == 0:
@@ -278,7 +310,7 @@ def _parse_plain_edge_list(data: bytes) -> tuple[int, np.ndarray, np.ndarray | N
     return n, ids.reshape(-1, 2), labels
 
 
-def _parse_matrix_market(data: bytes) -> tuple[int, np.ndarray, None]:
+def _parse_matrix_market(path: str, data: bytes) -> tuple[int, np.ndarray, None]:
     header = None
     for lineno, line, end in _lines(data):
         text = line.decode("utf-8", "replace").strip()
@@ -308,7 +340,9 @@ def _parse_matrix_market(data: bytes) -> tuple[int, np.ndarray, None]:
         break
     else:
         raise GraphFormatError("truncated MatrixMarket file")
-    pairs = _scan_pairs(data, end, "%", exact=False)
+    pairs = _read_pairs(path, data, end, lineno)
+    if pairs is None:
+        pairs = _scan_pairs(data, end, "%", exact=False)
     if pairs is None or (pairs.size and (pairs.min() < 1 or pairs.max() > rows)):
         _raise_first_bad_line(data[end:], lineno + 1, rows)
     pairs -= 1
@@ -361,9 +395,9 @@ def load_edge_list(path) -> Graph:
     start = _LEADING_SPACE.match(data).end()
     at_line_start = start == 0 or data[start - 1] in b"\r\n"
     if at_line_start and data.startswith(b"%%MatrixMarket", start):
-        n, pairs, labels = _parse_matrix_market(data)
+        n, pairs, labels = _parse_matrix_market(path, data)
     else:
-        n, pairs, labels = _parse_plain_edge_list(data)
+        n, pairs, labels = _parse_plain_edge_list(path, data)
     del data
     loop = pairs[:, 0] == pairs[:, 1]
     self_loops = int(np.count_nonzero(loop))

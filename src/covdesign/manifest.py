@@ -14,9 +14,9 @@ from pathlib import Path
 
 import numpy as np
 
-VERSION = "0.12.0"
+VERSION = "0.13.0"
 
-__all__ = ["VERSION", "file_digest", "build_manifest", "json_text", "write_json",
+__all__ = ["VERSION", "file_digest", "input_digests", "build_manifest", "json_text", "write_json",
            "load_manifest", "read_json", "numerics"]
 
 # the environment variables that set the BLAS thread count
@@ -29,6 +29,12 @@ def file_digest(path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+def input_digests(paths) -> dict[str, str]:
+    """The sha256 of each file, by path: taken once per run, for the law
+    check and for the manifest."""
+    return {str(p): file_digest(p) for p in paths}
 
 
 def numerics() -> dict:
@@ -46,15 +52,16 @@ def numerics() -> dict:
     }
 
 
-def build_manifest(command: str, resolved_config: dict, inputs, outputs,
+def build_manifest(command: str, resolved_config: dict, digests: dict, outputs,
                    seeds: dict, timings: dict, **results) -> dict:
-    """The manifest of one run; `results` are extra top-level facts about it."""
+    """The manifest of one run; `digests` are its `input_digests`, and
+    `results` extra top-level facts about it."""
     return {
         **results,
         "tool_version": VERSION,
         "command": command,
         "resolved_config": resolved_config,
-        "input_digests": {str(p): file_digest(p) for p in inputs},
+        "input_digests": digests,
         "outputs": [str(p) for p in outputs],
         "seeds": seeds,
         "timings_s": {k: round(v, 6) for k, v in timings.items()},

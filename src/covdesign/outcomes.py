@@ -11,8 +11,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graph import Graph
-
 __all__ = [
     "AnalysisModelParams",
     "SimModelParams",
@@ -47,15 +45,16 @@ class AnalysisModelParams:
         return cls(np.full(n, float(alpha)), np.full(n, float(beta)), float(gamma))
 
 
-def check_units(graph: Graph, model=None, clustering=None) -> None:
-    """Refuse a clustering or an analysis model sized for another graph."""
-    if clustering is not None and clustering.n != graph.n:
-        raise ValueError(f"clustering covers {clustering.n} units, graph has {graph.n}")
+def check_units(n: int, model=None, clustering=None) -> None:
+    """Refuse a clustering or an analysis model sized for another graph of
+    `n` units."""
+    if clustering is not None and clustering.n != n:
+        raise ValueError(f"clustering covers {clustering.n} units, graph has {n}")
     if isinstance(model, AnalysisModelParams):
         for name in ("alpha", "beta"):
             shape = np.shape(getattr(model, name))
-            if shape != (graph.n,):
-                raise ValueError(f"model {name} has shape {shape}, graph has {graph.n} units")
+            if shape != (n,):
+                raise ValueError(f"model {name} has shape {shape}, graph has {n} units")
 
 
 @dataclass(frozen=True)

@@ -251,7 +251,7 @@ def test_gate_8_desk_scale_design_comparison(acceptance_fixture, optimized_root)
         model = cd.SimModelParams(kind, alpha=1.0, beta=1.0,
                                   c=0.5, sigma=0.1)
         report = cd.run_mc(cd.SimConfig(
-            graph=graph, clustering=clustering, designs=designs, model=model,
+            law=cd.cluster_law(graph, clustering), designs=designs, model=model,
             gammas=(2.0,), estimators=("ht",), replications=10_000, base_seed=99,
         ))
         ber = report.cell("ber", 2.0, "ht")
@@ -363,7 +363,7 @@ def test_gate_10_optimizer_finds_planted_contact_pairs():
         model = cd.SimModelParams(kind, alpha=1.0, beta=1.0,
                                   c=0.5, sigma=0.1)
         report = cd.run_mc(cd.SimConfig(
-            graph=graph, clustering=clustering, designs=designs, model=model,
+            law=cd.cluster_law(graph, clustering), designs=designs, model=model,
             gammas=(2.0,), estimators=("ht",), replications=10_000, base_seed=99,
         ))
         cells = {name: report.cell(name, 2.0, "ht") for name, _ in designs}

@@ -41,7 +41,7 @@ def test_full_scale_mse_ordering_at_strong_interference():
         model = cd.SimModelParams(kind, alpha=1.0, beta=1.0,
                                   c=0.5, sigma=0.1)
         report = cd.run_mc(cd.SimConfig(
-            graph=graph, clustering=clustering, designs=designs, model=model,
+            law=cd.cluster_law(graph, clustering), designs=designs, model=model,
             gammas=(2.0,), estimators=("ht",), replications=REPS, base_seed=1,
         ))
         ber = report.cell("ber", 2.0, "ht")

@@ -118,19 +118,21 @@ print(json.dumps([steps, "scipy.sparse" in sys.modules]))
 
 def test_linear_model_loads_no_sparse_matrices_above_the_dense_limit():
     """Every K x K sum of the `linear` model is a `contact_matrix`, so its
-    Monte Carlo loads no `scipy.sparse` even above `simulation.DENSE_CELLS`;
-    the `multiplicative` model's noise still needs the sparse counts there."""
+    Monte Carlo loads no `scipy.sparse` even where the neighbour counts are
+    too many and too sparse to be dense; the `multiplicative` model's noise
+    still needs the sparse counts there."""
     src = str(Path(covdesign.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = """
 import json, sys
 import covdesign as cd
-graph, clustering = cd.generate_sbm([20] * 60, 0.3, 0.01, seed=4)
-assert graph.n * clustering.k > cd.simulation.DENSE_CELLS
+graph, clustering = cd.generate_sbm([20] * 60, 0.3, 0.002, seed=4)
+cells, nonzero = graph.n * clustering.k, cd.cluster_law(graph, clustering).neighbours[2].size
+assert cells > cd.simulation.DENSE_CELLS and cells > cd.simulation.DENSE_FILL * nonzero
 loaded = []
 for kind in ("linear", "multiplicative"):
     model = cd.SimModelParams(kind, c=0.5, sigma=0.1)
-    cd.run_mc(cd.SimConfig(graph=graph, clustering=clustering,
+    cd.run_mc(cd.SimConfig(law=cd.cluster_law(graph, clustering),
                            designs=(("ber", cd.make_design("ber", clustering.k)),),
                            model=model, gammas=(1.0,), replications=8))
     loaded.append("scipy.sparse" in sys.modules)
@@ -144,7 +146,8 @@ print(json.dumps(loaded))
 def test_scipy_is_imported_only_for_the_sparse_neighbour_counts():
     """The one `import scipy...` under the package is the one in
     `simulation._neighbour_counts`, which only the multiplicative model's
-    noise calls above `simulation.DENSE_CELLS`."""
+    noise calls, and which loads it only for counts too many and too sparse
+    to hold dense."""
     sites = []
     for path in sorted(Path(covdesign.__file__).resolve().parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))

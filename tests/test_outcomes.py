@@ -16,14 +16,14 @@ def singleton_outcomes(model, graph, z, gamma, noise=None):
     `gamma`, read off the engine: with one cluster per unit, `ClusterModel`'s
     cluster sums are the units' outcomes (for the linear model, `noise`
     included)."""
-    law = ClusterModel(model, graph, singletons(graph))
+    law = ClusterModel(model, cd.cluster_law(graph, singletons(graph)))
     t = np.asarray(z, dtype=np.float64)[None, :]
     noise = np.zeros(graph.n) if noise is None else np.asarray(noise, dtype=np.float64)
     return law.sums(t, gamma, noise[None, :])[0]
 
 
 def singleton_oracle(model, graph, gamma):
-    return ClusterModel(model, graph, singletons(graph)).oracle(gamma)
+    return ClusterModel(model, cd.cluster_law(graph, singletons(graph))).oracle(gamma)
 
 
 class TestEvalAnalysis:

@@ -4,10 +4,13 @@ reference parser with the same semantics."""
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import covdesign as cd
+from covdesign import graph as graph_module
 from covdesign.graph import GraphFormatError
 
 BAD_PLAIN_LINES = ["7", "1 2 3", "1.5 2", "2 1.5", "-3 4", "4 -3", "x 1"]
@@ -84,19 +87,24 @@ def reference_parse(text: str, fmt: str, path: str):
     return size, edges, labels, warning
 
 
+def parse_outcome(path: Path):
+    """``(n, edges, labels, warning)`` of `load_edge_list`, or its error message."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            graph = cd.load_edge_list(path)
+        except GraphFormatError as exc:
+            return str(exc)
+    warning = str(caught[0].message) if caught else None
+    labels = None if graph.labels is None else graph.labels.tolist()
+    return graph.n, [tuple(e) for e in graph.edges.tolist()], labels, warning
+
+
 def vectorized_parse(text: str):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "g.txt"
         path.write_bytes(text.encode("utf-8"))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            try:
-                graph = cd.load_edge_list(path)
-            except GraphFormatError as exc:
-                return str(path), str(exc)
-        warning = str(caught[0].message) if caught else None
-        labels = None if graph.labels is None else graph.labels.tolist()
-        return str(path), (graph.n, [tuple(e) for e in graph.edges.tolist()], labels, warning)
+        return str(path), parse_outcome(path)
 
 
 def assemble(draw, lines, bad_lines, comment):
@@ -191,3 +199,72 @@ def test_overlong_id_is_rejected_with_its_line():
     path, result = vectorized_parse(header + "1 2\n0000000000000000002 3\n")
     assert result == "line 4: index too large in '0000000000000000002 3'"
 
+
+
+def _digit_token(draw, value: int, clean: bool) -> str:
+    """`value` as written, or unless `clean` maybe zero-padded to 18
+    characters or beyond."""
+    return str(value).zfill(0 if clean else draw(st.sampled_from([0, 0, 0, 18, 19, 21])))
+
+
+@st.composite
+def digit_only_files(draw):
+    """Plain lists and MatrixMarket pattern files whose body is ASCII digits,
+    spaces, tabs, CRs and LFs only: 0-based, 1-based, sparse and 18- to
+    20-digit ids, padded ids, trailing spaces, blank lines, lines of three
+    tokens, every line ending, and empty bodies.  Half of them hold no padded
+    id and no third token, so that the fast path takes them whole."""
+    matrix_market, clean = draw(st.booleans()), draw(st.booleans())
+    n = draw(st.integers(1, 8))
+    space = "one" if matrix_market else draw(st.sampled_from(["zero", "one", "sparse", "long"]))
+    if space in ("zero", "one"):
+        ids = list(range(space == "one", n + (space == "one")))
+    else:
+        low, high = (0, 10**12) if space == "sparse" else (10**17, 10**19 + 10)
+        ids = draw(st.lists(st.integers(low, high), min_size=n, max_size=n, unique=True))
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        third = not clean and draw(st.integers(0, 4)) == 0
+        tokens = [_digit_token(draw, draw(st.sampled_from(ids)), clean)
+                  for _ in range(3 if third else 2)]
+        lines.append(draw(st.sampled_from(["", " ", "\t"]))
+                     + draw(st.sampled_from([" ", "\t", "  ", " \t"])).join(tokens)
+                     + draw(st.sampled_from(["", " ", "\t "])))
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+    eol = draw(st.sampled_from(EOLS))
+    body = eol.join(lines) + draw(st.sampled_from(["", eol]))
+    if not matrix_market:
+        return body
+    head = ["%%MatrixMarket matrix coordinate pattern symmetric", f"{n} {n} {len(lines)}"]
+    return eol.join(head) + eol + body
+
+
+@settings(max_examples=400, deadline=None)
+@given(digit_only_files())
+def test_digit_only_fast_path_matches_the_scanner(text):
+    """numpy's C reader, where it is taken, gives what the scanner gives:
+    the same n, edges, labels, warning or error."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.txt"
+        path.write_bytes(text.encode("ascii"))
+        fast = parse_outcome(path)
+        with mock.patch.object(graph_module, "_read_pairs", return_value=None):
+            assert parse_outcome(path) == fast
+
+
+def test_digit_only_bodies_skip_the_scanner(tmp_path):
+    path = tmp_path / "g.txt"
+    scanned = mock.patch.object(graph_module, "_scan_pairs",
+                                side_effect=AssertionError("scanned"))
+    for text in ("0 1\n1 2\r\n\n2\t0 \n",
+                 "%%MatrixMarket matrix coordinate pattern symmetric\n% c\n3 3 2\n2 1\n3 2\n"):
+        path.write_text(text)
+        with scanned:
+            assert cd.load_edge_list(path).num_edges in (2, 3)
+    # a leading zero, a comment and a value column each go to the scanner
+    for text in ("0 01\n1 2\n", "# c\n0 1\n",
+                 "%%MatrixMarket matrix coordinate integer symmetric\n2 2 1\n2 1 5\n"):
+        path.write_text(text)
+        with scanned, pytest.raises(AssertionError, match="scanned"):
+            cd.load_edge_list(path)

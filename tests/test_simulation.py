@@ -73,7 +73,7 @@ def test_cluster_sums_match_unit_loop_without_noise(fixture, sbm4):
     rng = np.random.default_rng(6)
     t = np.vstack([rng.integers(0, 2, (30, k)), np.ones(k), np.zeros(k)]).astype(float)
     for model in _models(graph, sigma=0.0):
-        law = ClusterModel(model, graph, clustering)
+        law = ClusterModel(model, cd.cluster_law(graph, clustering))
         values, degenerate = cd.cluster_estimates(t, law.sums(t, GAMMA), law.sizes,
                                                   law.baseline)
         baseline = unit_outcomes(model, graph, np.zeros(graph.n), np.zeros(graph.n), GAMMA)
@@ -95,7 +95,7 @@ def test_cluster_noise_scale_matches_summed_unit_noise(fixture, sbm4):
     k = clustering.k
     t = np.random.default_rng(7).integers(0, 2, (20, k)).astype(float)
     for model in _models(graph, sigma=0.8)[1:]:
-        law = ClusterModel(model, graph, clustering)
+        law = ClusterModel(model, cd.cluster_law(graph, clustering))
         scale = law.sums(t, GAMMA, np.ones(t.shape)) - law.sums(t, GAMMA, np.zeros(t.shape))
         for row in range(t.shape[0]):
             z = t[row][clustering.assignment]
@@ -129,7 +129,7 @@ def test_noisy_engine_matches_unit_loop_within_standard_error(sbm4):
                ("ocd", cd.SignGaussianDesign(random_unit_rows(4, seed=8))))
     for model in _models(graph, sigma=0.8)[1:]:
         report = cd.run_mc(cd.SimConfig(
-            graph=graph, clustering=clustering, designs=designs, model=model,
+            law=cd.cluster_law(graph, clustering), designs=designs, model=model,
             gammas=(0.5, 2.0), estimators=ESTIMATOR_KINDS, replications=3000,
             base_seed=9))
         for name, design in designs:
@@ -201,7 +201,7 @@ class _FixedDesign(cd.Design):
 def small_config(graph, clustering, designs, model, **kw):
     defaults = dict(gammas=(1.0,), estimators=("ht",), replications=500, base_seed=0)
     defaults.update(kw)
-    return cd.SimConfig(graph=graph, clustering=clustering, designs=designs,
+    return cd.SimConfig(law=cd.cluster_law(graph, clustering), designs=designs,
                         model=model, **defaults)
 
 
@@ -279,7 +279,7 @@ class TestRunMc:
                                                                path_clustering):
         model = cd.AnalysisModelParams.uniform(4)
         report = cd.run_mc(cd.SimConfig(
-            graph=path_graph, clustering=path_clustering,
+            law=cd.cluster_law(path_graph, path_clustering),
             designs=(("ber", cd.BernoulliDesign(2)),), model=model,
             gammas=(1.0,), estimators=("dim",), replications=2000, base_seed=1,
         ))
@@ -293,7 +293,7 @@ class TestRunMc:
         model = cd.AnalysisModelParams.uniform(4)
         with pytest.warns(UserWarning, match="0 of 50 draws are valid"):
             report = cd.run_mc(cd.SimConfig(
-                graph=graph, clustering=clustering,
+                law=cd.cluster_law(graph, clustering),
                 designs=(("ber", cd.BernoulliDesign(1)),), model=model,
                 gammas=(1.0,), estimators=("dim",), replications=50, base_seed=0,
             ))
@@ -319,7 +319,7 @@ class TestRunMc:
         gammas, reps = (0.5, 2.0), cd.simulation.BLOCK + 5
         report = cd.run_mc(small_config(graph, clustering, (("ber", design),), model,
                                         gammas=gammas, replications=reps, base_seed=3))
-        law = ClusterModel(model, graph, clustering)
+        law = ClusterModel(model, cd.cluster_law(graph, clustering))
         for g_idx, gamma in enumerate(gammas):
             blocks = []
             for block, size in enumerate((cd.simulation.BLOCK, 5)):
@@ -473,7 +473,7 @@ class TestRunExact:
         exact = cd.run_exact(path_graph, path_clustering, designs, model,
                              estimators=("ht", "dim"))
         mc = cd.run_mc(cd.SimConfig(
-            graph=path_graph, clustering=path_clustering, designs=designs,
+            law=cd.cluster_law(path_graph, path_clustering), designs=designs,
             model=model, gammas=(1.0,), estimators=("ht", "dim"),
             replications=100_000, base_seed=4,
         ))
@@ -510,7 +510,7 @@ class TestEngineInputs:
     @staticmethod
     def engines(graph, clustering, model, gammas=(1.0,), k=None):
         designs = (("ber", cd.BernoulliDesign(k or clustering.k)),)
-        return (lambda: cd.SimConfig(graph=graph, clustering=clustering, designs=designs,
+        return (lambda: cd.SimConfig(law=cd.cluster_law(graph, clustering), designs=designs,
                                      model=model, gammas=gammas),
                 lambda: cd.run_exact(graph, clustering, designs, model, gammas=gammas))
 
@@ -611,7 +611,7 @@ class TestReportShape:
 
 def unit_baseline(model, graph):
     """Per-unit base levels, read from `ClusterModel` over one cluster per unit."""
-    return ClusterModel(model, graph, cd.Clustering(np.arange(graph.n), graph.n)).baseline
+    return ClusterModel(model, cd.cluster_law(graph, cd.Clustering(np.arange(graph.n), graph.n))).baseline
 
 
 class TestBaselineLevels:
@@ -655,7 +655,7 @@ def test_cluster_sums_are_unit_outcome_sums(case):
     graph, clustering, models, gamma, t = case
     assign, k = clustering.assignment, clustering.k
     for model in models:
-        sums = ClusterModel(model, graph, clustering).sums(t, gamma)
+        sums = ClusterModel(model, cd.cluster_law(graph, clustering)).sums(t, gamma)
         for row in range(t.shape[0]):
             y = unit_outcomes(model, graph, t[row][assign], np.zeros(graph.n), gamma)
             assert np.allclose(sums[row], np.bincount(assign, y, minlength=k),
@@ -675,7 +675,7 @@ def test_one_model_reads_the_mean_degree_of_each_graph(kind, path_graph, path_cl
     for graph, clustering in cases:
         assign, k = clustering.assignment, clustering.k
         t = rng.integers(0, 2, (8, k)).astype(float)
-        sums = ClusterModel(model, graph, clustering).sums(t, GAMMA)
+        sums = ClusterModel(model, cd.cluster_law(graph, clustering)).sums(t, GAMMA)
         for row in range(t.shape[0]):
             y = eval_sim(model, graph, t[row][assign], np.zeros(graph.n), GAMMA)
             assert np.allclose(sums[row], np.bincount(assign, y, minlength=k),
@@ -689,8 +689,8 @@ def _noisy_models(graph):
 
 @pytest.mark.parametrize("fixture", ["sbm4", "isolated", "planted"])
 def test_dense_and_csr_counts_give_the_same_sums(fixture, sbm4, monkeypatch):
-    """Dense neighbour counts (n K <= DENSE_CELLS) and CSR ones give equal
-    sums; the linear and analysis models build no neighbour counts at all."""
+    """Dense neighbour counts and CSR ones give equal sums; the linear and
+    analysis models build no neighbour counts at all."""
     graph, clustering = {"sbm4": sbm4, "isolated": _isolated_unit_graph(),
                          "planted": cd.generate_sbm([20] * 10, 0.3, 0.02, seed=7)}[fixture]
     rng = np.random.default_rng(8)
@@ -699,8 +699,10 @@ def test_dense_and_csr_counts_give_the_same_sums(fixture, sbm4, monkeypatch):
     for model in _noisy_models(graph):
         sums = {}
         for cells in (0, 1 << 62):
+            # 0 turns off both the size and the density rule: CSR
             monkeypatch.setattr(cd.simulation, "DENSE_CELLS", cells)
-            sums[cells] = ClusterModel(model, graph, clustering).sums(t, 1.3, noise)
+            monkeypatch.setattr(cd.simulation, "DENSE_LIMIT", cells)
+            sums[cells] = ClusterModel(model, cd.cluster_law(graph, clustering)).sums(t, 1.3, noise)
         assert np.array_equal(sums[0], sums[1 << 62])
 
 
@@ -716,12 +718,14 @@ def test_float32_noise_scale_is_bitwise_the_float64_one(dense, seed, monkeypatch
     model = cd.SimModelParams("multiplicative", alpha=1.2, beta=0.7, sigma=0.8)
     t = rng.integers(0, 2, (64, clustering.k)).astype(float)
     noise = rng.standard_normal(t.shape)
+    # dense by the size rule, or CSR with both the size and the density rule off
     monkeypatch.setattr(cd.simulation, "DENSE_CELLS", 1 << 62 if dense else 0)
-    law = ClusterModel(model, graph, clustering)
+    monkeypatch.setattr(cd.simulation, "DENSE_LIMIT", 1 << 62 if dense else 0)
+    law = ClusterModel(model, cd.cluster_law(graph, clustering))
     assert law.dtype == np.float32
     assert isinstance(law.counts, np.ndarray) == dense
     monkeypatch.setattr(cd.simulation, "EXACT_FLOAT32", 0)
-    wide = ClusterModel(model, graph, clustering)
+    wide = ClusterModel(model, cd.cluster_law(graph, clustering))
     assert wide.dtype == np.float64
     assert np.array_equal(law.cross, wide.cross)
     for gamma in (0.0, 1.3, -2.1):
@@ -735,7 +739,7 @@ def test_a_cluster_with_squared_degrees_beyond_2_to_24_keeps_float64(hub, dtype)
     graph = cd.Graph(hub + 1, [(0, leaf) for leaf in range(1, hub + 1)])
     clustering = cd.Clustering(np.arange(hub + 1) % 2, 2)
     model = cd.SimModelParams("multiplicative", sigma=0.8)
-    law = ClusterModel(model, graph, clustering)
+    law = ClusterModel(model, cd.cluster_law(graph, clustering))
     assert law.dtype == dtype
     t = np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
     z = t[:, clustering.assignment]
