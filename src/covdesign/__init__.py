@@ -1,7 +1,7 @@
 """Design and validation of cluster-level randomized network experiments.
 
 The package covers the full pipeline: graph and cluster ingestion, the
-cluster contact summary, closed-form bias/variance analysis, optimization
+cluster law, closed-form bias/variance analysis, optimization
 of the treatment covariance through a unit-row correlation root, sampling
 of the resulting correlated design, and Monte Carlo / exact-enumeration
 comparison against baseline randomization schemes.
@@ -18,10 +18,8 @@ from .graph import (
 from .clustering import (
     Clustering,
     ClusterLaw,
-    ClusterSummary,
     build_cluster_summary,
     cluster_law,
-    contact_matrix,
     louvain,
     read_clustering,
     write_clustering,
@@ -65,8 +63,7 @@ from .simulation import (
 __all__ = [
     "__version__",
     "Graph", "GraphFormatError", "generate_sbm", "load_edge_list", "save_edge_list",
-    "Clustering", "ClusterLaw", "ClusterSummary", "build_cluster_summary", "cluster_law",
-    "contact_matrix", "louvain",
+    "Clustering", "ClusterLaw", "build_cluster_summary", "cluster_law", "louvain",
     "read_clustering", "write_clustering",
     "AnalysisModelParams", "SimModelParams", "with_gamma",
     "cluster_estimates",

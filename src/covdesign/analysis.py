@@ -1,7 +1,7 @@
 """Closed-form bias/variance, the variance bound, and the design objective.
 
-All cluster-level quantities run through the contact matrix C (ordered
-cross-endpoint counts), the cluster degree vector d = C 1, and the
+All cluster-level quantities run through the `ClusterLaw`'s contact matrix
+C (ordered cross-endpoint counts), the cluster degree vector d = C 1, and the
 treatment covariance matrix.  The enumeration-based variance oracle lives
 here as well so the closed forms can be checked against an independent
 computation.
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import ClusterLaw, ClusterSummary, Clustering
+from .clustering import ClusterLaw, Clustering
 from .designs import Design, pattern_blocks
 from .graph import Graph
 from .outcomes import AnalysisModelParams, check_units
@@ -47,13 +47,13 @@ def _check_finite(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-def _bias_core(summary: ClusterSummary, cov: np.ndarray) -> float:
+def _bias_core(summary: ClusterLaw, cov: np.ndarray) -> float:
     """4 tr(C Cov) - sum(C); C is symmetric, so tr(C Cov) = <C, Cov>."""
     cov = _check_array("covariance", cov, (summary.k, summary.k))
     return float(4.0 * np.vdot(summary.contact, cov) - summary.total)
 
 
-def _variance_core(summary: ClusterSummary, cov: np.ndarray, omega: float) -> float:
+def _variance_core(summary: ClusterLaw, cov: np.ndarray, omega: float) -> float:
     """d' Cov d + (1/4) (1'd)^2, the variance bound's design part; omega >= 0."""
     _check_finite("omega", omega)
     if omega < 0:
@@ -73,14 +73,14 @@ def h_vector(params: AnalysisModelParams, graph: Graph | ClusterLaw,
     return np.bincount(clustering.assignment, per_unit, minlength=clustering.k)
 
 
-def bias_closed_form(summary: ClusterSummary, cov: np.ndarray, gamma: float) -> float:
+def bias_closed_form(summary: ClusterLaw, cov: np.ndarray, gamma: float) -> float:
     """(gamma/n) * (4 trace(C Cov) - sum(C)): the exact estimator bias under
     the analysis model, which depends on the design only through Cov."""
     _check_finite("gamma", gamma)
     return gamma / summary.n * _bias_core(summary, cov)
 
 
-def omega_from_model(summary: ClusterSummary, h: np.ndarray, gamma: float) -> float:
+def omega_from_model(summary: ClusterLaw, h: np.ndarray, gamma: float) -> float:
     """Smallest omega with |h_k| <= omega * gamma * d_k for all clusters.
 
     Infinite when some cluster has zero degree mass but a nonzero h_k,
@@ -99,7 +99,7 @@ def omega_from_model(summary: ClusterSummary, h: np.ndarray, gamma: float) -> fl
     return float(ratios.max()) if ratios.size else 0.0
 
 
-def variance_bound(summary: ClusterSummary, cov: np.ndarray, gamma: float,
+def variance_bound(summary: ClusterLaw, cov: np.ndarray, gamma: float,
                    omega: float) -> float:
     """Upper bound on the estimator variance:
     (8 gamma^2 (omega^2+4) / n^2) * d' (Cov + (1/4) 11') d."""
@@ -107,7 +107,7 @@ def variance_bound(summary: ClusterSummary, cov: np.ndarray, gamma: float,
     return 8.0 * gamma**2 * (omega**2 + 4.0) / summary.n**2 * _variance_core(summary, cov, omega)
 
 
-def objective_terms(summary: ClusterSummary, cov: np.ndarray,
+def objective_terms(summary: ClusterLaw, cov: np.ndarray,
                     omega: float) -> tuple[float, float]:
     """Scale-free squared-bias and variance-bound terms of the design objective.
 
@@ -145,7 +145,7 @@ class ExactVariance:
         )
 
 
-def variance_exact(summary: ClusterSummary, h: np.ndarray, gamma: float,
+def variance_exact(summary: ClusterLaw, h: np.ndarray, gamma: float,
                    design: Design) -> ExactVariance:
     """Variance of (2/n)(h't + 2 gamma t'Ct) by full enumeration.
 
@@ -154,7 +154,7 @@ def variance_exact(summary: ClusterSummary, h: np.ndarray, gamma: float,
     cannot enumerate raise DesignEnumerationError.
     """
     if design.k != summary.k:
-        raise ValueError(f"design has K={design.k}, summary has K={summary.k}")
+        raise ValueError(f"design has K={design.k}, law has K={summary.k}")
     _check_finite("gamma", gamma)
     h = _check_array("h", h, (summary.k,))
     patterns, probs = design.exact_distribution()

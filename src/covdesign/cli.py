@@ -141,8 +141,9 @@ _CELL = _Spec("cell", required=("design", "gamma", "estimator", *_STATS), design
               gamma=float, estimator=str, replications=int, valid=int,
               **dict.fromkeys((*_STATS, "se_bias", "se_sd", "se_mse", "mean_estimate",
                                "oracle", "degenerate_fraction"), (float, None)))
-_BUNDLE = dict(kind=str, designs=[str], gammas=[float], estimators=[str], cells=[_CELL],
-               minima=dict, meta=dict)
+_BUNDLE = _Spec("bundle", required=("designs", "gammas", "estimators", "cells"), kind=str,
+                designs=[str], gammas=[float], estimators=[str], cells=[_CELL], minima=dict,
+                meta=dict)
 
 # every key of each command's resolved config: (type, default)
 _CONFIG = {
@@ -327,26 +328,25 @@ def _run_optimize(cfg: dict) -> dict:
     timings = {}
     inputs = [cfg["graph"], cfg["clustering"], *filter(None, [cfg["warm_start"]])]
     digests, law, source = _load(cfg, inputs, timings)
-    summary = law.summary
     t0 = time.perf_counter()
     r0 = _read_root(cfg["warm_start"]) if cfg["warm_start"] else None
     timings["read"] = time.perf_counter() - t0
 
     config = OptimizerConfig(iterations=cfg["iterations"], omega=cfg["omega"])
     t0 = time.perf_counter()
-    root, trace = optimize(summary, config, r0=r0)
+    root, trace = optimize(law, config, r0=r0)
     timings["optimize"] = time.perf_counter() - t0
 
     out = Path(cfg["out"])
     out.parent.mkdir(parents=True, exist_ok=True)
     # zero-padded to K x K: the same Gram, and the same design once read back
-    _write_root(out, root, summary.k)
+    _write_root(out, root, law.k)
     trace_path = out.with_suffix(out.suffix + ".trace.csv")
     _write_csv(trace_path, OptTrace.COLUMNS, trace.rows())
     results = {"rank": root.shape[1], "evaluations": trace.evaluations, "stop": trace.stop,
                "stages": [{"epsilon": epsilon, "evaluations": n} for epsilon, n in trace.stages]}
     sidecar = {
-        "k": summary.k,
+        "k": law.k,
         "omega": cfg["omega"],
         "iterations": cfg["iterations"],
         **results,
@@ -373,12 +373,12 @@ def _run_optimize(cfg: dict) -> dict:
 
 # --------------------------------------------------------------- simulate
 
-def _build_design(spec: dict, summary):
+def _build_design(spec: dict, law):
     """``(name, design)`` of a design spec checked against `_DESIGNS`, which
     holds only the keys its kind reads."""
     block_size = spec.get("block_size", 2)
     root = _read_root(spec["root"]) if "root" in spec else None
-    design = make_design(spec["kind"], summary.k, summary=summary,
+    design = make_design(spec["kind"], law.k, summary=law,
                          block_size=block_size, root=root)
     return spec.get("name", f"ibr-{block_size}" if design.kind == "ibr" else design.kind), design
 
@@ -388,7 +388,7 @@ def _run_simulate(cfg: dict) -> dict:
     inputs = [cfg["graph"], cfg["clustering"], *(s["root"] for s in cfg["designs"] if "root" in s)]
     digests, law, source = _load(cfg, inputs, timings)
     t0 = time.perf_counter()
-    designs = tuple(_build_design(spec, law.summary) for spec in cfg["designs"])
+    designs = tuple(_build_design(spec, law) for spec in cfg["designs"])
     params = {k: v for k, v in cfg["model"].items() if k != "kind"}
     model_kind = cfg["model"]["kind"]
     model = (AnalysisModelParams.uniform(law.n, **params) if model_kind == "analysis"
@@ -449,23 +449,22 @@ def _run_analyze(cfg: dict) -> dict:
             **{key: cfg[key] for key in ("block_size", "root") if cfg[key] is not None}}
     _check(spec, _DESIGNS, "design", "command line")
     _, law, _ = _load(cfg, [cfg["graph"], cfg["clustering"]], {})
-    summary = law.summary
-    _, design = _build_design(spec, summary)
+    _, design = _build_design(spec, law)
     gamma = cfg["gamma"]
     model = AnalysisModelParams.uniform(law.n, alpha=0.0, beta=cfg["beta"], gamma=gamma)
     h = h_vector(model, law, law.clustering)
     cov = design.covariance()
     # gamma = 0 implies no omega: omega_from_model refuses it unless --omega is given
     omega_star = (math.inf if gamma == 0.0 and cfg["omega"] is not None
-                  else omega_from_model(summary, h, gamma))
+                  else omega_from_model(law, h, gamma))
     if not math.isfinite(omega_star):
         if cfg["omega"] is None:
-            cluster = np.flatnonzero((summary.cluster_degrees == 0) & (h != 0.0))[0]
+            cluster = np.flatnonzero((law.cluster_degrees == 0) & (h != 0.0))[0]
             raise ValueError(f"cluster {cluster} has no edges, so no finite omega bounds "
                              "|h_k| by omega·gamma·d_k; pass --omega")
         omega_star = None  # JSON has no infinity
     omega = cfg["omega"] if cfg["omega"] is not None else omega_star
-    bias = bias_closed_form(summary, cov, gamma)
+    bias = bias_closed_form(law, cov, gamma)
     # built first so that the seed and --mc-reps are checked on both branches
     mc_config = simulation.SimConfig(
         law=law, designs=(("design", design),),
@@ -473,22 +472,22 @@ def _run_analyze(cfg: dict) -> dict:
         replications=cfg["mc_reps"], base_seed=cfg["seed"],
     )
     try:
-        exact = variance_exact(summary, h, gamma, design)
+        exact = variance_exact(law, h, gamma, design)
         variance = {"value": exact.variance, "method": "exact", "se": 0.0}
     except DesignEnumerationError:
         cell = simulation.run_mc(mc_config).cells[0]
         variance = {"value": cell.sd**2, "method": "monte-carlo",
                     "se": 2.0 * cell.sd * cell.se_sd, "replications": cfg["mc_reps"]}
-    bias_term, variance_term = objective_terms(summary, cov, omega)
+    bias_term, variance_term = objective_terms(law, cov, omega)
     result = {
         "design": cfg["design"],
-        "k": summary.k,
+        "k": law.k,
         "n": law.n,
         "gamma": gamma,
         "beta": cfg["beta"],
         "bias": bias,
         "variance": variance,
-        "variance_bound": variance_bound(summary, cov, gamma, omega),
+        "variance_bound": variance_bound(law, cov, gamma, omega),
         "omega_star": omega_star,
         "omega_used": omega,
         "objective": {"f": bias_term + variance_term,
@@ -506,12 +505,7 @@ def _run_analyze(cfg: dict) -> dict:
 
 def _run_report(ns) -> None:
     bundle, source = read_json(ns.bundle), f"bundle {ns.bundle}"
-    for key in ("designs", "gammas", "estimators", "cells"):
-        if not isinstance(bundle, dict) or key not in bundle:
-            raise _fail(f"{source} is missing key {key!r}")
-    _refuse_unknown(bundle, _BUNDLE, "bundle", source)
-    for key, value in bundle.items():
-        _check(value, _BUNDLE[key], key, source)
+    _check(bundle, _BUNDLE, "bundle", source)
     if ns.estimator is not None and ns.estimator not in bundle["estimators"]:
         raise _fail(f"{source} has no estimator {ns.estimator!r}; "
                     f"it holds: {', '.join(bundle['estimators'])}")

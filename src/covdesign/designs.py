@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .clustering import ClusterSummary
+from .clustering import ClusterLaw
 from .orthant import (MAX_EXACT_SIGN_DIM, MAX_ORTHANT_CORRELATION,
                       sign_pattern_probabilities)
 
@@ -329,7 +329,7 @@ class SignGaussianDesign(Design):
         return patterns, probs
 
 
-def build_ibr_blocks(summary: ClusterSummary, block_size: int) -> tuple[tuple[int, ...], ...]:
+def build_ibr_blocks(summary: ClusterLaw, block_size: int) -> tuple[tuple[int, ...], ...]:
     """Group clusters into blocks of `block_size` by descending size.
 
     Clusters are sorted by size (ties broken by cluster id) and chunked;
@@ -344,7 +344,7 @@ def build_ibr_blocks(summary: ClusterSummary, block_size: int) -> tuple[tuple[in
     )
 
 
-def make_design(kind: str, k: int, summary: ClusterSummary | None = None,
+def make_design(kind: str, k: int, summary: ClusterLaw | None = None,
                 block_size: int = 2, root: np.ndarray | None = None) -> Design:
     """Factory used by the config layer; `kind` is one of `DESIGN_KINDS`."""
     if kind not in DESIGN_KINDS:
@@ -357,7 +357,7 @@ def make_design(kind: str, k: int, summary: ClusterSummary | None = None,
         return CompleteDesign(k)
     if kind == "ibr":
         if summary is None:
-            raise ValueError("ibr design needs a cluster summary for size-sorted blocks")
+            raise ValueError("ibr design needs a cluster law for size-sorted blocks")
         return BlockDesign(k, build_ibr_blocks(summary, block_size))
     if root is None:
         raise ValueError("ocd design needs an optimized root matrix")

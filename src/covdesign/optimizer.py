@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import objective_terms
-from .clustering import ClusterSummary
+from .clustering import ClusterLaw
 from .designs import arcsin_covariance, nonzero_columns
 
 __all__ = [
@@ -174,7 +174,7 @@ class _Step:
     The products cost K^2 p / 2 each.
     """
 
-    def __init__(self, summary: ClusterSummary, omega: float, p: int):
+    def __init__(self, summary: ClusterLaw, omega: float, p: int):
         d = summary.cluster_degrees
         k = summary.k
         self.summary, self.omega = summary, omega
@@ -241,7 +241,7 @@ class _Step:
         return grad
 
 
-def evaluate_root(r: np.ndarray, summary: ClusterSummary, omega: float):
+def evaluate_root(r: np.ndarray, summary: ClusterLaw, omega: float):
     """``(f, bias_term, variance_term, n_clamped, gradient)`` at a K x p root,
     from the Gram matrix A = R R^T clamped to |A_ij| <= 1 - CLAMP_EPSILON
     (``n_clamped`` counts the off-diagonal entries it moved), evaluated as
@@ -297,7 +297,7 @@ def _start(k: int, r0: np.ndarray | None) -> np.ndarray:
     return _normalize_rows(r)
 
 
-def optimize(summary: ClusterSummary, config: OptimizerConfig = OptimizerConfig(),
+def optimize(summary: ClusterLaw, config: OptimizerConfig = OptimizerConfig(),
              r0: np.ndarray | None = None) -> tuple[np.ndarray, OptTrace]:
     """Minimize the design objective over unit-row K x p roots.
 

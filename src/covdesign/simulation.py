@@ -193,15 +193,16 @@ class ClusterModel:
     N(0, sigma^2 sum_{i in a} rel_i^2 (1 + beta t_a + gamma f_i)^2) for
     `multiplicative`, where f_i = (N t)_i / d_i over the unit x cluster
     neighbour counts N of the `ClusterLaw`.  Every K x K sum over the units
-    is one of the law's contact matrices.  The multiplicative noise's sums
-    over N are integer sums; they run in float32, exactly, when every
-    cluster's sum of squared degrees is below 2^24.
+    is the law's contact matrix or a `ClusterLaw.weighted` sum: weights 1/d
+    for `linear`, d for the `multiplicative` noise.  The multiplicative
+    noise's sums over N are integer sums; they run in float32, exactly,
+    when every cluster's sum of squared degrees is below 2^24.
     """
 
     def __init__(self, model, law: ClusterLaw):
         assign, k = law.clustering.assignment, law.k
         deg = law.degrees.astype(np.float64)
-        self.sizes = law.clustering.sizes.astype(np.float64)
+        self.sizes = law.sizes.astype(np.float64)
         self.kind = getattr(model, "kind", "analysis")
         self.sigma = getattr(model, "sigma", 0.0)
         self.noisy = self.sigma > 0.0
@@ -209,14 +210,15 @@ class ClusterModel:
         if self.kind == "analysis":
             self.baseline = np.bincount(assign, model.alpha, minlength=k)
             self.direct = np.bincount(assign, model.beta, minlength=k)
-            self.spill = law.summary.contact
+            self.spill = law.contact
             return
         dbar = law.mean_degree
         rel = deg / dbar if dbar > 0 else np.zeros_like(deg)
         if self.kind == "linear":
             self.baseline = np.bincount(assign, model.alpha + model.c * rel, minlength=k)
             self.direct = model.beta * self.sizes
-            self.spill = law.inverse_contact.T
+            # an isolated unit has no neighbour counts, so its weight is never read
+            self.spill = law.weighted(1.0 / np.maximum(deg, 1.0)).T
         else:
             self.baseline = np.bincount(assign, model.alpha * rel, minlength=k)
             # rel_i f_i = (N t)_i / dbar, so the mean needs only the contacts
@@ -226,9 +228,9 @@ class ClusterModel:
             self.scale = 1.0 / dbar if dbar > 0 else 0.0
             self.beta, self.counts, self.indicator = model.beta, counts, indicator
             self.direct = model.beta * self.baseline
-            self.spill = model.alpha * self.scale * law.summary.contact
+            self.spill = model.alpha * self.scale * law.contact
             self.rel_sq = np.bincount(assign, (deg * self.scale) ** 2, minlength=k)
-            self.cross = self.scale**2 * law.degree_contact.T
+            self.cross = self.scale**2 * law.weighted(deg).T
 
     def oracle(self, gamma: float) -> float:
         """The GATE: the noise-free mean unit effect of global treatment

@@ -700,7 +700,8 @@ class TestReport:
         path = tmp_path / "report.json"
         path.write_text(json.dumps(bundle))
         assert run(["report", "--bundle", path]) == 2
-        assert capsys.readouterr().err == f"error: bundle {path} is missing key {key!r}\n"
+        assert capsys.readouterr().err == (
+            f"error: bundle {path}: bundle is missing key {key!r}\n")
 
     def test_unknown_estimator_lists_the_bundle_estimators(self, tmp_path, capsys):
         path = tmp_path / "report.json"
@@ -825,14 +826,17 @@ BOUNDARY = {
                                      "estimators": ["ht"], "cells": []}),
                             "{src}has no cell for design 'ber', gamma 0.5 and estimator 'ht'"),
     "bundle-cell-number": (_one_cell_bundle(cells=[1]),
-                           "bundle {tmp}/report.json: cells[0] must be an object, got 1"),
+                           "bundle {tmp}/report.json: bundle.cells[0] must be an object, got 1"),
+    "bundle-not-an-object": (_bundle([1, 2]),
+                             "bundle {tmp}/report.json: bundle must be an object, got [1, 2]"),
     "bundle-cell-without-gamma": (_one_cell_bundle(cells=[{k: v for k, v in CELL.items()
                                                            if k != "gamma"}]),
-                                  "bundle {tmp}/report.json: cells[0] is missing key 'gamma'"),
+                                  "bundle {tmp}/report.json: bundle.cells[0] is missing key "
+                                  "'gamma'"),
     "bundle-minima-list": (_one_cell_bundle(minima=[1]),
-                           "bundle {tmp}/report.json: minima must be an object, got [1]"),
+                           "bundle {tmp}/report.json: bundle.minima must be an object, got [1]"),
     "bundle-estimators-string": (_one_cell_bundle(estimators="ht"),
-                                 "bundle {tmp}/report.json: estimators must be a list of "
+                                 "bundle {tmp}/report.json: bundle.estimators must be a list of "
                                  "strings, got 'ht'"),
     "manifest-without-out": (_cluster_manifest(lambda c: c.pop("out")),
                              "{src}cluster config is missing required key 'out'"),

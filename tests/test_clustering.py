@@ -310,8 +310,11 @@ class TestClusterSummary:
 
 @st.composite
 def graphs_and_partitions(draw):
-    n = draw(st.integers(2, 30))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    """A graph whose edges join units 0..m-1, so units m.. are isolated,
+    and a partition of all its units."""
+    m = draw(st.integers(2, 30))
+    n = m + draw(st.integers(0, 3))
+    pairs = [(u, v) for u in range(m) for v in range(u + 1, m)]
     edges = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
     k = draw(st.integers(1, n))
     labels = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
@@ -341,23 +344,28 @@ def test_summary_invariants_on_random_partitions(case):
 @settings(max_examples=200, deadline=None)
 @given(graphs_and_partitions(), st.integers(0, 2**32 - 1))
 def test_contact_matrix_is_the_per_edge_sum(case, seed):
-    """Cell (a, b) adds weights[i] over both orientations i -> j of every
-    edge with i in a and j in b; with no weights it is the summary's C."""
+    """The law built from the neighbour counts N: its contact matrix counts
+    both orientations i -> j of every edge in cell (a, b) of i in a and j in
+    b, its degrees are the graph's, and `weighted(w)` adds w_i there."""
     graph, clustering = case
+    law = cd.cluster_law(graph, clustering)
     weights = np.random.default_rng(seed).uniform(-2.0, 3.0, graph.n)
+    contact = np.zeros((clustering.k, clustering.k))
     reference = np.zeros((clustering.k, clustering.k))
     for u, v in graph.edges:
         a, b = clustering.assignment[u], clustering.assignment[v]
+        contact[a, b] += 1.0
+        contact[b, a] += 1.0
         reference[a, b] += weights[u]
         reference[b, a] += weights[v]
-    # the loop adds the two orientations interleaved, contact_matrix one after the other
-    np.testing.assert_allclose(cd.contact_matrix(graph, clustering, weights), reference,
-                               rtol=1e-12, atol=1e-12)
-    assert np.array_equal(cd.contact_matrix(graph, clustering),
-                          cd.build_cluster_summary(graph, clustering).contact)
+    assert np.array_equal(law.contact, contact)
+    assert np.array_equal(law.degrees, graph.degrees)
+    # the loop adds one w_i per edge, `weighted` one w_i N_ib per nonzero count
+    np.testing.assert_allclose(law.weighted(weights), reference, rtol=1e-12, atol=1e-12)
+    assert np.array_equal(law.weighted(np.ones(graph.n)), law.contact)
 
 
 def test_contact_matrix_refuses_weights_of_another_length(two_triangles):
-    graph, clustering = two_triangles
+    law = cd.cluster_law(*two_triangles)
     with pytest.raises(ValueError, match="weights have shape \\(5,\\), graph has 6 units"):
-        cd.contact_matrix(graph, clustering, np.ones(5))
+        law.weighted(np.ones(5))

@@ -16,7 +16,8 @@ import covdesign.cli  # noqa: F401  (REMOVED names a cli helper)
 # wrappers, the test-only covariance check, the single-matrix orthant entry
 # points, the base levels outside ClusterModel, the balanced blocks'
 # treated-count table, the design kind aliases, the unit-level oracles, the
-# second JSON writer and the second report table, with the module that held each
+# second JSON writer, the second report table, and the second cluster-level
+# view beside the cluster law with its edge walk, with the module that held each
 REMOVED = {
     "outcomes": ("eval_sim", "eval_analysis", "gate_sim", "gate_analysis"),
     "graph": ("expand_treatment",),
@@ -29,6 +30,7 @@ REMOVED = {
     "designs": ("_balanced_subset_probs", "_ALIASES"),
     "manifest": ("write_manifest",),
     "cli": ("_report_table",),
+    "clustering": ("ClusterSummary", "contact_matrix"),
 }
 
 LAZY = ("networkx", "scipy.integrate", "scipy.sparse", "scipy.sparse.csgraph", "multiprocessing")
@@ -117,10 +119,10 @@ print(json.dumps([steps, "scipy.sparse" in sys.modules]))
 
 
 def test_linear_model_loads_no_sparse_matrices_above_the_dense_limit():
-    """Every K x K sum of the `linear` model is a `contact_matrix`, so its
-    Monte Carlo loads no `scipy.sparse` even where the neighbour counts are
-    too many and too sparse to be dense; the `multiplicative` model's noise
-    still needs the sparse counts there."""
+    """Every K x K sum of the `linear` model is a `ClusterLaw.weighted` sum,
+    so its Monte Carlo loads no `scipy.sparse` even where the neighbour
+    counts are too many and too sparse to be dense; the `multiplicative`
+    model's noise still needs the sparse counts there."""
     src = str(Path(covdesign.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = """
@@ -163,7 +165,8 @@ def test_scipy_is_imported_only_for_the_sparse_neighbour_counts():
 def test_public_surface():
     """Every exported name resolves, and the removed names are gone from the
     package, from their modules, for `neighbor_sums` and `adjacency` from
-    `Graph`, for `members` from `Clustering`, for `for_graph`, the stored
+    `Graph`, for `members` from `Clustering`, for the summary and the stored
+    weighted contact matrices from `ClusterLaw`, for `for_graph`, the stored
     `mean_degree` and the unread `gamma` from `SimModelParams`, for the
     test-only root collection from `optimize` and `OptTrace`, and for the
     unread `trace` from `OptimizationError`, a ValueError like every other
@@ -177,6 +180,8 @@ def test_public_surface():
     for name in ("neighbor_sums", "adjacency", "_adjacency"):
         assert not hasattr(covdesign.Graph, name)
     assert not hasattr(covdesign.Clustering, "members")
+    for name in ("summary", "inverse_contact", "degree_contact"):
+        assert not hasattr(covdesign.ClusterLaw, name)
     assert not hasattr(covdesign.SimModelParams, "for_graph")
     fields = {f.name for f in dataclasses.fields(covdesign.SimModelParams)}
     assert "mean_degree" not in fields and "gamma" not in fields

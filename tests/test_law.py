@@ -32,11 +32,9 @@ def run(argv):
 def law_fields(law):
     """Every array of a `ClusterLaw`, by name."""
     indptr, indices, counts = law.neighbours
-    return {"assignment": law.clustering.assignment, "contact": law.summary.contact,
-            "cluster_degrees": law.summary.cluster_degrees, "sizes": law.summary.sizes,
-            "degrees": law.degrees, "inverse_contact": law.inverse_contact,
-            "degree_contact": law.degree_contact, "indptr": indptr, "indices": indices,
-            "counts": counts}
+    return {"assignment": law.clustering.assignment, "contact": law.contact,
+            "cluster_degrees": law.cluster_degrees, "sizes": law.sizes,
+            "degrees": law.degrees, "indptr": indptr, "indices": indices, "counts": counts}
 
 
 @pytest.fixture
@@ -89,12 +87,17 @@ def test_cluster_writes_the_law_and_lists_it(clustered):
     manifest = json.loads((tmp / "c.txt.manifest.json").read_text())
     assert manifest["outputs"] == [str(clusters), str(law_path)]
     assert set(manifest["timings_s"]) == {"digest", "parse", "cluster", "law"}
+    # the file holds the partition and N; everything else follows from them
+    with np.load(law_path) as stored:
+        assert sorted(stored.files) == ["assignment", "counts", "format", "graph_sha256",
+                                        "indices", "indptr", "partition_sha256"]
     stored, reason = read_law(law_path, file_digest(graph_path), file_digest(clusters))
     assert reason is None
     built = cd.cluster_law(cd.load_edge_list(graph_path), cd.read_clustering(clusters))
     for name, value in law_fields(built).items():
         assert np.array_equal(law_fields(stored)[name], value), name
-    assert stored.n == built.n and stored.mean_degree == built.mean_degree
+    assert (stored.n, stored.k, stored.total) == (built.n, built.k, built.total)
+    assert stored.mean_degree == built.mean_degree
 
 
 def test_cluster_law_holds_the_neighbour_counts():
@@ -156,12 +159,20 @@ def _truncate(tmp, graph_path, clusters):
 
 
 def _old_tag(tmp, graph_path, clusters):
-    law = tmp / "c.txt.law.npz"
-    with np.load(law) as stored:
-        fields = {key: stored[key] for key in stored.files}
-    fields["format"] = np.array(LAW_FORMAT.replace("1", "0"))
-    with open(law, "wb") as fh:
-        np.savez(fh, **fields)
+    """The law file of version 0.13.0 (format 1) for the same two files: its
+    tag, the digests, and the contact matrices and degrees it also stored."""
+    graph = cd.load_edge_list(graph_path)
+    law = cd.cluster_law(graph, cd.read_clustering(clusters))
+    deg = graph.degrees.astype(np.float64)
+    indptr, indices, counts = law.neighbours
+    with open(tmp / "c.txt.law.npz", "wb") as fh:
+        np.savez(fh, format="covdesign cluster law 1", graph_sha256=file_digest(graph_path),
+                 partition_sha256=file_digest(clusters), assignment=law.clustering.assignment,
+                 contact=law.contact.astype(np.int64), degrees=graph.degrees,
+                 inverse_contact=law.weighted(1.0 / np.maximum(deg, 1.0)),
+                 degree_contact=law.weighted(deg), indptr=indptr, indices=indices,
+                 counts=counts)
+    assert LAW_FORMAT != "covdesign cluster law 1"
 
 
 @pytest.mark.parametrize("edit, reason", [
