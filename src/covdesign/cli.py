@@ -344,7 +344,8 @@ def _run_optimize(cfg: dict) -> dict:
     trace_path = out.with_suffix(out.suffix + ".trace.csv")
     _write_csv(trace_path, OptTrace.COLUMNS, trace.rows())
     results = {"rank": root.shape[1], "evaluations": trace.evaluations, "stop": trace.stop,
-               "stages": [{"epsilon": epsilon, "evaluations": n} for epsilon, n in trace.stages]}
+               "stages": [{"epsilon": epsilon, "evaluations": n, "dtype": dtype}
+                          for epsilon, n, dtype in trace.stages]}
     sidecar = {
         "k": law.k,
         "omega": cfg["omega"],
@@ -403,6 +404,9 @@ def _run_simulate(cfg: dict) -> dict:
     t0 = time.perf_counter()
     report = simulation.run_mc(sim_config)
     timings["simulate"] = time.perf_counter() - t0
+    results = {}
+    if report.counts is not None:
+        results["neighbour_counts"], timings["counts"] = report.counts
 
     bundle = report.to_dict()
     # the output location stays out of the echo so outputs are byte-identical
@@ -419,7 +423,7 @@ def _run_simulate(cfg: dict) -> dict:
     write_json(bundle, bundle_path)
     outputs.append(bundle_path)
     record = build_manifest("simulate", cfg, digests, outputs, {"base_seed": cfg["seed"]},
-                            timings, law=source)
+                            timings, law=source, **results)
     write_json(record, out_dir / "simulate.manifest.json")
     print(f"wrote {bundle_path} ({len(report.cells)} cells)")
     return record

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-VERSION = "0.14.0"
+VERSION = "0.15.0"
 
 __all__ = ["VERSION", "file_digest", "input_digests", "build_manifest", "json_text", "write_json",
            "load_manifest", "read_json", "numerics"]

@@ -39,8 +39,10 @@ __all__ = [
 # the arcsine clamp: Gram entries are held within +-(1 - CLAMP_EPSILON)
 CLAMP_EPSILON = 1e-6
 # clamp continuation: (fraction of the budget at which the stage ends, its
-# clamp epsilon); the result is scored under the last stage's, CLAMP_EPSILON
-SCHEDULE = ((1 / 3, 1e-2), (2 / 3, 1e-4), (1.0, CLAMP_EPSILON))
+# clamp epsilon, the dtype of its evaluations); the result is scored under
+# the last stage's, CLAMP_EPSILON in float64
+SCHEDULE = ((1 / 3, 1e-2, np.float32), (2 / 3, 1e-4, np.float32),
+            (1.0, CLAMP_EPSILON, np.float64))
 # a stage ends, and in the last stage the run, once its best design-dependent
 # part g fell by at most STALL g over the last WINDOW evaluations
 WINDOW = 100
@@ -87,10 +89,12 @@ class OptTrace:
     1 - CLAMP_EPSILON, counted from the row's root, `grad_norm` the norm of
     its Riemannian gradient, `design_term` the design-dependent part of f and
     `epsilon` the clamp that f (and so every column but `clamped`) was taken
-    under.  `objective_initial` is the value the result may not exceed: f
-    under CLAMP_EPSILON at the warm start, or at the independent design I/4.
-    `stages` holds each `SCHEDULE` stage's (epsilon, evaluations used), and
-    `stop` why the last one ended: "stall", "budget" or "zero-gradient".
+    under; in a float32 stage of `SCHEDULE`, f and its gradient were
+    evaluated in float32.  `objective_initial` is the value the result may
+    not exceed: f under CLAMP_EPSILON at the warm start, or at the
+    independent design I/4, in float64.  `stages` holds each `SCHEDULE`
+    stage's (epsilon, evaluations used, dtype name), and `stop` why the last
+    one ended: "stall", "budget" or "zero-gradient".
     """
 
     iterations: list[int] = field(default_factory=list)
@@ -104,7 +108,7 @@ class OptTrace:
     epsilon: list[float] = field(default_factory=list)
     objective_initial: float = math.nan
     evaluations: int = 0
-    stages: list[tuple[float, int]] = field(default_factory=list)
+    stages: list[tuple[float, int, str]] = field(default_factory=list)
     stop: str = ""
 
     def append(self, iteration: int, point: "_Point", floor: float, epsilon: float,
@@ -154,7 +158,9 @@ def _normalize_rows(r: np.ndarray) -> np.ndarray:
 
 class _Step:
     """The objective's constants and the buffers of one evaluation at a
-    K x p root, laid out in strips of `STRIP` rows over the upper triangle.
+    K x p root, laid out in strips of `STRIP` rows over the upper triangle,
+    all in `dtype`: the root is cast to it on entry, and the gradient comes
+    back as float64.
 
     With X = arcsin(A)/(2 pi) of the Gram matrix A = R R^T clamped to
     |A_ij| <= `limit` (1 - CLAMP_EPSILON unless reset), dF/dX = a C + Q, where
@@ -174,10 +180,10 @@ class _Step:
     The products cost K^2 p / 2 each.
     """
 
-    def __init__(self, summary: ClusterLaw, omega: float, p: int):
+    def __init__(self, summary: ClusterLaw, omega: float, p: int, dtype=np.float64):
         d = summary.cluster_degrees
         k = summary.k
-        self.summary, self.omega = summary, omega
+        self.summary, self.omega, self.dtype = summary, omega, dtype
         self.strips = [(i0, min(i0 + STRIP, k)) for i0 in range(0, k, STRIP)]
         self.c2, self.w, self.c, self.q = [], [], [], []
         for i0, i1 in self.strips:
@@ -190,22 +196,23 @@ class _Step:
             # the gradient's strips carry no diagonal: its slope there is 0
             np.fill_diagonal(c, 0.0)
             np.fill_diagonal(q, 0.0)
-            self.c2.append(c2)
-            self.w.append(w)
-            self.c.append(c)
-            self.q.append(q)
+            self.c2.append(c2.astype(dtype))
+            self.w.append(w.astype(dtype))
+            self.c.append(c.astype(dtype))
+            self.q.append(q.astype(dtype))
         self.limit = 1.0 - CLAMP_EPSILON
-        self.gram = [np.empty((i1 - i0, k - i0)) for i0, i1 in self.strips]
+        self.gram = [np.empty((i1 - i0, k - i0), dtype) for i0, i1 in self.strips]
         # one buffer, seen per strip, for the covariance and then the slope
-        work = np.empty(self.gram[0].size)
+        work = np.empty(self.gram[0].size, dtype)
         self.work = [work[:g.size].reshape(g.shape) for g in self.gram]
-        self.part = np.empty((k, p))
-        self.grad = np.empty((k, p))
+        self.part = np.empty((k, p), dtype)
+        self.grad = np.empty((k, p), dtype)
         self.bias = math.nan
 
     def objective(self, r: np.ndarray):
         """``(f, bias_term, variance_term)`` at `r`; keeps the clamped Gram
         strips for `gradient`."""
+        r = r.astype(self.dtype, copy=False)
         d = self.summary.cluster_degrees
         cx = dxd = 0.0
         for (i0, i1), gram, cov, c2, w in zip(self.strips, self.gram, self.work, self.c2,
@@ -220,8 +227,9 @@ class _Step:
         return bias * bias + variance_term, bias * bias, variance_term
 
     def gradient(self, r: np.ndarray) -> np.ndarray:
-        """The Euclidean gradient at `r`, the root of the last `objective`
-        call, written into ``self.grad``; consumes the Gram strips."""
+        """The float64 Euclidean gradient at `r`, the root of the last
+        `objective` call, formed in ``self.grad``; consumes the Gram strips."""
+        r = r.astype(self.dtype, copy=False)
         grad, part = self.grad, self.part
         grad.fill(0.0)
         a = 8.0 * self.bias / np.pi
@@ -238,7 +246,7 @@ class _Step:
             # rows i0:i1, then the off-block part's mirror image on rows i1:K
             grad[i0:i1] += np.matmul(slope, r[i0:], out=part[:m])
             grad[i1:] += np.matmul(slope[:, m:].T, r[i0:i1], out=part[i1:])
-        return grad
+        return grad.astype(np.float64, copy=False)
 
 
 def evaluate_root(r: np.ndarray, summary: ClusterLaw, omega: float):
@@ -303,34 +311,39 @@ def optimize(summary: ClusterLaw, config: OptimizerConfig = OptimizerConfig(),
 
     Starts from `_start`.  `config.iterations` is the budget of trial
     evaluations.  The search runs in the stages of `SCHEDULE`: stage i clamps
-    the Gram entries to +-(1 - epsilon_i) and ends once the evaluations reach
-    its fraction of the budget, once its best design-dependent part g fell by
-    at most STALL g over the last WINDOW evaluations, or at a zero Riemannian
-    gradient.  Each stage starts afresh (step, memory and best) from the
-    previous stage's best iterate, re-evaluated under its own clamp.  Each
-    trial point R - alpha g, renormalized, is accepted once f falls ARMIJO
-    alpha |g|^2 below the largest of the stage's last MEMORY accepted values,
-    and alpha halves otherwise; only an accepted trial has its gradient
-    formed.  An accepted step sets the next alpha to the Barzilai-Borwein
-    step |<s,s>/<s,y>| or |<s,y>/<y,y>|, alternately.  Returns the last
-    stage's best accepted iterate, or the start where that is no better under
-    the final clamp; a result above `trace.objective_initial` raises
+    the Gram entries to +-(1 - epsilon_i), evaluates f and its gradient in
+    its dtype (the iterates are float64 throughout), and ends once the
+    evaluations reach its fraction of the budget, once its best
+    design-dependent part g fell by at most STALL g over the last WINDOW
+    evaluations, or at a zero Riemannian gradient.  Each stage starts afresh
+    (step, memory and best) from the previous stage's best iterate,
+    re-evaluated under its own clamp and dtype.  Each trial point
+    R - alpha g, renormalized, is accepted once f falls ARMIJO alpha |g|^2
+    below the largest of the stage's last MEMORY accepted values, and alpha
+    halves otherwise; only an accepted trial has its gradient formed.  An
+    accepted step sets the next alpha to the Barzilai-Borwein step
+    |<s,s>/<s,y>| or |<s,y>/<y,y>|, alternately.  Returns the last stage's
+    best accepted iterate, or the start where that is no better under the
+    final clamp; a result above `trace.objective_initial` raises
     OptimizationError.  Deterministic for a fixed configuration.
     """
     k, omega = summary.k, config.omega
     start_r = best_r = _start(k, r0)
-    step = _Step(summary, omega, best_r.shape[1])
+    steps = {dtype: _Step(summary, omega, best_r.shape[1], dtype)
+             for dtype in {np.float64, *(dtype for _, _, dtype in SCHEDULE)}}
     floor = 2.0 * (omega**2 + 4.0) * summary.total**2
     trace = OptTrace()
-    # the start scored under 1 - CLAMP_EPSILON, the clamp the result is scored under
+    # the start scored as the result is: under 1 - CLAMP_EPSILON, in float64
+    step = steps[np.float64]
     terms = step.objective(start_r)
     start = _point(start_r, step.gradient(start_r), terms, 0.0)
     trace.objective_initial = (start.f if r0 is not None
                                else sum(objective_terms(summary, 0.25 * np.eye(k), omega)))
     evaluation = 0
-    for fraction, epsilon in SCHEDULE:
+    for fraction, epsilon, dtype in SCHEDULE:
         end = round(fraction * config.iterations)
         first = evaluation
+        step = steps[dtype]
         step.limit = 1.0 - epsilon
         # f changed with the clamp: the step, the memory and the best restart
         # an iterate is never written to once accepted: the best needs no copy
@@ -372,7 +385,7 @@ def optimize(summary: ClusterLaw, config: OptimizerConfig = OptimizerConfig(),
             if len(window) > WINDOW and window[0] - window[-1] <= STALL * window[-1]:
                 trace.stop = "stall"
                 break
-        trace.stages.append((epsilon, evaluation - first))
+        trace.stages.append((epsilon, evaluation - first, np.dtype(dtype).name))
     trace.evaluations = evaluation
     best, best_r = min((start, start_r), (best, best_r), key=lambda pair: pair[0].f)
     trace.append(evaluation, best, floor, epsilon, best_r)

@@ -26,8 +26,9 @@ expression evaluates the rule over its nodes, the six pairs and a batch of
 
 Measured against mpmath at 20 to 40 digits: within 2e-16 on random inputs,
 and within 2e-14, 9e-14 and 1.1e-13 when a pair correlation is within 1e-7,
-1e-8 and 2e-9 of +-1, where adaptive scipy quad drifts to 1e-5.  On random and rank-2/3
-5x5 blocks the pattern probabilities agree with adaptive quad to 2e-15.
+1e-8 and 2e-9 of +-1, where an adaptive quadrature (QUADPACK) drifts to
+1e-5.  On random and rank-2/3 5x5 blocks the pattern probabilities agree
+with adaptive quadrature to 2e-15.
 """
 
 from __future__ import annotations

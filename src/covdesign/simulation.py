@@ -11,6 +11,7 @@ and noise ignore the other designs.
 from __future__ import annotations
 
 import math
+import time
 import warnings
 from dataclasses import dataclass, field
 
@@ -120,6 +121,10 @@ class SimReport:
     gammas: tuple[float, ...]
     estimators: tuple[str, ...]
     meta: dict = field(default_factory=dict)
+    # a multiplicative run's neighbour-count layout and the seconds it took to
+    # build (`ClusterModel.layout`, `.counts_s`): a fact about the run, not
+    # part of the report
+    counts: tuple[str, float] | None = field(default=None, compare=False)
 
     def cell(self, design: str, gamma: float, estimator: str) -> ReportCell:
         for c in self.cells:
@@ -153,35 +158,69 @@ class SimReport:
         }
 
 
-# The multiplicative model holds the neighbour counts and the cluster
-# indicator as dense arrays up to `DENSE_CELLS` unit x cluster cells, and
-# up to `DENSE_LIMIT` cells where at most `DENSE_FILL` cells hold each
-# nonzero count; otherwise as scipy CSR arrays.  One B = 64 product took
-# 2.2 ms dense and 3.7 ms CSR at 16 % fill (11,600 x 200), and 3.6 ms dense
-# and 0.4 ms CSR at 1 % fill (6,000 x 600), on one OpenBLAS thread.
+# The multiplicative noise needs (N t)_i for every unit i, which it reads
+# from the neighbour counts N in one of two layouts.  N is held dense, as a
+# K x n array, up to `DENSE_CELLS` unit x cluster cells, and up to
+# `DENSE_LIMIT` cells where at most `DENSE_FILL` cells hold each nonzero
+# count; otherwise in buckets of units with equal row lengths, each a
+# gather of t and one contraction.  The sums of one B = 64 block took
+# 5.0-6.5 ms dense and 18 ms in buckets at 16 % fill (11,600 x 200), and
+# 6.9 ms dense and 2.4 ms in buckets at 1 % fill (6,000 x 600), in float32
+# on one OpenBLAS thread.
 DENSE_CELLS = 1 << 16
 DENSE_FILL = 8
 DENSE_LIMIT = 1 << 24
+# elements of one gather of t (draws x units x row length): a bucket of more
+# units is gathered a chunk of units at a time, which keeps the temporary
+# at 1 MB in float32 (2^16 to 2^18 were fastest at both fills above)
+GATHER = 1 << 18
 # float32 holds every integer below 2^24 exactly
 EXACT_FLOAT32 = 1 << 24
 
 
 def _neighbour_counts(law: ClusterLaw, dtype):
-    """``(indicator, counts)``: the K x n cluster indicator and the n x K
-    neighbour counts N of `law`, dense or scipy CSR arrays."""
+    """``(layout, spread)``: the layout of the neighbour counts N of `law`,
+    "dense" or "buckets", and the function that maps cluster draws t (B x K)
+    to the B x K sums over the units i of each cluster of (N t)_i^2, in
+    `dtype`.  The units are taken in cluster order, so each cluster's sum is
+    one `np.add.reduceat` segment; a unit without neighbours adds 0."""
     assign, k, n = law.clustering.assignment, law.k, law.n
     indptr, indices, counts = law.neighbours
+    order = np.argsort(assign, kind="stable")
+    # every cluster is nonempty, so the segment starts strictly increase
+    starts = np.concatenate(([0], np.cumsum(law.sizes)[:-1]))
     cells = n * k
     if cells <= DENSE_CELLS or cells <= min(DENSE_FILL * counts.size, DENSE_LIMIT):
-        indicator = np.zeros((k, n), dtype=dtype)
-        indicator[assign, np.arange(n)] = 1.0
-        dense = np.zeros((n, k), dtype=dtype)
-        dense[np.repeat(np.arange(n), np.diff(indptr)), indices] = counts
-        return indicator, dense
-    import scipy.sparse as sp
+        position = np.empty(n, dtype=np.int64)
+        position[order] = np.arange(n)
+        dense = np.zeros((k, n), dtype=dtype)
+        dense[indices, np.repeat(position, np.diff(indptr))] = counts
 
-    indicator = sp.csr_array((np.ones(n, dtype=dtype), (assign, np.arange(n))), shape=(k, n))
-    return indicator, sp.csr_array((counts.astype(dtype), indices, indptr), shape=(n, k))
+        def spread(t):
+            reach = t.astype(dtype, copy=False) @ dense
+            reach *= reach
+            return np.add.reduceat(reach, starts, axis=1)
+
+        return "dense", spread
+    lengths = np.diff(indptr)[order]
+    buckets = []
+    for length in np.unique(lengths[lengths > 0]):
+        at = np.flatnonzero(lengths == length)
+        entries = indptr[order[at], None] + np.arange(length)
+        buckets.append((at, indices[entries], counts[entries].astype(dtype)))
+
+    def spread(t):
+        draws = np.ascontiguousarray(t.T, dtype=dtype)
+        reach = np.zeros((n, t.shape[0]), dtype=dtype)
+        for at, columns, values in buckets:
+            step = max(1, GATHER // (t.shape[0] * columns.shape[1]))
+            for i in range(0, at.size, step):
+                rows = slice(i, i + step)
+                reach[at[rows]] = np.einsum("ulb,ul->ub", draws[columns[rows]], values[rows])
+        reach *= reach
+        return np.add.reduceat(reach, starts, axis=0).T
+
+    return "buckets", spread
 
 
 class ClusterModel:
@@ -195,8 +234,11 @@ class ClusterModel:
     neighbour counts N of the `ClusterLaw`.  Every K x K sum over the units
     is the law's contact matrix or a `ClusterLaw.weighted` sum: weights 1/d
     for `linear`, d for the `multiplicative` noise.  The multiplicative
-    noise's sums over N are integer sums; they run in float32, exactly,
-    when every cluster's sum of squared degrees is below 2^24.
+    noise's sum_{i in a} (N t)_i^2 comes from `_neighbour_counts`, dense or
+    in row-length buckets, with the seconds the layout took to build in
+    `counts_s`.  Its sums over N are integer sums; they run in float32,
+    exactly, when every cluster's sum of squared degrees is below 2^24, so
+    both layouts give the same bits.
     """
 
     def __init__(self, model, law: ClusterLaw):
@@ -224,9 +266,11 @@ class ClusterModel:
             # rel_i f_i = (N t)_i / dbar, so the mean needs only the contacts
             exact32 = np.bincount(assign, deg * deg, minlength=k).max() < EXACT_FLOAT32
             self.dtype = np.float32 if exact32 else np.float64
-            indicator, counts = _neighbour_counts(law, self.dtype)
+            start = time.perf_counter()
+            self.layout, self.spread = _neighbour_counts(law, self.dtype)
+            self.counts_s = time.perf_counter() - start
             self.scale = 1.0 / dbar if dbar > 0 else 0.0
-            self.beta, self.counts, self.indicator = model.beta, counts, indicator
+            self.beta = model.beta
             self.direct = model.beta * self.baseline
             self.spill = model.alpha * self.scale * law.contact
             self.rel_sq = np.bincount(assign, (deg * self.scale) ** 2, minlength=k)
@@ -250,9 +294,7 @@ class ClusterModel:
             return np.sqrt(self.sizes)
         # sum_{i in a} (rel_i (1 + beta t_a) + gamma (N t)_i / dbar)^2, expanded
         lift = 1.0 + self.beta * t
-        reach = self.counts @ t.T.astype(self.dtype, copy=False)
-        reach *= reach
-        spread = (self.indicator @ reach).T.astype(np.float64, copy=False)
+        spread = self.spread(t).astype(np.float64, copy=False)
         var = (self.rel_sq * lift**2 + 2.0 * gamma * lift * (t @ self.cross)
                + (gamma * self.scale) ** 2 * spread)
         return np.sqrt(np.maximum(var, 0.0))
@@ -340,6 +382,7 @@ def run_mc(config: SimConfig) -> SimReport:
             "engine": "cluster-sums",
             "streams": {"per": ["design", "gamma", "block"], "block": BLOCK},
         },
+        counts=(law.layout, law.counts_s) if law.kind == "multiplicative" else None,
     )
 
 

@@ -89,7 +89,7 @@ class TestOptimize:
         assert float(final[7]) == pytest.approx(float(final[1]) - floor)
         assert float(final[8]) == CLAMP_EPSILON
         assert {float(line.split(",")[8]) for line in trace_lines[1:]} == {
-            eps for _, eps in SCHEDULE}
+            eps for _, eps, _ in SCHEDULE}
         # the sidecar's f is the root file's, under the final clamp
         assert cd.evaluate_root(root, summary, 1.0)[0] == sidecar["objective_final"]
         assert "seed" not in sidecar and "step_size" not in sidecar
@@ -113,7 +113,8 @@ class TestOptimize:
         used = sidecar["evaluations"]
         assert sidecar["stop"] == manifest["stop"] == stop
         assert sidecar["stages"] == manifest["stages"]
-        assert [s["epsilon"] for s in sidecar["stages"]] == [eps for _, eps in SCHEDULE]
+        assert [(s["epsilon"], s["dtype"]) for s in sidecar["stages"]] == [
+            (eps, np.dtype(dtype).name) for _, eps, dtype in SCHEDULE]
         assert sum(s["evaluations"] for s in sidecar["stages"]) == used
         assert used < 2000 if stop == "stall" else used == 50
         assert f"{used} of {iters} evaluations, stop: {stop})" in capsys.readouterr().out

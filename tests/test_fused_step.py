@@ -5,7 +5,9 @@ strips of `STRIP` rows, and reads tr(C X) as the elementwise sum <C, X>.
 The reference below keeps the earlier path: a full clamped Gram for the
 objective, a second one for the gradient, and tr(C X) as a matrix product.
 `optimize`'s Riemannian Barzilai-Borwein loop is checked against a
-written-out reference of the same method.  Both must agree to rounding.
+written-out reference of the same method, under an all-float64 `SCHEDULE`.
+Both must agree to rounding.  The float32 strips of the loose-clamp stages
+are checked against the same reference to a bound set by float32 rounding.
 """
 
 import numpy as np
@@ -16,6 +18,7 @@ from hypothesis.extra.numpy import arrays
 
 import covdesign as cd
 from conftest import captured_roots, random_unit_rows, unit_rows
+from covdesign import optimizer
 from covdesign.optimizer import CLAMP_EPSILON, SCHEDULE, STALL, STRIP, WINDOW, _Step
 from unit_reference import is_valid_covariance
 
@@ -58,18 +61,19 @@ def ref_gradient(r, summary, omega, clamp_epsilon=1e-6):
 
 def ref_optimize(summary, iterations, omega=1.0, r0=None):
     """Riemannian BB descent from the identity (or from `r0`, row-normalized),
-    written out, in the stages of `SCHEDULE`.  Stage i evaluates f with the
-    Gram entries clamped to +-(1 - epsilon_i); it restarts from the previous
-    stage's best iterate with a fresh step, memory and best, and runs until
-    round(fraction_i * iterations) evaluations in all, until its best
-    design-dependent part g fell by at most STALL g over the last WINDOW
-    evaluations, or until a zero gradient.  Within a stage: accept a trial
-    once f falls 1e-4 alpha |g|^2 below the largest of the stage's last 10
-    accepted values, else halve alpha; after an acceptance alternate the BB
-    steps <s,s>/|<s,y>| and |<s,y>|/<y,y>, and keep alpha when <s,y> is 0.
-    Returns every stage start and accepted iterate as (evaluation, root, f,
-    epsilon), the last stage's best (root, f), why the run stopped, and the
-    evaluations it used.
+    written out, in the stages of `optimizer.SCHEDULE`, every one evaluated
+    in float64 (so the run it pins is one under `FLOAT64_SCHEDULE`).  Stage i
+    evaluates f with the Gram entries clamped to +-(1 - epsilon_i); it
+    restarts from the previous stage's best iterate with a fresh step, memory
+    and best, and runs until round(fraction_i * iterations) evaluations in
+    all, until its best design-dependent part g fell by at most STALL g over
+    the last WINDOW evaluations, or until a zero gradient.  Within a stage:
+    accept a trial once f falls 1e-4 alpha |g|^2 below the largest of the
+    stage's last 10 accepted values, else halve alpha; after an acceptance
+    alternate the BB steps <s,s>/|<s,y>| and |<s,y>|/<y,y>, and keep alpha
+    when <s,y> is 0.  Returns every stage start and accepted iterate as
+    (evaluation, root, f, epsilon), the last stage's best (root, f), why the
+    run stopped, and the evaluations it used.
 
     Near the arcsine clamp a BB step turns a difference in the last bit of
     the gradient into one about ten times larger every ten evaluations, so
@@ -89,7 +93,7 @@ def ref_optimize(summary, iterations, omega=1.0, r0=None):
     best_r = (np.eye(summary.k) if r0 is None
               else r0 / np.sqrt(np.einsum("ij,ij->i", r0, r0))[:, None])
     iterates, evaluation = [], 0
-    for fraction, epsilon in SCHEDULE:
+    for fraction, epsilon, _ in optimizer.SCHEDULE:
         r = best_r
         f, g = tangent(r, epsilon)
         best_f, accepted, bests = f, [f], [f - floor]
@@ -164,7 +168,7 @@ def test_evaluator_matches_three_product_reference(summary, omega):
     assert clamps[-1] > 0
 
 
-@pytest.mark.parametrize("epsilon", [eps for _, eps in SCHEDULE])
+@pytest.mark.parametrize("epsilon", [eps for _, eps, _ in SCHEDULE])
 def test_step_under_each_stage_clamp_matches_three_product_reference(summary, epsilon):
     for r in roots_for(summary.k):
         step = _Step(summary, 1.0, r.shape[1])
@@ -186,12 +190,18 @@ def test_clamp_count_ignores_the_diagonal(sbm4):
     assert cd.evaluate_root(r, summary, 1.0)[3] == ref_objective(r, summary, 1.0)[3] == 2
 
 
+# `SCHEDULE` with every stage evaluated in float64
+FLOAT64_SCHEDULE = tuple((fraction, epsilon, np.float64) for fraction, epsilon, _ in SCHEDULE)
+
+
 def assert_trace_matches_reference_loop(summary, iterations, r0=None):
-    with captured_roots() as roots:
+    with pytest.MonkeyPatch.context() as patch, captured_roots() as roots:
+        patch.setattr(optimizer, "SCHEDULE", FLOAT64_SCHEDULE)
         root, trace = cd.optimize(summary, cd.OptimizerConfig(iterations=iterations), r0=r0)
-    iterates, (best_r, best_f), stop, evaluations = ref_optimize(summary, iterations, r0=r0)
+        iterates, (best_r, best_f), stop, evaluations = ref_optimize(summary, iterations,
+                                                                     r0=r0)
     assert (trace.stop, trace.evaluations) == (stop, evaluations)
-    assert sum(n for _, n in trace.stages) == evaluations
+    assert sum(n for _, n, _ in trace.stages) == evaluations
     assert trace.iterations == list(range(0, evaluations, 10)) + [evaluations]
     assert sum(step > 0 for step in trace.step[:-1]) > 0
     for evaluation, r, f, epsilon in zip(trace.iterations[:-1], roots, trace.objective,
@@ -285,6 +295,50 @@ def test_multi_strip_evaluator_matches_three_product_reference(wide_summary, ome
             assert n_clamped == ref_clamped
             assert np.linalg.norm(grad - ref_grad) <= RTOL * np.linalg.norm(ref_grad)
         assert n_clamped == (2 if k == STRIP + 1 else 4)
+
+
+# float32 spaces numbers near 1 by 6e-8, so near the clamp, where 1 - A^2 is
+# about 2 epsilon, the slope 1/sqrt(1 - A^2) is off by about 3e-8/epsilon
+# relative: the bound on the gradient (measured in norm on these roots: 5e-7
+# at epsilon 1e-2 and 9e-5 at 1e-4).  f and its terms are float32 sums of
+# float32 arcsines, held to 1e-6 relative (measured: 5e-8).
+FLOAT32_SLOPE = 3e-8
+FLOAT32_TERMS = 1e-6
+
+
+@pytest.mark.parametrize("epsilon", [eps for _, eps, dtype in SCHEDULE if dtype == np.float32])
+@pytest.mark.parametrize("omega", [0.0, 1.0])
+def test_float32_step_matches_three_product_reference(wide_summary, omega, epsilon):
+    k = wide_summary.k
+    for p in (7, k):
+        for r in (unit_rows(np.random.default_rng(p).standard_normal((k, p))),
+                  straddling_rows(k, p, seed=p + 1)):
+            step = _Step(wide_summary, omega, p, np.float32)
+            step.limit = 1.0 - epsilon
+            terms = step.objective(r)
+            for term, ref in zip(terms, ref_objective(r, wide_summary, omega, epsilon)):
+                assert abs(term - ref) <= FLOAT32_TERMS * abs(ref)
+            grad, ref_grad = step.gradient(r), ref_gradient(r, wide_summary, omega, epsilon)
+            assert grad.dtype == np.float64
+            assert (np.linalg.norm(grad - ref_grad)
+                    <= FLOAT32_SLOPE / epsilon * np.linalg.norm(ref_grad))
+
+
+def test_float32_stages_hand_on_a_result_scored_in_float64():
+    k = 2 * STRIP + 2
+    graph, clustering = cd.generate_sbm([3] * k, 0.8, 0.02, seed=k)
+    summary = cd.build_cluster_summary(graph, clustering)
+    root, trace = cd.optimize(summary, cd.OptimizerConfig(iterations=300))
+    assert [(eps, dtype) for eps, _, dtype in trace.stages] == [
+        (eps, np.dtype(dtype).name) for _, eps, dtype in SCHEDULE]
+    assert "float32" in [dtype for _, _, dtype in trace.stages]
+    assert close(trace.objective[-1], cd.evaluate_root(root, summary, 1.0)[0])
+    # rows from the last stage's first evaluation on are the last stage's
+    last = sum(n for _, n, _ in trace.stages[:-1])
+    assert [eps for it, eps in zip(trace.iterations, trace.epsilon) if it >= last] == [
+        CLAMP_EPSILON] * sum(it >= last for it in trace.iterations)
+    assert {eps for it, eps in zip(trace.iterations, trace.epsilon) if it < last} == {
+        eps for _, eps, _ in SCHEDULE[:-1]}
 
 
 def test_multi_strip_trace_matches_reference_loop():

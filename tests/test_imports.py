@@ -37,10 +37,9 @@ LAZY = ("networkx", "scipy.integrate", "scipy.sparse", "scipy.sparse.csgraph", "
 
 
 def test_import_loads_no_enumeration_or_clustering_only_module():
-    """`import covdesign` (and the CLI) must not pay for modules that only
-    large graphs' Monte Carlo needs (scipy's sparse matrices), nor for
-    scipy's quadrature and graph routines, networkx or multiprocessing,
-    which covdesign no longer uses."""
+    """`import covdesign` (and the CLI) must not load scipy's sparse
+    matrices, quadrature or graph routines, networkx or multiprocessing,
+    none of which covdesign uses."""
     src = str(Path(covdesign.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import json, sys, covdesign, covdesign.cli; "
@@ -79,10 +78,9 @@ print(json.dumps([m for m in ("scipy.integrate", "scipy.sparse", "scipy.sparse.c
 
 
 def test_small_graph_pipeline_loads_no_sparse_matrices(tmp_path):
-    """Below `simulation.DENSE_CELLS` unit x cluster cells the whole pipeline
-    is plain numpy: `cluster`, `optimize`, `simulate` with each outcome
-    model, `analyze`, `run_exact` and `variance_exact` must not load
-    `scipy.sparse`."""
+    """The whole pipeline is plain numpy: `cluster`, `optimize`, `simulate`
+    with each outcome model (dense neighbour counts at this size), `analyze`,
+    `run_exact` and `variance_exact` must not load `scipy.sparse`."""
     src = str(Path(covdesign.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = """
@@ -120,9 +118,9 @@ print(json.dumps([steps, "scipy.sparse" in sys.modules]))
 
 def test_linear_model_loads_no_sparse_matrices_above_the_dense_limit():
     """Every K x K sum of the `linear` model is a `ClusterLaw.weighted` sum,
-    so its Monte Carlo loads no `scipy.sparse` even where the neighbour
-    counts are too many and too sparse to be dense; the `multiplicative`
-    model's noise still needs the sparse counts there."""
+    and the `multiplicative` noise reads its neighbour counts in row-length
+    buckets where they are too many and too sparse to be dense: the Monte
+    Carlo of neither loads any scipy module there."""
     src = str(Path(covdesign.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = """
@@ -137,19 +135,17 @@ for kind in ("linear", "multiplicative"):
     cd.run_mc(cd.SimConfig(law=cd.cluster_law(graph, clustering),
                            designs=(("ber", cd.make_design("ber", clustering.k)),),
                            model=model, gammas=(1.0,), replications=8))
-    loaded.append("scipy.sparse" in sys.modules)
+    loaded.append(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 print(json.dumps(loaded))
 """
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
-    assert json.loads(out.stdout) == [False, True]
+    assert json.loads(out.stdout) == [[], []]
 
 
-def test_scipy_is_imported_only_for_the_sparse_neighbour_counts():
-    """The one `import scipy...` under the package is the one in
-    `simulation._neighbour_counts`, which only the multiplicative model's
-    noise calls, and which loads it only for counts too many and too sparse
-    to hold dense."""
+def test_no_module_imports_scipy():
+    """covdesign runs on numpy alone: no module under the package imports
+    scipy, at module level or inside a function."""
     sites = []
     for path in sorted(Path(covdesign.__file__).resolve().parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -159,7 +155,7 @@ def test_scipy_is_imported_only_for_the_sparse_neighbour_counts():
                          else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
                 if any(name.split(".")[0] == "scipy" for name in names):
                     sites.append((path.stem, getattr(scope, "name", None)))
-    assert sites == [("simulation", "_neighbour_counts")]
+    assert sites == []
 
 
 def test_public_surface():

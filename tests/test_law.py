@@ -244,22 +244,28 @@ json.dump({"graph": "g.el", "clustering": "c.txt", "designs": [{"kind": "ber"}],
 def refuse(*args, **kwargs):
     raise AssertionError("parsed with a matching law")
 cli.load_edge_list = cli.read_clustering = refuse
-before = "scipy.sparse" in sys.modules
 code = cli.main(["simulate", "--config", "sim.json"])
-print(json.dumps([cells, round(fill, 3), code, before, "scipy.sparse" in sys.modules]))
+record = json.load(open("out/simulate.manifest.json"))
+print(json.dumps([cells, round(fill, 3), code, record["neighbour_counts"],
+                  sorted(record["timings_s"]),
+                  sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
 """
 
 
 @pytest.mark.parametrize("shape, sparse", [
     ((200, 58, 0.5, 200_000, 5), False),  # 11,600 x 200 at campus fill (about 16 %)
-    ((60, 20, 0.3, 1_500, 4), True),  # 1,200 x 60 at about 5 % fill
+    ((600, 10, 0.7, 14_000, 4), True),  # 6,000 x 600 at wide's fill (about 0.5 %)
 ], ids=["campus-density", "sparse"])
-def test_multiplicative_simulate_loads_scipy_only_for_sparse_counts(tmp_path, shape, sparse):
+def test_multiplicative_simulate_loads_no_scipy(tmp_path, shape, sparse):
+    """A multiplicative `simulate` holds its neighbour counts dense or, too
+    many and too sparse for that, in row-length buckets; neither loads any
+    scipy module, and the manifest names the layout and times its build."""
     src = str(Path(cd.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", SCIPY_PROBE, json.dumps(shape)], env=env,
                          cwd=tmp_path, capture_output=True, text=True, timeout=300, check=True)
-    cells, fill, code, before, after = json.loads(out.stdout.splitlines()[-1])
+    cells, fill, code, layout, timings, scipy = json.loads(out.stdout.splitlines()[-1])
     assert cells > cd.simulation.DENSE_CELLS
     assert (fill < 1 / cd.simulation.DENSE_FILL) == sparse
-    assert [code, before, after] == [0, False, sparse]
+    assert [code, layout, scipy] == [0, "buckets" if sparse else "dense", []]
+    assert timings == ["counts", "digest", "law", "read", "simulate"]

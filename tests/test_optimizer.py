@@ -115,11 +115,12 @@ class TestOptimize:
         assert trace.stop == "zero-gradient" and trace.evaluations == 0
 
     def test_the_last_stage_clamps_at_clamp_epsilon(self, path_summary):
-        assert SCHEDULE[-1] == (1.0, CLAMP_EPSILON)
-        assert [eps for _, eps in SCHEDULE] == sorted((eps for _, eps in SCHEDULE),
-                                                      reverse=True)
+        assert SCHEDULE[-1] == (1.0, CLAMP_EPSILON, np.float64)
+        assert [eps for _, eps, _ in SCHEDULE] == sorted((eps for _, eps, _ in SCHEDULE),
+                                                         reverse=True)
         root, trace = cd.optimize(path_summary, cd.OptimizerConfig(iterations=60))
-        assert [eps for eps, _ in trace.stages] == [eps for _, eps in SCHEDULE]
+        assert [(eps, dtype) for eps, _, dtype in trace.stages] == [
+            (eps, np.dtype(dtype).name) for _, eps, dtype in SCHEDULE]
         assert trace.epsilon[-1] == CLAMP_EPSILON
         assert trace.objective[-1] == cd.evaluate_root(root, path_summary, 1.0)[0]
 

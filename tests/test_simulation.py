@@ -689,8 +689,9 @@ def _noisy_models(graph):
 
 @pytest.mark.parametrize("fixture", ["sbm4", "isolated", "planted"])
 def test_dense_and_csr_counts_give_the_same_sums(fixture, sbm4, monkeypatch):
-    """Dense neighbour counts and CSR ones give equal sums; the linear and
-    analysis models build no neighbour counts at all."""
+    """Dense neighbour counts and the row-length buckets of the law's CSR
+    triplet give equal sums; the linear and analysis models build no
+    neighbour counts at all."""
     graph, clustering = {"sbm4": sbm4, "isolated": _isolated_unit_graph(),
                          "planted": cd.generate_sbm([20] * 10, 0.3, 0.02, seed=7)}[fixture]
     rng = np.random.default_rng(8)
@@ -698,11 +699,14 @@ def test_dense_and_csr_counts_give_the_same_sums(fixture, sbm4, monkeypatch):
     noise = rng.standard_normal(t.shape)
     for model in _noisy_models(graph):
         sums = {}
-        for cells in (0, 1 << 62):
-            # 0 turns off both the size and the density rule: CSR
+        for cells, layout in ((0, "buckets"), (1 << 62, "dense")):
+            # 0 turns off both the size and the density rule: buckets
             monkeypatch.setattr(cd.simulation, "DENSE_CELLS", cells)
             monkeypatch.setattr(cd.simulation, "DENSE_LIMIT", cells)
-            sums[cells] = ClusterModel(model, cd.cluster_law(graph, clustering)).sums(t, 1.3, noise)
+            law = ClusterModel(model, cd.cluster_law(graph, clustering))
+            assert getattr(law, "layout", None) == (layout if law.kind == "multiplicative"
+                                                    else None)
+            sums[cells] = law.sums(t, 1.3, noise)
         assert np.array_equal(sums[0], sums[1 << 62])
 
 
@@ -718,18 +722,82 @@ def test_float32_noise_scale_is_bitwise_the_float64_one(dense, seed, monkeypatch
     model = cd.SimModelParams("multiplicative", alpha=1.2, beta=0.7, sigma=0.8)
     t = rng.integers(0, 2, (64, clustering.k)).astype(float)
     noise = rng.standard_normal(t.shape)
-    # dense by the size rule, or CSR with both the size and the density rule off
+    # dense by the size rule, or buckets with both the size and the density rule off
     monkeypatch.setattr(cd.simulation, "DENSE_CELLS", 1 << 62 if dense else 0)
     monkeypatch.setattr(cd.simulation, "DENSE_LIMIT", 1 << 62 if dense else 0)
     law = ClusterModel(model, cd.cluster_law(graph, clustering))
     assert law.dtype == np.float32
-    assert isinstance(law.counts, np.ndarray) == dense
+    assert law.layout == ("dense" if dense else "buckets")
     monkeypatch.setattr(cd.simulation, "EXACT_FLOAT32", 0)
     wide = ClusterModel(model, cd.cluster_law(graph, clustering))
     assert wide.dtype == np.float64
     assert np.array_equal(law.cross, wide.cross)
     for gamma in (0.0, 1.3, -2.1):
         assert np.array_equal(law.sums(t, gamma, noise), wide.sums(t, gamma, noise))
+
+
+@st.composite
+def count_cases(draw):
+    """A graph with isolated units and rows of many lengths, a partition
+    with one-unit clusters (K = BLOCK among the cases, so that a draws x K
+    result read as K x draws shows), a block of draws and an interference
+    level."""
+    k = draw(st.one_of(st.integers(1, 12), st.just(cd.simulation.BLOCK)))
+    n = k + draw(st.integers(0, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = np.concatenate([np.arange(k), rng.integers(0, k, n - k)])
+    rng.shuffle(labels)
+    # a reach per unit spreads the row lengths; the first units have none
+    reach = rng.uniform(0.0, 0.7, n)
+    reach[:draw(st.integers(0, min(3, n)))] = 0.0
+    edges = np.argwhere(np.triu(rng.random((n, n)) < np.outer(reach, reach), 1))
+    t = rng.integers(0, 2, (draw(st.sampled_from([1, 7, cd.simulation.BLOCK])), k))
+    return cd.Graph(n, edges), cd.Clustering(labels, k), t.astype(float), rng.uniform(-3, 3)
+
+
+def loop_noise_scale(law, graph, clustering, t, gamma):
+    """`ClusterModel._noise_scale` of a multiplicative `law`, with its
+    sum_{i in a} (N t)_i^2 taken edge by edge and unit by unit."""
+    assign = clustering.assignment
+    reach = np.zeros((t.shape[0], graph.n))
+    for u, v in graph.edges:
+        reach[:, u] += t[:, assign[v]]
+        reach[:, v] += t[:, assign[u]]
+    spread = np.zeros(t.shape)
+    for unit in range(graph.n):
+        spread[:, assign[unit]] += reach[:, unit] ** 2
+    lift = 1.0 + law.beta * t
+    var = (law.rel_sq * lift**2 + 2.0 * gamma * lift * (t @ law.cross)
+           + (gamma * law.scale) ** 2 * spread)
+    return np.sqrt(np.maximum(var, 0.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(count_cases())
+def test_both_count_layouts_give_the_noise_scale_of_a_per_edge_loop(case):
+    """Dense counts, buckets gathered whole, and buckets gathered in chunks
+    of one unit or of two units of row length 1 (so a bucket is larger than
+    its chunk) give the bits of the per-edge loop, in float32 and float64."""
+    graph, clustering, t, gamma = case
+    law = cd.cluster_law(graph, clustering)
+    model = cd.SimModelParams("multiplicative", alpha=1.2, beta=0.7, sigma=0.8)
+    for exact32, dtype in ((cd.simulation.EXACT_FLOAT32, np.float32), (0, np.float64)):
+        scales = []
+        for cells, gather, layout in ((1 << 62, cd.simulation.GATHER, "dense"),
+                                      (0, cd.simulation.GATHER, "buckets"),
+                                      (0, 1, "buckets"), (0, 2 * t.shape[0], "buckets")):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(cd.simulation, "EXACT_FLOAT32", exact32)
+                patch.setattr(cd.simulation, "DENSE_CELLS", cells)
+                patch.setattr(cd.simulation, "DENSE_LIMIT", cells)
+                patch.setattr(cd.simulation, "GATHER", gather)
+                built = ClusterModel(model, law)
+                assert (built.dtype, built.layout) == (dtype, layout)
+                scales.append(built._noise_scale(t, gamma))
+        expected = loop_noise_scale(built, graph, clustering, t, gamma)
+        for scale in scales:
+            assert scale.shape == t.shape
+            assert np.array_equal(scale, expected)
 
 
 @pytest.mark.parametrize("hub, dtype", [(4095, np.float32), (4097, np.float64)])
